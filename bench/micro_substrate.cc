@@ -2,8 +2,9 @@
  * @file
  * Substrate microbenchmarks (google-benchmark): raw throughput of the
  * simulation kernel and the hot data structures — the event queue,
- * the AMB cache, the address map, the cache tag array and the
- * synthetic trace generator.  These gate overall simulation speed.
+ * the AMB cache, the address map, the cache tag array, the synthetic
+ * trace generator and the functional cache warm-up they combine into.
+ * These gate overall simulation speed.
  */
 
 #include <benchmark/benchmark.h>
@@ -12,10 +13,12 @@
 #include <vector>
 
 #include "cache/cache_array.hh"
+#include "cache/hierarchy.hh"
 #include "mc/address_map.hh"
 #include "prefetch/amb_cache.hh"
 #include "sim/event_queue.hh"
 #include "workload/generator.hh"
+#include "workload/mixes.hh"
 
 namespace {
 
@@ -123,6 +126,46 @@ BM_SyntheticGenerator(benchmark::State &state)
         benchmark::DoNotOptimize(gen.next());
 }
 BENCHMARK(BM_SyntheticGenerator);
+
+void
+BM_SyntheticGeneratorWarm(benchmark::State &state)
+{
+    SyntheticGenerator gen(benchProfile("swim"), 0, 42, true);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(gen.nextWarm());
+}
+BENCHMARK(BM_SyntheticGeneratorWarm);
+
+/**
+ * System::run's functional warm-up loop: the first Table 3 mix with
+ * range(0) cores, generators seeded as a default System seeds them
+ * (seed 1, software prefetch on), drawing round-robin into a fresh
+ * Table 1 hierarchy.  One item is one op.
+ */
+void
+BM_FunctionalWarmup(benchmark::State &state)
+{
+    const auto n = static_cast<unsigned>(state.range(0));
+    const WorkloadMix &mix = mixesFor(n).front();
+    std::vector<std::unique_ptr<Generator>> gens;
+    for (unsigned i = 0; i < n; ++i)
+        gens.push_back(std::make_unique<SyntheticGenerator>(
+            benchProfile(mix.benches[i]), static_cast<Addr>(i) << 32,
+            1000 + i, true));
+    CacheHierarchy hier(nullptr, n, HierConfig{}, nullptr);
+    for (auto _ : state) {
+        for (unsigned i = 0; i < n; ++i) {
+            const TraceOp op = gens[i]->nextWarm();
+            if (op.kind == TraceOp::Kind::Prefetch)
+                hier.functionalPrefetch(static_cast<int>(i), op.addr);
+            else
+                hier.functionalAccess(static_cast<int>(i), op.addr,
+                                      op.kind == TraceOp::Kind::Store);
+        }
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_FunctionalWarmup)->Arg(1)->Arg(4)->Arg(8);
 
 } // namespace
 

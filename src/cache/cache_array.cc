@@ -1,5 +1,8 @@
 #include "cache/cache_array.hh"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/logging.hh"
 
 namespace fbdp {
@@ -17,83 +20,84 @@ CacheArray::CacheArray(std::uint64_t size_bytes, unsigned ways)
     fbdp_assert(nSets >= 1, "cache has zero sets");
     if ((nSets & (nSets - 1)) == 0)
         setMask = nSets - 1;
-    lines.resize(static_cast<size_t>(nSets) * nWays);
+    tags.resize(static_cast<size_t>(nSets) * nWays);
 }
 
-CacheArray::Line *
+CacheArray::Tag
+CacheArray::pushFront(Tag *base, unsigned n, Tag t)
+{
+    // A carried swap rather than std::copy_backward: the shift is a
+    // few words, and the library (or a loop the compiler recognises
+    // as one) would make it a memmove call.
+    for (unsigned k = 0; k <= n; ++k)
+        std::swap(t, base[k]);
+    return t;
+}
+
+CacheArray::Tag *
 CacheArray::lookup(Addr line_addr, bool touch)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            if (touch)
-                base[w].lruSeq = nextLru++;
-            ++nHits;
-            return &base[w];
-        }
+    Tag *base = setBase(line_addr);
+    const unsigned w = find(base, line_addr);
+    if (w == nWays) {
+        ++nMisses;
+        return nullptr;
     }
-    ++nMisses;
-    return nullptr;
+    ++nHits;
+    if (!touch)
+        return &base[w];
+    pushFront(base, w, base[w]);
+    return &base[0];
+}
+
+CacheArray::Victim
+CacheArray::fillSet(Tag *base, Addr line_addr, bool dirty)
+{
+    Tag t;
+    t.word = line_addr | Tag::validBit | (dirty ? Tag::dirtyBit : 0);
+    // The last way is the LRU line when the set is full, else invalid.
+    const Tag last = pushFront(base, nWays - 1, t);
+    if (!last.valid())
+        return Victim{};
+    return Victim{last.lineAddr(), true, last.dirty()};
 }
 
 CacheArray::Victim
 CacheArray::install(Addr line_addr, bool dirty)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
+    Tag *base = setBase(line_addr);
+    const unsigned w = find(base, line_addr);
+    if (w == nWays)
+        return fillSet(base, line_addr, dirty);
+    // Already present: refresh.
+    pushFront(base, w, base[w]);
+    if (dirty)
+        base[0].setDirty();
+    return Victim{};
+}
 
-    Line *slot = nullptr;
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            // Already present: refresh.
-            base[w].dirty = base[w].dirty || dirty;
-            base[w].lruSeq = nextLru++;
-            return Victim{};
-        }
-        if (!slot && !base[w].valid)
-            slot = &base[w];
-    }
-
-    Victim v;
-    if (!slot) {
-        slot = &base[0];
-        for (unsigned w = 1; w < nWays; ++w) {
-            if (base[w].lruSeq < slot->lruSeq)
-                slot = &base[w];
-        }
-        v.valid = true;
-        v.lineAddr = slot->lineAddr;
-        v.dirty = slot->dirty;
-    }
-
-    slot->lineAddr = line_addr;
-    slot->valid = true;
-    slot->dirty = dirty;
-    slot->lruSeq = nextLru++;
-    return v;
+CacheArray::Victim
+CacheArray::fill(Addr line_addr, bool dirty)
+{
+    return fillSet(setBase(line_addr), line_addr, dirty);
 }
 
 bool
 CacheArray::invalidate(Addr line_addr)
 {
-    const unsigned set = setOf(line_addr);
-    Line *base = &lines[static_cast<size_t>(set) * nWays];
-    for (unsigned w = 0; w < nWays; ++w) {
-        if (base[w].valid && base[w].lineAddr == line_addr) {
-            base[w].valid = false;
-            return true;
-        }
-    }
-    return false;
+    Tag *base = setBase(line_addr);
+    const unsigned w = find(base, line_addr);
+    if (w == nWays)
+        return false;
+    std::copy(base + w + 1, base + nWays, base + w);
+    base[nWays - 1] = Tag{};
+    return true;
 }
 
 void
 CacheArray::reset()
 {
-    for (auto &l : lines)
-        l.valid = false;
-    nextLru = 0;
+    std::fill(tags.begin(), tags.end(), Tag{});
     resetStats();
 }
 

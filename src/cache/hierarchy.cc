@@ -25,9 +25,8 @@ CacheHierarchy::CacheHierarchy(EventQueue *event_queue, unsigned n_cores,
 }
 
 void
-CacheHierarchy::installL1(int core, Addr line_addr, bool dirty)
+CacheHierarchy::writebackL1Victim(const CacheArray::Victim &v, int core)
 {
-    auto v = l1[static_cast<size_t>(core)].install(line_addr, dirty);
     if (v.valid && v.dirty)
         l2InstallWithWriteback(v.lineAddr, true, core);
 }
@@ -50,9 +49,9 @@ CacheHierarchy::access(int core, Addr addr, bool store,
     const Addr line = lineAlign(addr);
     auto c = static_cast<size_t>(core);
 
-    if (CacheArray::Line *l = l1[c].lookup(line)) {
+    if (CacheArray::Tag *l = l1[c].lookup(line)) {
         if (store)
-            l->dirty = true;
+            l->setDirty();
         return Result{Outcome::L1Hit, eq->now()};
     }
 
@@ -60,7 +59,8 @@ CacheHierarchy::access(int core, Addr addr, bool store,
         return Result{Outcome::Blocked, 0};
 
     if (l2.lookup(line)) {
-        installL1(core, line, store);
+        // The L1 lookup above just missed: fill without a rescan.
+        writebackL1Victim(l1[c].fill(line, store), core);
         return Result{Outcome::L2Hit, eq->now() + cfg.l2HitLatency};
     }
 
@@ -157,7 +157,12 @@ CacheHierarchy::fillComplete(Addr line_addr, Tick when)
     for (auto &w : waiters) {
         if (w.isPrefetch)
             continue;
-        installL1(w.coreId, line_addr, w.isStore);
+        // Two merged misses of one core install the line twice, so
+        // the second finds it present.
+        writebackL1Victim(
+            l1[static_cast<size_t>(w.coreId)].install(line_addr,
+                                                      w.isStore),
+            w.coreId);
         fbdp_assert(l1Pending[static_cast<size_t>(w.coreId)] > 0,
                     "L1 pending underflow");
         --l1Pending[static_cast<size_t>(w.coreId)];
@@ -182,15 +187,15 @@ CacheHierarchy::bindTracer(trace::Tracer *t)
 }
 
 void
-CacheHierarchy::setRetryHook(int core, std::function<void()> hook)
+CacheHierarchy::setRetryHook(int core, InlineCallback<> hook)
 {
-    retryHooks.at(static_cast<size_t>(core)) = std::move(hook);
+    retryHooks.at(static_cast<size_t>(core)) = hook;
 }
 
 void
 CacheHierarchy::pokeRetries()
 {
-    for (auto &h : retryHooks) {
+    for (const auto &h : retryHooks) {
         if (h)
             h();
     }
@@ -227,18 +232,19 @@ void
 CacheHierarchy::functionalAccess(int core, Addr addr, bool store)
 {
     const Addr line = lineAlign(addr);
-    auto c = static_cast<size_t>(core);
-    if (CacheArray::Line *l = l1[c].lookup(line)) {
+    CacheArray &l1c = l1[static_cast<size_t>(core)];
+    if (CacheArray::Tag *l = l1c.lookup(line)) {
         if (store)
-            l->dirty = true;
+            l->setDirty();
         return;
     }
-    if (!l2.lookup(line)) {
-        // Install without generating memory traffic; warm-up victims
-        // are silently dropped.
-        l2.install(line, false);
-    }
-    auto v = l1[c].install(line, store);
+    // Both fills follow a lookup that just missed.  Nothing reaches
+    // memory: warm-up victims are silently dropped, and a dirty L1
+    // victim's writeback stops at the L2 (which may still hold that
+    // line, hence a full install there).
+    if (!l2.lookup(line))
+        l2.fill(line, false);
+    auto v = l1c.fill(line, store);
     if (v.valid && v.dirty)
         l2.install(v.lineAddr, true);
 }
@@ -248,7 +254,7 @@ CacheHierarchy::functionalPrefetch(int, Addr addr)
 {
     const Addr line = lineAlign(addr);
     if (!l2.lookup(line, /*touch=*/false))
-        l2.install(line, false);
+        l2.fill(line, false);
 }
 
 } // namespace fbdp

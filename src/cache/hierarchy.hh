@@ -15,7 +15,6 @@
 #define FBDP_CACHE_HIERARCHY_HH
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -89,8 +88,8 @@ class CacheHierarchy
     /** Non-binding software prefetch into the L2; never blocks. */
     void prefetch(int core, Addr addr);
 
-    /** Hook poked whenever MSHR space frees up. */
-    void setRetryHook(int core, std::function<void()> hook);
+    /** Hook poked whenever MSHR space frees up (after every fill). */
+    void setRetryHook(int core, InlineCallback<> hook);
 
     /**
      * Timeless (functional) warm-up access: updates tags and dirty
@@ -130,7 +129,8 @@ class CacheHierarchy
 
   private:
     void fillComplete(Addr line_addr, Tick when);
-    void installL1(int core, Addr line_addr, bool dirty);
+    /** Write a dirty L1 victim back into the L2. */
+    void writebackL1Victim(const CacheArray::Victim &v, int core);
     void l2InstallWithWriteback(Addr line_addr, bool dirty, int core);
     void pokeRetries();
 
@@ -144,7 +144,7 @@ class CacheHierarchy
     std::unique_ptr<StreamPrefetcher> hwPf;
     std::vector<unsigned> l1Pending;  ///< outstanding L1 misses/core
 
-    std::vector<std::function<void()>> retryHooks;
+    std::vector<InlineCallback<>> retryHooks;
 
     /** Reusable buffer handed to MshrTable::complete; its capacity
      *  ping-pongs with the freed slot's, so fills allocate nothing. */

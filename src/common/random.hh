@@ -73,6 +73,15 @@ class Rng
         return v < least ? least : v;
     }
 
+    /** Advance the state exactly as geometric(@p mean) does, without
+     *  computing the value (its logarithm is most of the cost). */
+    void
+    skipGeometric(double mean)
+    {
+        if (!(mean <= 0))
+            next();
+    }
+
   private:
     /** Cheap natural log; accurate enough for trace spacing. */
     static double

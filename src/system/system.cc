@@ -260,7 +260,8 @@ System::run()
     // Phase 0: functional cache warm-up.  Replay a prefix of each
     // core's trace through the tag arrays so the measured region does
     // not see an artificially cold 4 MB L2 (the paper's SimPoint runs
-    // start from warm state).
+    // start from warm state).  The replay ignores gaps, so it draws
+    // with nextWarm().
     std::uint64_t warm_ops = cfg.functionalWarmupOps;
     if (warm_ops == 0) {
         const std::uint64_t l2_lines = cfg.hier.l2Bytes / lineBytes;
@@ -269,7 +270,7 @@ System::run()
     }
     for (std::uint64_t k = 0; k < warm_ops; ++k) {
         for (unsigned i = 0; i < cfg.nCores(); ++i) {
-            TraceOp op = gens[i]->next();
+            TraceOp op = gens[i]->nextWarm();
             if (op.kind == TraceOp::Kind::Prefetch)
                 hier->functionalPrefetch(static_cast<int>(i), op.addr);
             else

@@ -51,20 +51,26 @@ SyntheticGenerator::randomIn(Addr base_addr, Addr size)
     return base_addr + rng.below(size);
 }
 
+template <bool WantGap>
 TraceOp
-SyntheticGenerator::next()
+SyntheticGenerator::draw()
 {
     ++nOps;
-    if (!queued.empty()) {
-        TraceOp op = queued.front();
-        queued.pop_front();
+    TraceOp op;
+    if (queuedPrefetch) {
+        op.kind = TraceOp::Kind::Prefetch;
+        op.addr = *queuedPrefetch;
+        queuedPrefetch.reset();
         ++nPrefetchOps;
         return op;
     }
 
-    TraceOp op;
-    op.gap = static_cast<std::uint32_t>(
-        rng.geometric(prof.meanGap, 0));
+    if constexpr (WantGap) {
+        op.gap = static_cast<std::uint32_t>(
+            rng.geometric(prof.meanGap, 0));
+    } else {
+        rng.skipGeometric(prof.meanGap);
+    }
 
     if (rng.chance(prof.streamFrac)) {
         // Sequential stream access.  Streams advance in lockstep
@@ -94,12 +100,8 @@ SyntheticGenerator::next()
         if (new_line)
             ++nCrossings;
         if (spEnabled && new_line && rng.chance(prof.spCoverage)) {
-            TraceOp pf;
-            pf.gap = 0;
-            pf.kind = TraceOp::Kind::Prefetch;
-            pf.addr = lineAlign(op.addr)
+            queuedPrefetch = lineAlign(op.addr)
                 + static_cast<Addr>(prof.spDistanceLines) * lineBytes;
-            queued.push_back(pf);
         }
         // The first storeStreams streams are output arrays (all
         // stores); the rest are inputs (all loads).  Vector codes
@@ -124,6 +126,18 @@ SyntheticGenerator::next()
         ? TraceOp::Kind::Store
         : TraceOp::Kind::Load;
     return op;
+}
+
+TraceOp
+SyntheticGenerator::next()
+{
+    return draw<true>();
+}
+
+TraceOp
+SyntheticGenerator::nextWarm()
+{
+    return draw<false>();
 }
 
 } // namespace fbdp

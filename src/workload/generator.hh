@@ -13,7 +13,7 @@
 #define FBDP_WORKLOAD_GENERATOR_HH
 
 #include <cstdint>
-#include <deque>
+#include <optional>
 #include <vector>
 
 #include "common/random.hh"
@@ -41,6 +41,13 @@ class Generator
     /** Produce the next operation (the trace never ends). */
     virtual TraceOp next() = 0;
 
+    /**
+     * next() for functional warm-up, which ignores the gap: the same
+     * kind and address and the same state advance, but the returned
+     * gap is unspecified, so a generator may skip computing it.
+     */
+    virtual TraceOp nextWarm() { return next(); }
+
     /** The profile driving this trace. */
     virtual const BenchProfile &profile() const = 0;
 };
@@ -59,6 +66,8 @@ class SyntheticGenerator : public Generator
                        std::uint64_t seed, bool sw_prefetch);
 
     TraceOp next() override;
+    /** Draws the gap's random number but not its logarithm. */
+    TraceOp nextWarm() override;
     const BenchProfile &profile() const override { return prof; }
 
     std::uint64_t opsGenerated() const { return nOps; }
@@ -71,6 +80,9 @@ class SyntheticGenerator : public Generator
     std::uint64_t prefetchOps() const { return nPrefetchOps; }
 
   private:
+    /** The body of next() (@p WantGap) and nextWarm() (gap left 0). */
+    template <bool WantGap> TraceOp draw();
+
     Addr randomIn(Addr base, Addr size);
 
     BenchProfile prof;
@@ -88,7 +100,10 @@ class SyntheticGenerator : public Generator
     size_t nextStream = 0;   ///< round-robin (lockstep) stream cursor
     size_t storeStreams = 0; ///< leading streams that are outputs
 
-    std::deque<TraceOp> queued;  ///< prefetches awaiting emission
+    /** The software prefetch to emit next, if any.  One slot is
+     *  enough: a draw emits a pending prefetch before it can queue
+     *  another. */
+    std::optional<Addr> queuedPrefetch;
     std::uint64_t nOps = 0;
 
     std::uint64_t nStreamOps = 0;

@@ -202,6 +202,44 @@ TEST(GeneratorTest, ExcludedProgramsModelledButNotInSuite)
     EXPECT_LT(benchProfile("mcf").baseIpc, 1.0) << "mcf's low IPC";
 }
 
+TEST(GeneratorTest, WarmDrawMatchesNextExceptGap)
+{
+    constexpr int warm_ops = 20'000;
+    constexpr int after_ops = 5'000;
+    for (const BenchProfile &p : allProfiles()) {
+        for (bool sw_prefetch : {false, true}) {
+            SCOPED_TRACE(p.name + (sw_prefetch ? " +swpf" : " -swpf"));
+            SyntheticGenerator warm(p, 1ull << 30, 31, sw_prefetch);
+            SyntheticGenerator ref(p, 1ull << 30, 31, sw_prefetch);
+            for (int i = 0; i < warm_ops; ++i) {
+                const TraceOp x = warm.nextWarm();
+                const TraceOp y = ref.next();
+                ASSERT_EQ(static_cast<int>(x.kind),
+                          static_cast<int>(y.kind)) << "op " << i;
+                ASSERT_EQ(x.addr, y.addr) << "op " << i;
+            }
+            EXPECT_EQ(warm.opsGenerated(), ref.opsGenerated());
+            EXPECT_EQ(warm.streamOps(), ref.streamOps());
+            EXPECT_EQ(warm.streamLineCrossings(),
+                      ref.streamLineCrossings());
+            EXPECT_EQ(warm.hotOps(), ref.hotOps());
+            EXPECT_EQ(warm.coldOps(), ref.coldOps());
+            EXPECT_EQ(warm.prefetchOps(), ref.prefetchOps());
+            EXPECT_EQ(sw_prefetch, warm.prefetchOps() > 0);
+            // Same RNG state: the full ops, gaps included, agree from
+            // here on.
+            for (int i = 0; i < after_ops; ++i) {
+                const TraceOp x = warm.next();
+                const TraceOp y = ref.next();
+                ASSERT_EQ(x.gap, y.gap) << "op " << i;
+                ASSERT_EQ(static_cast<int>(x.kind),
+                          static_cast<int>(y.kind)) << "op " << i;
+                ASSERT_EQ(x.addr, y.addr) << "op " << i;
+            }
+        }
+    }
+}
+
 /** Property over all profiles: generator invariants. */
 class GeneratorPropTest
     : public ::testing::TestWithParam<const char *>

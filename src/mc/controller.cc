@@ -1,6 +1,7 @@
 #include "mc/controller.hh"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.hh"
 
@@ -16,6 +17,10 @@ MemController::MemController(std::string name, EventQueue *event_queue,
       completionEvent([this] { completionFire(); }, Event::prioData)
 {
     fbdp_assert(cfg.nDimms >= 1, "%s: no DIMMs", _name.c_str());
+    if (cfg.queueSize < 1 || cfg.queueSize > maxWindow)
+        fatal("%s: queueSize %u outside 1..%u", _name.c_str(),
+              cfg.queueSize, maxWindow);
+    window.reserve(cfg.queueSize);
     dimms.reserve(cfg.nDimms);
     for (unsigned i = 0; i < cfg.nDimms; ++i)
         dimms.emplace_back(&cfg.timing, cfg.banksPerDimm);
@@ -178,6 +183,7 @@ MemController::pushAt(TransPtr t, Tick sent_at)
     const Tick now = sent_at;
     t->arrivedAtMc = now;
     t->earliestIssue = now + cfg.ctrlOverhead;
+    t->retryAt = t->earliestIssue;
     t->mcSeq = nextMcSeq++;
 
     if (t->isRead()) {
@@ -266,11 +272,37 @@ void
 MemController::refillWindow()
 {
     while (!overflow.empty() && window.size() < cfg.queueSize) {
-        if (!overflow.front()->isRead())
+        Transaction *t = overflow.front().get();
+        if (!t->isRead())
             ++windowWrites;
+        const size_t i = window.size();
+        slotReady[i] = t->retryAt;
+        slotKey[i] = classKey(t);
         window.push_back(std::move(overflow.front()));
         overflow.pop_front();
     }
+}
+
+std::uint8_t
+MemController::classKey(const Transaction *t)
+{
+    std::uint8_t k;
+    switch (t->phase) {
+      case TransPhase::AmbHit:
+      case TransPhase::McHit:
+        k = 0;
+        break;
+      case TransPhase::NeedCas:
+        k = 1;  // row already open: finish it (hit-first)
+        break;
+      case TransPhase::NeedPrecharge:
+      case TransPhase::NeedActivate:
+        k = 2;
+        break;
+      default:
+        return keyIdle;
+    }
+    return t->isRead() ? k : static_cast<std::uint8_t>(k + 3);
 }
 
 void
@@ -294,81 +326,96 @@ MemController::wake()
         scheduleWake(now + cfg.timing.memCycle);
 }
 
-unsigned
-MemController::slotsFreeNow(Tick now)
-{
-    return cmdLink.cmdSlotsFree(now);
-}
-
 void
 MemController::issueCycle(Tick now)
 {
     // Group candidates by priority class: hit-first (AMB hits, then
     // open-row hits, then in-progress CAS, then the rest FCFS); reads
-    // before writes unless draining.  The window is kept in mcSeq
-    // order, so scattering preserves FCFS within each bucket and the
-    // bucket-major walk visits candidates in exactly the (bucket,
-    // mcSeq) order the old sort produced — without sorting.
-    auto bucket = [this](const Transaction *t) -> int {
-        // Lower bucket == higher priority.
-        const bool is_read = t->isRead();
-        int b;
-        if (t->phase == TransPhase::AmbHit
-            || t->phase == TransPhase::McHit)
-            b = 0;
-        else if (t->phase == TransPhase::NeedCas)
-            b = 1;  // row already open: finish it (hit-first)
-        else
-            b = 2;
-        if (draining != !is_read) {
-            // Deprioritised class: reads while draining, writes
-            // otherwise.
-            b += 3;
-        }
-        return b;
-    };
-
-    for (auto &c : bucketCands)
-        c.clear();
-    for (auto &t : window) {
-        if (t->phase == TransPhase::WaitData
-            || t->phase == TransPhase::Complete)
-            continue;
-        if (t->earliestIssue > now)
-            continue;
-        bucketCands[bucket(t.get())].push_back(t.get());
+    // before writes unless draining.  One bit mask per class key over
+    // window positions; the window is in mcSeq order, so visiting set
+    // bits lowest first walks the candidates in (bucket, mcSeq) order.
+    // The masks are a snapshot: a slot whose class changes this cycle
+    // is not visited again.
+    const unsigned n = static_cast<unsigned>(window.size());
+    std::uint64_t by_key[keyIdle + 1] = {};
+    for (unsigned i = 0; i < n; ++i) {
+        by_key[slotKey[i]] |=
+            static_cast<std::uint64_t>(slotReady[i] <= now) << i;
     }
 
-    for (auto &c : bucketCands) {
-        for (Transaction *t : c) {
-            if (slotsFreeNow(now) == 0)
-                return;
-            tryIssue(t, now);
+    if (!(by_key[0] | by_key[1] | by_key[2] | by_key[3] | by_key[4]
+          | by_key[5]))
+        return;
+
+    // Deprioritised class: reads while draining, writes otherwise.
+    // A refused try leaves the link untouched, so only an issue can
+    // change the free-slot count.
+    const unsigned first = draining ? 3 : 0;
+    unsigned slots = cmdLink.cmdSlotsFree(now);
+    for (unsigned b = 0; b < 6 && slots; ++b) {
+        for (std::uint64_t m = by_key[(first + b) % 6]; m && slots;
+             m &= m - 1) {
+            if (tryIssue(static_cast<unsigned>(std::countr_zero(m)), now))
+                slots = cmdLink.cmdSlotsFree(now);
         }
+    }
+
+    if (windowHoles) {
+        // Order-preserving compaction of the slots finish() emptied.
+        unsigned j = 0;
+        for (unsigned i = 0; i < n; ++i) {
+            if (!window[i])
+                continue;
+            if (i != j) {
+                window[j] = std::move(window[i]);
+                slotReady[j] = slotReady[i];
+                slotKey[j] = slotKey[i];
+            }
+            ++j;
+        }
+        window.resize(j);
+        windowHoles = false;
     }
 }
 
 bool
-MemController::tryIssue(Transaction *t, Tick now)
+MemController::tryIssue(unsigned slot, Tick now)
 {
+    Transaction *t = window[slot].get();
     if (cfg.openPage && t->phase != TransPhase::AmbHit
         && t->phase != TransPhase::McHit)
         recomputeOpenPagePhase(t);
 
+    bool issued;
     switch (t->phase) {
       case TransPhase::AmbHit:
-        return issueAmbHit(t, now);
+        issued = issueAmbHit(slot, now);
+        break;
       case TransPhase::McHit:
-        return issueMcHit(t, now);
+        issued = issueMcHit(slot, now);
+        break;
       case TransPhase::NeedPrecharge:
-        return issuePrecharge(t, now);
+        issued = issuePrecharge(t, now);
+        break;
       case TransPhase::NeedActivate:
-        return issueActivate(t, now);
+        issued = issueActivate(t, now);
+        break;
       case TransPhase::NeedCas:
-        return t->isRead() ? issueRead(t, now) : issueWrite(t, now);
+        issued = t->isRead() ? issueRead(slot, now)
+                             : issueWrite(slot, now);
+        break;
       default:
-        return false;
+        issued = false;
+        break;
     }
+
+    if (window[slot]) {
+        slotKey[slot] = classKey(t);
+        slotReady[slot] = t->retryAt;
+    } else {
+        slotKey[slot] = keyIdle;
+    }
+    return issued;
 }
 
 void
@@ -472,8 +519,9 @@ MemController::convertHitToMiss(Transaction *t)
 }
 
 bool
-MemController::issueAmbHit(Transaction *t, Tick now)
+MemController::issueAmbHit(unsigned slot, Tick now)
 {
+    Transaction *t = window[slot].get();
     const unsigned d = t->coord.dimm;
     AmbCache::Line *line = table->peek(d, t->lineAddr);
     if (!line) {
@@ -527,13 +575,14 @@ MemController::issueAmbHit(Transaction *t, Tick now)
         trc.tr->instant(trc.south, "amb_rd", now);
         traceTxn("amb_hit", arrive, t);
     }
-    finish(t, ready);
+    finish(slot, ready);
     return true;
 }
 
 bool
-MemController::issueMcHit(Transaction *t, Tick now)
+MemController::issueMcHit(unsigned slot, Tick now)
 {
+    Transaction *t = window[slot].get();
     AmbCache::Line *line = mcBuf->peek(0, t->lineAddr);
     if (!line) {
         // Evicted before service: ask the policy again.
@@ -579,7 +628,7 @@ MemController::issueMcHit(Transaction *t, Tick now)
         }
         traceTxn("mc_hit", now, t);
     }
-    finish(t, ready);
+    finish(slot, ready);
     return true;
 }
 
@@ -616,11 +665,19 @@ MemController::issueActivate(Transaction *t, Tick now)
         return false;
     // Another transaction may have activated this bank and not yet
     // issued its column access; its row still owns the bank (the
-    // auto-precharge is bound to the CAS).  Wait for it.
-    if (dimm.bank(t->coord.bank).rowOpen())
+    // auto-precharge is bound to the CAS).  Wait for it: the bank
+    // precharges only after that CAS, which cannot arrive before the
+    // bank's casAllowedAt.
+    const Bank &bank = dimm.bank(t->coord.bank);
+    if (bank.rowOpen()) {
+        retryNotBefore(t, std::max(arrive, bank.casAllowedAt()));
         return false;
-    if (dimm.earliestAct(t->coord.bank, arrive) > arrive)
+    }
+    const Tick act_at = dimm.earliestAct(t->coord.bank, arrive);
+    if (act_at > arrive) {
+        retryNotBefore(t, act_at);
         return false;
+    }
     cmdLink.useCmdSlot(now);
     if (att && !t->stampIssue)
         t->stampIssue = now;
@@ -637,18 +694,23 @@ MemController::issueActivate(Transaction *t, Tick now)
 }
 
 bool
-MemController::issueRead(Transaction *t, Tick now)
+MemController::issueRead(unsigned slot, Tick now)
 {
+    Transaction *t = window[slot].get();
     const Tick arrive = now + cfg.cmdDelay;
     const unsigned d = t->coord.dimm;
     Dimm &dimm = dimms[d];
-    if (dimm.earliestRead(t->coord.bank, arrive) > arrive)
+    const Tick rd_at = dimm.earliestRead(t->coord.bank, arrive);
+    if (rd_at > arrive) {
+        retryNotBefore(t, rd_at);
         return false;
+    }
     if (!cfg.fbd && arrive < sharedWrDataEnd + cfg.timing.memCycle) {
         // Conventional DDR2: one data bus for reads and writes, so a
         // bus-turnaround bubble separates a write burst from the next
         // read channel-wide.  (The full tWTR applies per DIMM; the
         // FB-DIMM northbound link never pays either.)
+        retryNotBefore(t, sharedWrDataEnd + cfg.timing.memCycle);
         return false;
     }
 
@@ -722,7 +784,7 @@ MemController::issueRead(Transaction *t, Tick now)
                 : d_start;
             const Tick ready = nb_start + tm.burst + chainDelay(d);
             t->phase = TransPhase::WaitData;
-            finish(t, ready);
+            finish(slot, ready);
         } else {
             const Addr la = t->pfLines[order[i - 1]];
             if (cfg.apEnable) {
@@ -762,13 +824,17 @@ MemController::issueRead(Transaction *t, Tick now)
 }
 
 bool
-MemController::issueWrite(Transaction *t, Tick now)
+MemController::issueWrite(unsigned slot, Tick now)
 {
+    Transaction *t = window[slot].get();
     const Tick arrive = now + cfg.cmdDelay;
     const unsigned d = t->coord.dimm;
     Dimm &dimm = dimms[d];
-    if (dimm.earliestWrite(t->coord.bank, arrive) > arrive)
+    const Tick wr_at = dimm.earliestWrite(t->coord.bank, arrive);
+    if (wr_at > arrive) {
+        retryNotBefore(t, wr_at);
         return false;
+    }
 
     const DramTiming &tm = cfg.timing;
     const bool auto_pre = !cfg.openPage
@@ -822,33 +888,30 @@ MemController::issueWrite(Transaction *t, Tick now)
         sharedWrDataEnd = std::max(sharedWrDataEnd, end);
 
     t->phase = TransPhase::WaitData;
-    finish(t, end);
+    finish(slot, end);
     return true;
 }
 
 void
-MemController::finish(Transaction *t, Tick ready)
+MemController::finish(unsigned slot, Tick ready)
 {
+    Transaction *t = window[slot].get();
     t->completedAt = ready;
     nChannelBytes += lineBytes;
     if (trc.tr)
         traceTxn("complete", ready, t);
 
     // Move ownership from the window into the completion heap.  The
-    // ordered erase (a memmove over at most queueSize pointers) keeps
-    // the window in mcSeq order, which issueCycle relies on.
-    for (auto it = window.begin(); it != window.end(); ++it) {
-        if (it->get() == t) {
-            if (!t->isRead())
-                --windowWrites;
-            completions.push_back(
-                Completion{ready, nextCompletionSeq++, std::move(*it)});
-            std::push_heap(completions.begin(), completions.end(),
-                           CompletionAfter{});
-            window.erase(it);
-            break;
-        }
-    }
+    // slot stays in place, empty, so the positions of this cycle's
+    // candidate masks stay valid; issueCycle closes the gap once the
+    // cycle is over, keeping the window in mcSeq order.
+    if (!t->isRead())
+        --windowWrites;
+    completions.push_back(
+        Completion{ready, nextCompletionSeq++, std::move(window[slot])});
+    std::push_heap(completions.begin(), completions.end(),
+                   CompletionAfter{});
+    windowHoles = true;
 
     if (!completionEvent.scheduled()
         || completionEvent.when() > completions.front().ready) {

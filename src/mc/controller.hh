@@ -61,7 +61,7 @@ struct ControllerConfig
 
     bool openPage = false;       ///< open-page policy (page interleave)
 
-    unsigned queueSize = 64;     ///< reorder-window entries
+    unsigned queueSize = 64;     ///< reorder-window entries (<= 64)
     unsigned writeDrainHigh = 16;
     unsigned writeDrainLow = 4;
 
@@ -295,16 +295,29 @@ class MemController
     void refillWindow();
     void issueCycle(Tick now);
 
-    /** Try to issue the next command of @p t at cycle tick @p now.
-     *  @return true iff a command slot was consumed. */
-    bool tryIssue(Transaction *t, Tick now);
+    /** Try to issue the next command of window slot @p slot at cycle
+     *  tick @p now, then refresh the slot's summary.
+     *  @return true iff a command was issued. */
+    bool tryIssue(unsigned slot, Tick now);
 
-    bool issueAmbHit(Transaction *t, Tick now);
-    bool issueMcHit(Transaction *t, Tick now);
+    bool issueAmbHit(unsigned slot, Tick now);
+    bool issueMcHit(unsigned slot, Tick now);
     bool issueActivate(Transaction *t, Tick now);
     bool issuePrecharge(Transaction *t, Tick now);
-    bool issueRead(Transaction *t, Tick now);
-    bool issueWrite(Transaction *t, Tick now);
+    bool issueRead(unsigned slot, Tick now);
+    bool issueWrite(unsigned slot, Tick now);
+
+    /**
+     * A command of @p t was refused and cannot be accepted before it
+     * could arrive at @p arrive_at: skip its tries until then.  Off
+     * under open page, where every try re-derives the phase.
+     */
+    void
+    retryNotBefore(Transaction *t, Tick arrive_at)
+    {
+        if (!cfg.openPage)
+            t->retryAt = arrive_at - cfg.cmdDelay;
+    }
 
     /** Open-page: re-derive the phase from live bank state. */
     void recomputeOpenPagePhase(Transaction *t);
@@ -324,11 +337,12 @@ class MemController
      */
     void emitCandidates(Transaction *t, bool convert);
 
-    /** Retire @p t at @p ready: stats, callback, storage cleanup. */
-    void finish(Transaction *t, Tick ready);
+    /** Retire window slot @p slot at @p ready: move it to the
+     *  completion heap, leaving the slot empty until issueCycle
+     *  compacts the window. */
+    void finish(unsigned slot, Tick ready);
 
     void completionFire();
-    unsigned slotsFreeNow(Tick now);
 
     std::string _name;
     EventQueue *eq;
@@ -372,18 +386,47 @@ class MemController
     /** Pop completions due at or before @p now, FIFO within a tick. */
     bool popCompletionDue(Tick now, TransPtr &out);
 
-    /** Number of scheduler priority classes (see issueCycle). */
-    static constexpr int numBuckets = 6;
+    /**
+     * The reorder window and its scheduler summary.  Each cycle,
+     * issueCycle turns the summary into one 64-bit mask of ready
+     * window positions per class key, without touching a Transaction.
+     *
+     * Invariants, outside issueCycle:
+     *  - window holds at most maxWindow transactions in mcSeq order,
+     *    none of them null and none past its last command.
+     *  - slotKey[i] is the class of window[i] (see classKey).  Phases
+     *    change only inside tryIssue, which refreshes the slot
+     *    afterwards.
+     *  - slotReady[i] == window[i]->retryAt, a lower bound on the
+     *    first cycle at which a try of window[i] can issue.  It starts
+     *    at earliestIssue and is raised only under close page, by a
+     *    refused ACT/RD/WR, to the earliest arrival the refusing
+     *    constraint allows minus cmdDelay: the Dimm::earliest* tick,
+     *    the shared DDR2 bus's turnaround, or, for an ACT to a bank
+     *    whose row another transaction holds, the bank's casAllowedAt
+     *    (the row closes only after that CAS).  Every constraint
+     *    behind these bounds only grows (the *AllowedAt ticks,
+     *    lastActAt + tRRD, wrDataEnd + tWTR, the DDR2 bus's write
+     *    end), and a refused try changes no state, so skipping the
+     *    tries before the bound changes nothing.
+     *
+     * Inside issueCycle a finished transaction leaves its slot null
+     * and idle; one order-preserving compaction at the end of the
+     * cycle closes the gaps.
+     */
+    static constexpr unsigned maxWindow = 64;
+
+    /** Slot class: hit (0), CAS (1) or other (2) for reads, plus 3
+     *  for writes; keyIdle marks a slot with nothing to issue. */
+    static constexpr std::uint8_t keyIdle = 6;
+    static std::uint8_t classKey(const Transaction *t);
 
     std::vector<TransPtr> window;        ///< reorder window, mcSeq order
+    Tick slotReady[maxWindow] = {};
+    std::uint8_t slotKey[maxWindow] = {};
     std::deque<TransPtr> overflow;       ///< waiting to enter window
     unsigned windowWrites = 0;           ///< writes inside the window
-
-    /** Per-cycle scratch: candidates grouped by priority bucket.
-     *  Members so their capacity is recycled across cycles (the old
-     *  build-and-sort path allocated and freed a vector per memory
-     *  cycle, which dominated the profile). */
-    std::vector<Transaction *> bucketCands[numBuckets];
+    bool windowHoles = false;            ///< finish() emptied a slot
     /** Completed-but-in-flight transactions, a (ready, seq) min-heap:
      *  insertion is near-monotonic in ready time, so sift distances
      *  are short and no per-node allocation happens (vs multimap). */

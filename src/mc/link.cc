@@ -14,17 +14,12 @@ CommandLink::CommandLink(Tick cycle_period, unsigned slots_per_frame)
 CommandLink::Frame &
 CommandLink::frameAt(std::uint64_t cycle)
 {
-    if (window.empty()) {
-        windowStart = cycle;
-        window.emplace_back();
-        return window.back();
-    }
-    if (cycle < windowStart) {
-        // A reservation in the (pruned) past: treat as the earliest
-        // retained frame.  Callers only do this within one cycle of
-        // "now", where the distinction cannot matter.
-        return window.front();
-    }
+    // Frames before windowStart were retired as past; a command or
+    // data reservation there would rewrite history.
+    fbdp_assert(cycle >= windowStart,
+                "frame %llu is before the retained window (first %llu)",
+                static_cast<unsigned long long>(cycle),
+                static_cast<unsigned long long>(windowStart));
     while (cycle >= windowStart + window.size())
         window.emplace_back();
     return window[static_cast<size_t>(cycle - windowStart)];
@@ -85,6 +80,8 @@ CommandLink::retireBefore(Tick t)
         window.pop_front();
         ++windowStart;
     }
+    if (windowStart < cycle)
+        windowStart = cycle;  // retired frames that were never used
 }
 
 } // namespace fbdp

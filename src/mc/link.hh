@@ -83,7 +83,8 @@ class CommandLink
      */
     Tick reserveDataFrames(Tick earliest, unsigned n_frames);
 
-    /** Drop bookkeeping for frames strictly before @p t. */
+    /** Drop bookkeeping for frames strictly before @p t.  Those
+     *  frames are then closed: touching one is a model error. */
     void retireBefore(Tick t);
 
     Tick cyclePeriod() const { return period; }

@@ -57,6 +57,9 @@ struct Transaction
     Tick created = 0;         ///< left the cache hierarchy
     Tick arrivedAtMc = 0;     ///< entered the controller
     Tick earliestIssue = 0;   ///< arrivedAtMc + controller overhead
+    /** Scheduler lower bound on the next cycle a command of this
+     *  transaction can issue (see MemController's window summary). */
+    Tick retryAt = 0;
 
     DramCoord coord;
     TransPhase phase = TransPhase::NeedActivate;

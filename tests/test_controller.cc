@@ -213,6 +213,17 @@ TEST_F(ControllerTest, QueueOverflowStillServesEverything)
     EXPECT_EQ(mc.occupancy(), 0u);
 }
 
+TEST_F(ControllerTest, WindowLargerThanSixtyFourIsRejected)
+{
+    // The scheduler keeps 64-bit masks over window positions.
+    ControllerConfig cfg = fbdCfg();
+    cfg.queueSize = 64;
+    MemController ok("mc", &eq, cfg);
+    EXPECT_EQ(ok.config().queueSize, 64u);
+    cfg.queueSize = 65;
+    EXPECT_DEATH(MemController("mc", &eq, cfg), "queueSize 65");
+}
+
 TEST_F(ControllerTest, LatencyStatsMatchCompletions)
 {
     AddressMap map(mapCfg(Interleave::Cacheline));

@@ -121,6 +121,23 @@ TEST_F(CommandLinkTest, SlotOverflowPanics)
     EXPECT_DEATH(ddr2.useCmdSlot(0), "overflow");
 }
 
+TEST_F(CommandLinkTest, RetiredFramesAreClosed)
+{
+    fbd.useCmdSlot(5 * cycle);
+    fbd.retireBefore(3 * cycle);
+    EXPECT_DEATH(fbd.useCmdSlot(cycle), "before the retained window");
+    EXPECT_DEATH(fbd.cmdSlotsFree(2 * cycle),
+                 "before the retained window");
+    EXPECT_EQ(fbd.cmdSlotsFree(3 * cycle), 3u);
+
+    // Retiring past every used frame closes the unused ones too.
+    CommandLink idle{cycle, 3};
+    idle.retireBefore(4 * cycle);
+    EXPECT_DEATH(idle.reserveDataFrames(0, 1),
+                 "before the retained window");
+    EXPECT_EQ(idle.reserveDataFrames(4 * cycle, 1), 4 * cycle);
+}
+
 TEST_F(CommandLinkTest, FrameStartRoundsDown)
 {
     EXPECT_EQ(fbd.frameStart(0), 0u);

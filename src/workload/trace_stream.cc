@@ -44,27 +44,41 @@ namespace {
 
 constexpr const char *traceSpecPrefix = "trace:";
 
+/**
+ * Parse a `chunk=` value: decimal digits and an optional k or m
+ * suffix, nothing else.  Signs, trailing text and sizes above
+ * TraceSpec::maxChunkBytes are fatal (checked before every multiply
+ * and shift, so no value wraps); sizes below minChunkBytes are raised
+ * to it with a warning.
+ */
 std::size_t
 parseChunkSize(const std::string &val, const std::string &spec)
 {
-    char suffix = 0;
-    unsigned long long n = 0;
-    int fields = std::sscanf(val.c_str(), "%llu%c", &n, &suffix);
-    if (fields < 1 || n == 0)
-        fatal("bad chunk size '%s' in trace spec '%s'", val.c_str(),
-              spec.c_str());
-    if (fields == 2) {
-        if (suffix == 'k' || suffix == 'K')
-            n <<= 10;
-        else if (suffix == 'm' || suffix == 'M')
-            n <<= 20;
-        else
-            fatal("bad chunk size suffix '%c' in trace spec '%s' "
-                  "(use k or m)", suffix, spec.c_str());
+    auto tooLarge = [&] {
+        fatal("chunk size '%s' in trace spec '%s' exceeds the 1 GiB "
+              "maximum", val.c_str(), spec.c_str());
+    };
+    std::size_t i = 0;
+    std::uint64_t n = 0;
+    for (; i < val.size() && val[i] >= '0' && val[i] <= '9'; ++i) {
+        n = n * 10 + static_cast<std::uint64_t>(val[i] - '0');
+        if (n > TraceSpec::maxChunkBytes)
+            tooLarge();
     }
+    const bool last = i + 1 == val.size();
+    const bool kilo = last && (val[i] == 'k' || val[i] == 'K');
+    const bool mega = last && (val[i] == 'm' || val[i] == 'M');
+    if (i == 0 || n == 0 || !(i == val.size() || kilo || mega))
+        fatal("bad chunk size '%s' in trace spec '%s' (use a positive "
+              "N, Nk or Nm)", val.c_str(), spec.c_str());
+    const unsigned shift = kilo ? 10 : mega ? 20 : 0;
+    if (n > TraceSpec::maxChunkBytes >> shift)
+        tooLarge();
+    n <<= shift;
     if (n < TraceSpec::minChunkBytes) {
         warn("trace chunk size %llu below minimum; using %zu bytes",
-             n, TraceSpec::minChunkBytes);
+             static_cast<unsigned long long>(n),
+             TraceSpec::minChunkBytes);
         n = TraceSpec::minChunkBytes;
     }
     return static_cast<std::size_t>(n);
@@ -712,6 +726,13 @@ TraceStream::decodeNext()
                 chunk->ops.push_back(op);
             textCarry.clear();
         }
+        // Size the chunk to what it decoded: the reserve above is a
+        // guess (1.5x the ops of typical 12-byte lines, too few for
+        // shorter ones), and a resident chunk should hold no slack.
+        // At the default budget the chunk is cache-resident and this
+        // copy costs nothing measurable; counting the lines before
+        // parsing instead cost a quarter of the parse.
+        chunk->ops.shrink_to_fit();
     } else {
         std::size_t avail = got;
         chunk->ops.reserve((recCarryLen + avail) / fbtRecordBytes + 1);

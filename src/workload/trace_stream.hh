@@ -7,10 +7,15 @@
  * trace as a std::vector<TraceOp>, which caps trace size at host
  * memory and ingests at text-parse speed while the simulator waits.
  * This frontend instead reads the file in bounded chunks (default
- * 4 MiB of raw input per chunk) and decodes the *next* chunk on a
+ * 64 KiB of raw input per chunk) and decodes the *next* chunk on a
  * background worker while the simulator consumes the current one, so
  * ingest overlaps simulation and the resident set is O(chunk) no
- * matter how large the trace is.  Wrap-around replay reopens the
+ * matter how large the trace is.  A single-view stream holds one raw
+ * buffer plus at most three decoded chunks (the window's one or two
+ * and the one decoding ahead), each sized to the ops it decoded
+ * (about 80 KB at the default): about 0.3 MB per stream, so an
+ * eight-stream 8-core replay peaks at the same ~14 MB of process RSS
+ * as its synthetic twin.  Wrap-around replay reopens the
  * stream, exactly like the in-RAM replayer loops its vector; replay
  * through either frontend is bit-identical.
  *
@@ -102,13 +107,19 @@ struct FbtHeader
  *   trace:/data/app.fbt.gz,stream=on,chunk=8m,format=auto
  *
  *   stream=on|off   streaming (default) vs legacy in-RAM replay
- *   chunk=N[k|m]    raw chunk budget per read (default 4m, min 64)
+ *   chunk=N[k|m]    raw chunk budget per read (default 64k; below
+ *                   64 bytes is raised to 64 with a warning, above
+ *                   1 GiB is fatal, as are signs and trailing text)
  *   format=auto|text|fbt   override the by-magic detection
+ *
+ * The default is the smallest budget that ingests and replays no
+ * slower than larger ones (EXPERIMENTS.md, "Chunk budget").
  */
 struct TraceSpec
 {
-    static constexpr std::size_t defaultChunkBytes = 4u << 20;
+    static constexpr std::size_t defaultChunkBytes = 64u << 10;
     static constexpr std::size_t minChunkBytes = 64;
+    static constexpr std::size_t maxChunkBytes = std::size_t{1} << 30;
 
     std::string path;
     bool stream = true;
@@ -301,6 +312,9 @@ class StreamingTraceGenerator : public Generator
 
     std::uint64_t wraps() const { return nWraps; }
     std::uint64_t consumed() const { return nOps; }
+    /** The chunk the next op comes from (null before the first
+     *  next()). */
+    const TraceChunk *currentChunk() const { return chunk.get(); }
     TraceStream &stream() { return *str; }
     const TraceStream &stream() const { return *str; }
 

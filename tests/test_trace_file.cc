@@ -224,6 +224,18 @@ class TraceStreamTest : public ::testing::Test
         return ops;
     }
 
+    /** Convert the text trace to its .fbt twin at the fbt path. */
+    void
+    convertToFbt()
+    {
+        TracePassReader in(spec(textPath));
+        TraceWriter w(fbtPath, TraceFormat::Fbt, false, "equake");
+        TraceOp op;
+        while (in.next(&op))
+            w.append(op);
+        w.close();
+    }
+
     static TraceSpec
     spec(const std::string &p, std::size_t chunk = 0)
     {
@@ -278,6 +290,42 @@ TEST_F(TraceStreamTest, SpecParsing)
                  "bad value");
     EXPECT_DEATH(TraceSpec::parse("trace:/a,chunk=banana"),
                  "bad chunk size");
+}
+
+TEST_F(TraceStreamTest, ChunkSizeParsingIsStrict)
+{
+    EXPECT_EQ(TraceSpec::parse("trace:/a,chunk=1024m").chunkBytes,
+              TraceSpec::maxChunkBytes);
+    EXPECT_EQ(TraceSpec::parse("trace:/a,chunk=1048576K").chunkBytes,
+              TraceSpec::maxChunkBytes);
+    EXPECT_EQ(TraceSpec::parse("trace:/a,chunk=1073741824").chunkBytes,
+              TraceSpec::maxChunkBytes);
+    EXPECT_EQ(TraceSpec::parse("trace:/a,chunk=16").chunkBytes,
+              TraceSpec::minChunkBytes);
+
+    // Trailing text, signs, a missing number, zero: each names the
+    // spec instead of parsing into something else.
+    for (const char *bad :
+         {"trace:/a,chunk=4mjunk", "trace:/a,chunk=4kk",
+          "trace:/a,chunk=4 k", "trace:/a,chunk=-1",
+          "trace:/a,chunk=+4k", "trace:/a,chunk=", "trace:/a,chunk=k",
+          "trace:/a,chunk=0", "trace:/a,chunk=0m",
+          "trace:/a,chunk=4g"}) {
+        EXPECT_DEATH(TraceSpec::parse(bad),
+                     "bad chunk size .* in trace spec 'trace:/a,chunk=")
+            << bad;
+    }
+
+    // Above the 1 GiB cap, including values whose k/m shift or digit
+    // count would wrap a 64-bit size.
+    for (const char *huge :
+         {"trace:/a,chunk=1073741825", "trace:/a,chunk=1025m",
+          "trace:/a,chunk=1048577k", "trace:/a,chunk=18014398509481985m",
+          "trace:/a,chunk=99999999999999999999999"}) {
+        EXPECT_DEATH(TraceSpec::parse(huge),
+                     "exceeds the 1 GiB maximum")
+            << huge;
+    }
 }
 
 TEST_F(TraceStreamTest, TextBinaryGzipRoundTrip)
@@ -339,14 +387,7 @@ TEST_F(TraceStreamTest, TinyChunksSplitRecordsAcrossReads)
     // 64-byte chunks guarantee both text lines and 13-byte fbt
     // records straddle every read boundary.
     const auto ops = record(500);
-    {
-        TracePassReader in(spec(textPath));
-        TraceWriter w(fbtPath, TraceFormat::Fbt, false, "equake");
-        TraceOp op;
-        while (in.next(&op))
-            w.append(op);
-        w.close();
-    }
+    convertToFbt();
     for (const auto &p : {textPath, fbtPath}) {
         TracePassReader in(spec(p, 64));
         TraceOp op;
@@ -395,6 +436,35 @@ TEST_F(TraceStreamTest, SharedStreamMultipleViews)
     EXPECT_GE(shared->passes(), 2u);
 }
 
+TEST_F(TraceStreamTest, SingleViewFootprintIsBounded)
+{
+    // A multi-chunk text trace and its .fbt twin, each replayed for
+    // two passes through one view at a small budget: the window never
+    // holds more than two decoded chunks, and no chunk reserves much
+    // more than the ops it decoded.
+    const auto ops = record(6000);
+    convertToFbt();
+    for (const auto &p : {textPath, fbtPath}) {
+        auto str = std::make_shared<TraceStream>(spec(p, 4096));
+        StreamingTraceGenerator gen(str);
+        std::uint64_t chunks = 0;
+        std::uint64_t lastSeq = ~std::uint64_t{0};
+        for (std::uint64_t i = 0; i < 2 * ops.size(); ++i) {
+            expectSameOp(gen.next(), ops[i % ops.size()], i);
+            const TraceChunk *c = gen.currentChunk();
+            if (c->seq == lastSeq)
+                continue;
+            lastSeq = c->seq;
+            ++chunks;
+            const std::size_t n = c->ops.size();
+            ASSERT_LE(c->ops.capacity(), n + n / 4 + 1)
+                << p << " chunk " << c->seq;
+        }
+        EXPECT_GT(chunks, 20u) << p;
+        EXPECT_LE(str->windowPeakChunks(), 2u) << p;
+    }
+}
+
 TEST_F(TraceStreamTest, BackgroundAndSynchronousDecodeAgree)
 {
     const auto ops = record(1200);
@@ -411,14 +481,7 @@ TEST_F(TraceStreamTest, BackgroundAndSynchronousDecodeAgree)
 TEST_F(TraceStreamTest, LoadOpsReadsBinary)
 {
     const auto ops = record(300);
-    {
-        TracePassReader in(spec(textPath));
-        TraceWriter w(fbtPath, TraceFormat::Fbt, false, "equake");
-        TraceOp op;
-        while (in.next(&op))
-            w.append(op);
-        w.close();
-    }
+    convertToFbt();
     // The in-RAM loader goes through the same decoder: .fbt loads
     // transparently.
     TraceFileGenerator ram(fbtPath);

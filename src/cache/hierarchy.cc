@@ -257,4 +257,17 @@ CacheHierarchy::functionalPrefetch(int, Addr addr)
         l2.fill(line, false);
 }
 
+void
+CacheHierarchy::copyFunctionalStateFrom(const CacheHierarchy &other)
+{
+    fbdp_assert(l1.size() == other.l1.size()
+                    && l1[0].numSets() == other.l1[0].numSets()
+                    && l1[0].numWays() == other.l1[0].numWays()
+                    && l2.numSets() == other.l2.numSets()
+                    && l2.numWays() == other.l2.numWays(),
+                "functional state copied across cache geometries");
+    l1 = other.l1;
+    l2 = other.l2;
+}
+
 } // namespace fbdp

@@ -102,6 +102,14 @@ class CacheHierarchy
     /** Functional counterpart of a software prefetch. */
     void functionalPrefetch(int core, Addr addr);
 
+    /**
+     * Take @p other's functional state: the L1 and L2 tag arrays with
+     * their hit/miss counters.  Both hierarchies must have the same
+     * core count and geometry, and neither may have timed traffic in
+     * flight (only the tags are copied, no MSHRs).
+     */
+    void copyFunctionalStateFrom(const CacheHierarchy &other);
+
     /** Bind (or unbind with nullptr) the lifecycle tracer: MSHR
      *  allocations/merges/fills plus an occupancy counter track. */
     void bindTracer(trace::Tracer *t);

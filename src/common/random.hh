@@ -49,11 +49,39 @@ class Rng
             * (1.0 / 9007199254740992.0);
     }
 
+    /**
+     * The chanceBelow() threshold equivalent to chance(@p p):
+     * ceil(p * 2^53), 0 for p <= 0 or NaN, 2^53 for p >= 1.  Since
+     * uniform() is exactly k * 2^-53 with k = next() >> 11, the test
+     * uniform() < p holds exactly when k < ceil(p * 2^53).
+     */
+    static std::uint64_t
+    chanceThreshold(double p)
+    {
+        constexpr double scale = 9007199254740992.0;  // 2^53
+        if (!(p > 0.0))
+            return 0;
+        if (p >= 1.0)
+            return 1ull << 53;
+        // p * 2^53 < 2^53 is exact; truncate, then round up.
+        const double x = p * scale;
+        const auto k = static_cast<std::uint64_t>(x);
+        return k + (static_cast<double>(k) < x ? 1 : 0);
+    }
+
+    /** Bernoulli draw against a chanceThreshold(); the same result
+     *  and state advance as chance(p) without the float compare. */
+    bool
+    chanceBelow(std::uint64_t threshold)
+    {
+        return (next() >> 11) < threshold;
+    }
+
     /** Bernoulli draw with probability @p p. */
     bool
     chance(double p)
     {
-        return uniform() < p;
+        return chanceBelow(chanceThreshold(p));
     }
 
     /**

@@ -2,6 +2,7 @@
 
 #include <cstdlib>
 #include <future>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -19,20 +20,55 @@ runMix(const SystemConfig &base, const WorkloadMix &mix)
     return sys.run();
 }
 
+namespace {
+
+/** @p text as a whole-string decimal integer in [@p lo, @p hi], or
+ *  nothing (non-numeric text, trailing junk, out of range). */
+std::optional<long long>
+parseCount(const char *text, long long lo, long long hi)
+{
+    char *end = nullptr;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || v < lo || v > hi)
+        return std::nullopt;
+    return v;
+}
+
+/** Largest instruction count the *_INSTS variables accept. */
+constexpr long long maxEnvInsts = 1'000'000'000'000;
+
+/** Set @p field from environment variable @p name when it holds a
+ *  valid instruction count; warn and keep @p field otherwise. */
+void
+applyInstsVar(const char *name, std::uint64_t &field)
+{
+    const char *e = std::getenv(name);
+    if (!e || !*e)
+        return;
+    if (const auto v = parseCount(e, 1, maxEnvInsts)) {
+        field = static_cast<std::uint64_t>(*v);
+        return;
+    }
+    warn("ignoring %s='%s': expected a decimal instruction count in "
+         "[1, %lld]; keeping %llu", name, e, maxEnvInsts,
+         static_cast<unsigned long long>(field));
+}
+
+} // namespace
+
 unsigned
 jobsFromEnv()
 {
     const char *e = std::getenv("FBDP_JOBS");
     if (!e || !*e)
         return 1;
-    char *end = nullptr;
-    const long long v = std::strtoll(e, &end, 10);
-    if (end == e || *end != '\0' || v < 1 || v > 1024) {
+    const auto v = parseCount(e, 1, 1024);
+    if (!v) {
         warn("ignoring FBDP_JOBS='%s': expected a worker count in "
              "[1, 1024]; running serially", e);
         return 1;
     }
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(*v);
 }
 
 unsigned
@@ -40,13 +76,13 @@ parseThreadCount(const char *text, const char *origin)
 {
     if (!text || !*text)
         return 1;
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < 1 || v > 1024) {
+    const auto parsed = parseCount(text, 1, 1024);
+    if (!parsed) {
         warn("ignoring %s='%s': expected a lane count in [1, 1024]; "
              "running serially", origin, text);
         return 1;
     }
+    const long long v = *parsed;
     const unsigned hw = std::thread::hardware_concurrency();
     if (hw > 0 && v > hw) {
         warn("%s=%lld exceeds the %u host CPUs; clamping (results "
@@ -144,16 +180,8 @@ smtSpeedup(const RunResult &r, const WorkloadMix &mix,
 void
 applyInstsFromEnv(SystemConfig &cfg)
 {
-    if (const char *e = std::getenv("FBDP_MEASURE_INSTS")) {
-        const long long v = std::atoll(e);
-        if (v > 0)
-            cfg.measureInsts = static_cast<std::uint64_t>(v);
-    }
-    if (const char *e = std::getenv("FBDP_WARMUP_INSTS")) {
-        const long long v = std::atoll(e);
-        if (v > 0)
-            cfg.warmupInsts = static_cast<std::uint64_t>(v);
-    }
+    applyInstsVar("FBDP_MEASURE_INSTS", cfg.measureInsts);
+    applyInstsVar("FBDP_WARMUP_INSTS", cfg.warmupInsts);
 }
 
 } // namespace fbdp

@@ -79,9 +79,14 @@ class ReferenceSet
 double smtSpeedup(const RunResult &r, const WorkloadMix &mix,
                   ReferenceSet &refs);
 
-/** Scale per-run instruction counts from the environment.
- *  FBDP_MEASURE_INSTS / FBDP_WARMUP_INSTS override the defaults;
- *  benches use this so `--quick` and CI runs stay cheap. */
+/**
+ * Scale per-run instruction counts from the environment.
+ * FBDP_MEASURE_INSTS / FBDP_WARMUP_INSTS override the defaults;
+ * benches use this so `--quick` and CI runs stay cheap.  Values follow
+ * jobsFromEnv's rules: whole-string decimal integers in [1, 10^12]
+ * are applied; anything else (`2e6`, `120k`, zero, negatives) warns
+ * and leaves the count as it was.  Unset or empty is ignored.
+ */
 void applyInstsFromEnv(SystemConfig &cfg);
 
 /**

@@ -9,6 +9,7 @@
 #include "common/stats.hh"
 #include "mc/transaction.hh"
 #include "sim/trace.hh"
+#include "system/warm_share.hh"
 #include "workload/trace_file.hh"
 #include "workload/trace_stream.hh"
 
@@ -261,24 +262,37 @@ System::run()
     // core's trace through the tag arrays so the measured region does
     // not see an artificially cold 4 MB L2 (the paper's SimPoint runs
     // start from warm state).  The replay ignores gaps, so it draws
-    // with nextWarm().
-    std::uint64_t warm_ops = cfg.functionalWarmupOps;
-    if (warm_ops == 0) {
-        const std::uint64_t l2_lines = cfg.hier.l2Bytes / lineBytes;
-        // Roughly one line install per ten ops; aim for 2x capacity.
-        warm_ops = 20 * l2_lines / cfg.nCores();
-    }
-    for (std::uint64_t k = 0; k < warm_ops; ++k) {
-        for (unsigned i = 0; i < cfg.nCores(); ++i) {
-            TraceOp op = gens[i]->nextWarm();
-            if (op.kind == TraceOp::Kind::Prefetch)
-                hier->functionalPrefetch(static_cast<int>(i), op.addr);
-            else
-                hier->functionalAccess(
-                    static_cast<int>(i), op.addr,
-                    op.kind == TraceOp::Kind::Store);
+    // with nextWarm().  It reads only the generators and the tags, so
+    // concurrent runs of the same mix compute it once (warmOnce).
+    const std::uint64_t warm_ops = resolvedWarmupOps(cfg);
+    const auto warm_up = [this, warm_ops] {
+        for (std::uint64_t k = 0; k < warm_ops; ++k) {
+            for (unsigned i = 0; i < cfg.nCores(); ++i) {
+                TraceOp op = gens[i]->nextWarm();
+                if (op.kind == TraceOp::Kind::Prefetch)
+                    hier->functionalPrefetch(static_cast<int>(i),
+                                             op.addr);
+                else
+                    hier->functionalAccess(
+                        static_cast<int>(i), op.addr,
+                        op.kind == TraceOp::Kind::Store);
+            }
         }
+    };
+    // Only a fresh System shares: a generator that has already drawn
+    // (a second run()) is past the key's state.
+    const std::optional<WarmKey> key = warmKeyOf(cfg);
+    WarmState mine{{}, hier.get()};
+    for (auto &g : gens) {
+        auto *s = dynamic_cast<SyntheticGenerator *>(g.get());
+        if (s && s->opsGenerated() == 0)
+            mine.gens.push_back(s);
     }
+    bool warm_copied = false;
+    if (key && mine.gens.size() == gens.size())
+        warm_copied = warmOnce(*key, mine, warm_up);
+    else
+        warm_up();
 
     // Time the event-driven phases only: sim-rate should reflect the
     // kernel, not process start-up or the functional replay above.
@@ -324,7 +338,9 @@ System::run()
 
     hostEventSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - host0).count();
-    return collect(t1 - t0);
+    RunResult r = collect(t1 - t0);
+    r.kernel.warmupCopied = warm_copied;
+    return r;
 }
 
 unsigned

@@ -120,6 +120,12 @@ struct KernelProfile
 
     double hostEventSeconds = 0.0;    ///< wall time in the event loop
 
+    /** True when the functional warm-up state was copied from a
+     *  concurrent run with the same warm-up key (warm_share.hh)
+     *  instead of computed.  A host fact like the seconds above:
+     *  whether runs overlap depends on scheduling. */
+    bool warmupCopied = false;
+
     /** True when the run was timed per shard/lane (the vectors below
      *  are filled). */
     bool profiled = false;

@@ -11,7 +11,12 @@ SyntheticGenerator::SyntheticGenerator(const BenchProfile &profile_in,
     : prof(profile_in),
       base(base_addr),
       spEnabled(sw_prefetch),
-      rng(seed ^ 0xfbd0fbd0fbd0fbd0ULL)
+      rng(seed ^ 0xfbd0fbd0fbd0fbd0ULL),
+      streamThr(Rng::chanceThreshold(prof.streamFrac)),
+      jumpThr(Rng::chanceThreshold(prof.jumpProb)),
+      spThr(Rng::chanceThreshold(prof.spCoverage)),
+      hotThr(Rng::chanceThreshold(prof.hotFrac)),
+      storeThr(Rng::chanceThreshold(prof.storeFrac))
 {
     fbdp_assert(prof.nStreams >= 1, "profile needs >= 1 stream");
     fbdp_assert(prof.elemBytes >= 1, "zero stream element");
@@ -72,14 +77,14 @@ SyntheticGenerator::draw()
         rng.skipGeometric(prof.meanGap);
     }
 
-    if (rng.chance(prof.streamFrac)) {
+    if (rng.chanceBelow(streamThr)) {
         // Sequential stream access.  Streams advance in lockstep
         // (round-robin), like the arrays of a vector inner loop.
         const size_t idx = nextStream;
         Stream &s = streams[idx];
         if (++nextStream == streams.size())
             nextStream = 0;
-        if (rng.chance(prof.jumpProb)
+        if (rng.chanceBelow(jumpThr)
             || s.cursor + prof.elemBytes
                >= s.laneBase + s.laneSize) {
             s.cursor = s.laneBase
@@ -99,7 +104,7 @@ SyntheticGenerator::draw()
         ++nStreamOps;
         if (new_line)
             ++nCrossings;
-        if (spEnabled && new_line && rng.chance(prof.spCoverage)) {
+        if (spEnabled && new_line && rng.chanceBelow(spThr)) {
             queuedPrefetch = lineAlign(op.addr)
                 + static_cast<Addr>(prof.spDistanceLines) * lineBytes;
         }
@@ -112,7 +117,7 @@ SyntheticGenerator::draw()
             ? TraceOp::Kind::Store
             : TraceOp::Kind::Load;
         return op;
-    } else if (rng.chance(prof.hotFrac)) {
+    } else if (rng.chanceBelow(hotThr)) {
         // Hot-set access (mostly cache resident).
         op.addr = randomIn(base, prof.hotBytes);
         ++nHotOps;
@@ -122,7 +127,7 @@ SyntheticGenerator::draw()
         ++nColdOps;
     }
 
-    op.kind = rng.chance(prof.storeFrac)
+    op.kind = rng.chanceBelow(storeThr)
         ? TraceOp::Kind::Store
         : TraceOp::Kind::Load;
     return op;

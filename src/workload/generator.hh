@@ -50,6 +50,12 @@ class Generator
 
     /** The profile driving this trace. */
     virtual const BenchProfile &profile() const = 0;
+
+  protected:
+    // Copyable only as a concrete generator, never sliced.
+    Generator() = default;
+    Generator(const Generator &) = default;
+    Generator &operator=(const Generator &) = default;
 };
 
 /** Profile-driven synthetic trace. */
@@ -89,6 +95,14 @@ class SyntheticGenerator : public Generator
     Addr base;
     bool spEnabled;
     Rng rng;
+
+    /** Rng::chanceThreshold() of the profile's probabilities, so each
+     *  draw is one integer compare. */
+    std::uint64_t streamThr;
+    std::uint64_t jumpThr;
+    std::uint64_t spThr;
+    std::uint64_t hotThr;
+    std::uint64_t storeThr;
 
     struct Stream {
         Addr laneBase = 0;   ///< start of this stream's lane

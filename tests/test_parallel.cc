@@ -16,10 +16,9 @@
 
 #include <gtest/gtest.h>
 
-#include <iomanip>
-#include <sstream>
 #include <string>
 
+#include "run_digest.hh"
 #include "system/system.hh"
 #include "workload/mixes.hh"
 
@@ -37,67 +36,6 @@ eightChannelMachine()
     c.seed = 7;
     c.attribution = true;
     return c;
-}
-
-void
-digestBreakdown(std::ostringstream &os, const ChannelBreakdown &b)
-{
-    for (unsigned c = 0; c < numLatClasses; ++c) {
-        os << " s" << b.cls[c].samples << " t" << b.cls[c].totalTicks;
-        for (unsigned p = 0; p < numLatPhases; ++p)
-            os << " p" << b.cls[c].phaseTicks[p];
-    }
-}
-
-/** Every deterministic field of @p r, one token stream. */
-std::string
-digest(const RunResult &r)
-{
-    std::ostringstream os;
-    os << std::hexfloat; // doubles bit-exact, not rounded
-    os << "ticks " << r.measuredTicks << " lat " << r.avgReadLatencyNs
-       << " bw " << r.bandwidthGBs << "\n";
-    os << "reads " << r.reads << " writes " << r.writes << " ambHits "
-       << r.ambHits << " cov " << r.coverage << " eff " << r.efficiency
-       << "\n";
-    os << "ipc";
-    for (double v : r.ipc)
-        os << ' ' << v;
-    os << "\ninsts";
-    for (std::uint64_t v : r.insts)
-        os << ' ' << v;
-    os << "\nprefetch " << r.prefetch.policy << ' ' << r.prefetch.issued
-       << ' ' << r.prefetch.hits << ' ' << r.prefetch.lateHits << ' '
-       << r.prefetch.dropped << ' ' << r.prefetch.evictedUnused << ' '
-       << r.prefetch.invalidatedUnused << "\n";
-    os << "ops " << r.ops.actPre << ' ' << r.ops.rdCas << ' '
-       << r.ops.wrCas << ' ' << r.ops.refresh << "\n";
-    os << "l2 " << r.l2Misses << ' ' << r.l2Hits << ' '
-       << r.swPrefetchesSent << " late " << r.latePrefetchHits << "\n";
-    for (const LatencyClassStats *s :
-         {&r.latDemand, &r.latPrefHit, &r.latWrite})
-        os << "latclass " << s->samples << ' ' << s->p50Ns << ' '
-           << s->p95Ns << ' ' << s->p99Ns << "\n";
-    os << "att " << r.attribution.enabled;
-    digestBreakdown(os, r.attribution.total);
-    for (const ChannelBreakdown &cb : r.attribution.channels)
-        digestBreakdown(os, cb);
-    for (const CoreCycleBreakdown &core : r.attribution.cores) {
-        os << " w" << core.windowTicks;
-        for (unsigned i = 0; i < CoreStallAttribution::numReasons; ++i)
-            os << " r" << core.stall[i];
-    }
-    os << "\nruninsts " << r.runInsts << "\n";
-    // Kernel counters are part of the contract too: the sharded
-    // drains must schedule exactly what the serial rounds schedule.
-    // Pool acquire/reuse counters are deliberately absent — the
-    // transaction pool is per-thread and process-cumulative, so a
-    // second System in the same process reports running totals.
-    os << "kernel " << r.kernel.eventsDispatched << ' '
-       << r.kernel.schedules << ' ' << r.kernel.reschedules << ' '
-       << r.kernel.deschedules << ' ' << r.kernel.peakQueueDepth << ' '
-       << r.kernel.poolHighWater << "\n";
-    return os.str();
 }
 
 std::string

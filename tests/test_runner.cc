@@ -139,6 +139,48 @@ TEST(RunnerTest, EnvIgnoresGarbage)
     unsetenv("FBDP_MEASURE_INSTS");
 }
 
+TEST(RunnerTest, EnvInstsRejectsPartialNumbers)
+{
+    // atoll would read "2e6" as 2 and "120k" as 120: every value that
+    // is not a whole decimal count in range must leave the config as
+    // it was, for both variables.
+    for (const char *var : {"FBDP_MEASURE_INSTS", "FBDP_WARMUP_INSTS"}) {
+        for (const char *bad :
+             {"2e6", "120k", "1.5", "0", "-5", "12 ", "0x10",
+              "1000000000001", "99999999999999999999999", "abc"}) {
+            setenv(var, bad, 1);
+            SystemConfig c;
+            const SystemConfig before = c;
+            applyInstsFromEnv(c);
+            EXPECT_EQ(c.measureInsts, before.measureInsts)
+                << var << "='" << bad << "'";
+            EXPECT_EQ(c.warmupInsts, before.warmupInsts)
+                << var << "='" << bad << "'";
+        }
+        unsetenv(var);
+    }
+}
+
+TEST(RunnerTest, EnvInstsAcceptsTheWholeRange)
+{
+    setenv("FBDP_MEASURE_INSTS", "1", 1);
+    setenv("FBDP_WARMUP_INSTS", "1000000000000", 1);
+    SystemConfig c;
+    applyInstsFromEnv(c);
+    EXPECT_EQ(c.measureInsts, 1u);
+    EXPECT_EQ(c.warmupInsts, 1'000'000'000'000u);
+    // Empty counts as unset.
+    setenv("FBDP_MEASURE_INSTS", "", 1);
+    setenv("FBDP_WARMUP_INSTS", "", 1);
+    SystemConfig d;
+    const SystemConfig before = d;
+    applyInstsFromEnv(d);
+    EXPECT_EQ(d.measureInsts, before.measureInsts);
+    EXPECT_EQ(d.warmupInsts, before.warmupInsts);
+    unsetenv("FBDP_MEASURE_INSTS");
+    unsetenv("FBDP_WARMUP_INSTS");
+}
+
 TEST(RunnerTest, TotalInstsSumsCores)
 {
     RunResult r;

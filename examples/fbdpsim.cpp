@@ -40,15 +40,15 @@
  *   --apfl            AMB prefetch with full latency (Fig. 9 mode)
  *   --profile         append an event-kernel profile (events/sec,
  *                     simulated-insts/sec, queue + pool counters)
- *   --profile-kernel  time the sharded kernel itself: per-shard and
- *                     per-lane top-down tables (busy / mailbox-drain /
- *                     barrier-wait host time, mailbox traffic,
- *                     release-path census) plus the channel imbalance
- *                     summary.  Implies the counters of --profile.
- *                     Results are bit-identical with it on or off.
- *   --threads N       worker lanes for the sharded event kernel
- *                     (default 1, or FBDP_THREADS; results are
- *                     bit-identical for every value)
+ *   --profile-kernel  time the sharded kernel itself: a per-shard
+ *                     table (busy / mailbox-drain host time, mailbox
+ *                     traffic) plus the channel imbalance summary.
+ *                     Implies the counters of --profile.  Results are
+ *                     bit-identical with it on or off.
+ *
+ * Every run is serial; run independent configurations in parallel
+ * with the sweep engine instead (FBDP_JOBS, see README.md).  Numeric
+ * options must be whole decimal integers; anything else is fatal.
  *
  * Observability (all off by default; attaching them does not change
  * simulation results):
@@ -89,6 +89,7 @@
 #include <string>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "power/power_model.hh"
 #include "sim/trace.hh"
 #include "system/ledger.hh"
@@ -134,14 +135,22 @@ main(int argc, char **argv)
              entries = 64, ways = 0, trace_cores = 1;
     std::uint64_t seed = 1;
     std::string trace_out, trace_filter, telemetry_out, epoch_spec,
-        stats_json, amb_policy, mc_policy, threads_arg,
-        progress_out, ledger_out;
+        stats_json, amb_policy, mc_policy, progress_out, ledger_out;
 
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage(argv[0]);
         return argv[++i];
     };
+    // A numeric option's value: one whole decimal integer in
+    // [lo, hi].  Whether the machine it describes can be built is
+    // SystemConfig::controllerConfig()'s call.
+    auto number = [&](int &i, long long lo, long long hi) {
+        const char *opt = argv[i];
+        return requireCount(opt, need(i), lo, hi);
+    };
+    constexpr long long maxU32 = 0xffffffffLL;
+    constexpr long long maxU63 = 0x7fffffffffffffffLL;
     // "--amb-policy=SPEC" form: specs contain commas, which shells
     // and scripts prefer to keep glued to the option.
     auto eqValue = [](const char *arg, const char *opt,
@@ -158,21 +167,21 @@ main(int argc, char **argv)
         if (!std::strcmp(a, "--mix"))
             mix_name = need(i);
         else if (!std::strcmp(a, "--cores"))
-            trace_cores = static_cast<unsigned>(std::atoi(need(i)));
+            trace_cores = static_cast<unsigned>(number(i, 0, 1024));
         else if (!std::strcmp(a, "--machine"))
             machine = need(i);
         else if (!std::strcmp(a, "--channels"))
-            channels = static_cast<unsigned>(std::atoi(need(i)));
+            channels = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--dimms"))
-            dimms = static_cast<unsigned>(std::atoi(need(i)));
+            dimms = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--rate"))
-            rate = static_cast<unsigned>(std::atoi(need(i)));
+            rate = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--k"))
-            k = static_cast<unsigned>(std::atoi(need(i)));
+            k = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--entries"))
-            entries = static_cast<unsigned>(std::atoi(need(i)));
+            entries = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--ways"))
-            ways = static_cast<unsigned>(std::atoi(need(i)));
+            ways = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--amb-policy"))
             amb_policy = need(i);
         else if (eqValue(a, "--amb-policy", amb_policy))
@@ -184,11 +193,11 @@ main(int argc, char **argv)
         else if (!std::strcmp(a, "--interleave"))
             interleave = need(i);
         else if (!std::strcmp(a, "--insts"))
-            insts = static_cast<std::uint64_t>(std::atoll(need(i)));
+            insts = static_cast<std::uint64_t>(number(i, 1, maxU63));
         else if (!std::strcmp(a, "--warmup"))
-            warmup = static_cast<std::uint64_t>(std::atoll(need(i)));
+            warmup = static_cast<std::uint64_t>(number(i, 0, maxU63));
         else if (!std::strcmp(a, "--seed"))
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = static_cast<std::uint64_t>(number(i, 0, maxU63));
         else if (!std::strcmp(a, "--vrl"))
             vrl = true;
         else if (!std::strcmp(a, "--no-sp"))
@@ -215,8 +224,6 @@ main(int argc, char **argv)
             attribution = true;
         else if (!std::strcmp(a, "--stats-json"))
             stats_json = need(i);
-        else if (!std::strcmp(a, "--threads"))
-            threads_arg = need(i);
         else if (!std::strcmp(a, "--manifest"))
             manifest_on = true;
         else if (!std::strcmp(a, "--progress"))
@@ -295,12 +302,6 @@ main(int argc, char **argv)
     cfg.attribution = attribution;
     cfg.profileKernel = profile_kernel;
     applyInstsFromEnv(cfg);
-    applyThreadsFromEnv(cfg);
-    if (!threads_arg.empty())
-        cfg.threads = parseThreadCount(threads_arg.c_str(),
-                                       "--threads");
-    // When a trace/telemetry observer pins the kernel to one lane,
-    // System::laneCount() warns loudly the first time it happens.
 
     // A trace spec replaces the named mix: N cores (--cores) replay
     // the same file, sharing one stream cursor / loaded vector.
@@ -603,10 +604,6 @@ main(int argc, char **argv)
                   std::to_string(k.deschedules)});
         p.addRow({"peak queue depth",
                   std::to_string(k.peakQueueDepth)});
-        p.addRow({"same-tick batch drains",
-                  std::to_string(k.batchDrains)});
-        p.addRow({"events dispatched batched",
-                  std::to_string(k.batchedEvents)});
         p.addRow({"pool acquires", std::to_string(k.poolAcquires)});
         p.addRow({"pool reuses", std::to_string(k.poolReuses)});
         p.addRow({"pool high water",
@@ -621,13 +618,10 @@ main(int argc, char **argv)
 
         // Top-down per-shard view: where the dispatch work lives.
         std::cout << "\n";
-        TextTable sh({"shard", "lane", "events", "batched",
-                      "peak depth", "mbox in", "mbox out", "busy (ms)",
-                      "drain (ms)"});
+        TextTable sh({"shard", "events", "peak depth", "mbox in",
+                      "mbox out", "busy (ms)", "drain (ms)"});
         for (const ShardProfile &s : k.shards) {
-            sh.addRow({s.name, std::to_string(s.lane),
-                       std::to_string(s.events),
-                       std::to_string(s.batchedEvents),
+            sh.addRow({s.name, std::to_string(s.events),
                        std::to_string(s.peakQueueDepth),
                        std::to_string(s.mailboxIn),
                        std::to_string(s.mailboxOut),
@@ -636,33 +630,7 @@ main(int argc, char **argv)
         sh.print(std::cout);
         std::cout << "channel imbalance: "
                   << fmtD(k.eventImbalance(), 3)
-                  << " (events, max/mean), "
-                  << fmtD(k.busyImbalance(), 3)
-                  << " (busy host time)\n";
-
-        // Per-lane view: per round, busy + drain + barrier wait
-        // telescopes to wall exactly, so the busy column reads as a
-        // parallel-efficiency figure.
-        std::cout << "\n";
-        TextTable ln({"lane", "shards", "rounds", "busy (ms)",
-                      "drain (ms)", "barrier (ms)", "wall (ms)",
-                      "busy", "last/spin/yield/sleep"});
-        for (const LaneProfile &l : k.lanes) {
-            const double frac = l.wallSeconds > 0.0
-                ? (l.busySeconds + l.drainSeconds) / l.wallSeconds
-                : 0.0;
-            ln.addRow({std::to_string(l.lane),
-                       std::to_string(l.shardsOwned),
-                       std::to_string(l.rounds),
-                       ms(l.busySeconds), ms(l.drainSeconds),
-                       ms(l.barrierWaitSeconds), ms(l.wallSeconds),
-                       fmtPct(frac),
-                       std::to_string(l.lastArrivals) + "/"
-                           + std::to_string(l.spinReleases) + "/"
-                           + std::to_string(l.yieldReleases) + "/"
-                           + std::to_string(l.sleepReleases)});
-        }
-        ln.print(std::cout);
+                  << " (events, max/mean)\n";
     }
 
     if (!stats_json.empty() || !ledger_out.empty()) {

@@ -21,9 +21,7 @@
 #ifndef FBDP_COMMON_THREAD_POOL_HH
 #define FBDP_COMMON_THREAD_POOL_HH
 
-#include <atomic>
 #include <condition_variable>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <memory>
@@ -35,110 +33,6 @@
 #include <vector>
 
 namespace fbdp {
-
-/**
- * Reusable generation-counting barrier for tightly coupled phase
- * loops (the sharded event kernel synchronizes every lane at each
- * memory-cycle frame boundary, thousands of times per simulated
- * microsecond).
- *
- * arriveAndWait() spins briefly (frames are short, the other lanes are
- * usually microseconds away), yields, then falls back to the C++20
- * atomic wait so oversubscribed hosts — including single-CPU CI boxes
- * — make progress instead of burning the timeslice.  The last lane to
- * arrive runs an optional hook *alone*, before releasing the others:
- * the natural place for cross-lane work like the round-termination
- * check.
- */
-class SpinBarrier
-{
-  public:
-    /** @p n participating threads (>= 1). */
-    explicit SpinBarrier(unsigned n) : count(n < 1 ? 1 : n) {}
-
-    SpinBarrier(const SpinBarrier &) = delete;
-    SpinBarrier &operator=(const SpinBarrier &) = delete;
-
-    /**
-     * How one arriveAndWait() call was released — which rung of the
-     * spin / yield / sleep ladder the caller reached before the round
-     * opened.  Last means this caller was the final arriver (and ran
-     * the hook); the others grade how long it waited: Spin is a
-     * near-simultaneous arrival, Sleep means the thread gave up its
-     * timeslice.  The kernel profiler counts these per lane to tell
-     * "lanes finish together" from "one lane drags the round".
-     */
-    enum class Release : std::uint8_t { Last, Spin, Yield, Sleep };
-
-    /**
-     * Block until all @p count threads have arrived.  The last
-     * arriver runs @p on_last (if any) while every other thread is
-     * still parked, then releases them.  Exceptions from @p on_last
-     * propagate to the last arriver only — after the release, so the
-     * barrier stays usable.  @return how this caller was released.
-     */
-    template <typename F = void (*)()>
-    Release
-    arriveAndWait(F &&on_last = nullptr)
-    {
-        const std::uint32_t gen = generation.load(std::memory_order_acquire);
-        if (arrived.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
-            bool hook_threw = false;
-            std::exception_ptr eptr;
-            if constexpr (!std::is_same_v<std::decay_t<F>, void (*)()>) {
-                try {
-                    on_last();
-                } catch (...) {
-                    hook_threw = true;
-                    eptr = std::current_exception();
-                }
-            } else {
-                if (on_last) {
-                    try {
-                        on_last();
-                    } catch (...) {
-                        hook_threw = true;
-                        eptr = std::current_exception();
-                    }
-                }
-            }
-            // Reset before bumping the generation: a released waiter
-            // may re-arrive immediately.
-            arrived.store(0, std::memory_order_relaxed);
-            generation.fetch_add(1, std::memory_order_release);
-            generation.notify_all();
-            if (hook_threw)
-                std::rethrow_exception(eptr);
-            return Release::Last;
-        }
-        // Bounded spin, then yield, then sleep on the generation word.
-        for (int i = 0; i < 1024; ++i) {
-            if (generation.load(std::memory_order_acquire) != gen)
-                return Release::Spin;
-        }
-        for (int i = 0; i < 64; ++i) {
-            std::this_thread::yield();
-            if (generation.load(std::memory_order_acquire) != gen)
-                return Release::Yield;
-        }
-        while (generation.load(std::memory_order_acquire) == gen)
-            generation.wait(gen, std::memory_order_acquire);
-        return Release::Sleep;
-    }
-
-    /** Completed barrier rounds. */
-    std::uint32_t rounds() const
-    {
-        return generation.load(std::memory_order_acquire);
-    }
-
-    unsigned participants() const { return count; }
-
-  private:
-    const unsigned count;
-    std::atomic<std::uint32_t> arrived{0};
-    std::atomic<std::uint32_t> generation{0};
-};
 
 /** Fixed set of worker threads draining one task queue. */
 class ThreadPool

@@ -128,7 +128,7 @@ class MemController
     /**
      * Hand a transaction that was *sent* at tick @p sent_at (possibly
      * in the previous memory-cycle frame, when the sender is another
-     * shard and the message crossed a frame barrier).  Arrival
+     * shard and the message crossed a round boundary).  Arrival
      * timestamps and the first wake are derived from @p sent_at so
      * latency accounting is independent of when the mailbox drained.
      */

@@ -92,11 +92,6 @@ class Event
 
     static constexpr std::uint32_t invalidIdx = ~0u;
 
-    /** heapIdx values >= batchBase (and != invalidIdx) mean "extracted
-     *  into the current dispatch batch at position heapIdx - batchBase".
-     *  Real heap indices stay far below this. */
-    static constexpr std::uint32_t batchBase = 0x80000000u;
-
     void invoke() { trampoline(cbStore); }
 
     alignas(std::max_align_t) unsigned char cbStore[callbackCapacity];
@@ -123,12 +118,6 @@ class EventQueue
         std::uint64_t reschedules = 0;  ///< schedule() of a live event
         std::uint64_t deschedules = 0;  ///< deschedule() of a live event
         std::uint64_t peakDepth = 0;    ///< max simultaneous live events
-        /** drainSameTick() passes that extracted at least one event
-         *  (one per long same-tick burst). */
-        std::uint64_t batchDrains = 0;
-        /** Events dispatched from an extracted batch rather than
-         *  popped off the heap one at a time. */
-        std::uint64_t batchedDispatched = 0;
     };
 
     EventQueue() = default;
@@ -147,20 +136,11 @@ class EventQueue
 
     /**
      * Dispatch events until the queue is empty or @p limit is passed.
-     *
-     * Short same-tick groups dispatch one event at a time straight
-     * off the heap.  Once a tick has burned burstSwitch dispatches,
-     * the remainder of that tick is extracted into a contiguous batch
-     * in (priority, seq) order with one partition-sort-rebuild pass
-     * and invoked from the batch — amortizing heap pops for
-     * frame-boundary bursts without taxing the common case.
-     * Callbacks that schedule, deschedule or reschedule events at the
-     * *current* tick observe exactly the same total (tick, priority,
-     * seq) dispatch order either way: batch entries carry a sentinel
-     * index so they can be cancelled or moved, and newly scheduled
-     * same-tick events that sort before a pending batch entry are
-     * drained from the heap first.  run() is not reentrant —
-     * callbacks must not call run().
+     * Each event is popped off the heap top in (tick, priority, seq)
+     * order, so callbacks that schedule, deschedule or reschedule
+     * events at the *current* tick see them dispatched in that same
+     * total order.  run() is not reentrant — callbacks must not call
+     * run().
      */
     void run(Tick limit = maxTick);
 
@@ -211,19 +191,8 @@ class EventQueue
     void siftUp(std::size_t idx, Slot s);
     void siftDown(std::size_t idx, Slot s);
     void removeAt(std::size_t idx);
-    void popTop();
-    void drainSameTick(Tick t);
-
-    /** Batch size at which run() stops popping same-tick events one
-     *  by one (a full sift-down each) and switches to drainSameTick's
-     *  partition-sort-rebuild, which costs one linear scan plus one
-     *  heapify no matter how large the burst is. */
-    static constexpr std::size_t burstSwitch = 8;
 
     std::vector<Slot> heap;
-    /** Same-tick dispatch batch used by run(); entries whose ev is
-     *  null were descheduled or rescheduled while the batch ran. */
-    std::vector<Slot> batch;
     Tick curTick = 0;
     std::uint64_t nextSeq = 0;
     Counters stats;

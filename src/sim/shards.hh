@@ -4,15 +4,13 @@
  *
  * The system partitions its components into event-queue *shards*: one
  * core/cache shard (queue 0) plus one shard per memory channel.  Time
- * advances in *rounds* of one memory-cycle frame: in round k every
- * shard independently dispatches its events over [kC, (k+1)C), then
- * all lanes meet at a barrier.  Cross-shard traffic — core→MC requests
- * and MC→core completions — never touches a foreign queue directly; it
- * is staged in a FrameMailbox and drained by the owning shard at the
- * *next* round's start.  The one-frame hand-off latency is part of the
- * model's canonical semantics and identical for every thread count, so
- * results are bit-identical whether the lanes run serially or on a
- * thread pool.
+ * advances in *rounds* of one memory-cycle frame: in round k each
+ * shard in turn, on the calling thread, dispatches its events over
+ * [kC, (k+1)C).  Cross-shard traffic — core→MC requests and MC→core
+ * completions — never touches a foreign queue directly; it is staged
+ * in a FrameMailbox and drained by the owning shard at the *next*
+ * round's start.  The one-frame hand-off latency is part of the
+ * model's canonical semantics.
  */
 
 #ifndef FBDP_SIM_SHARDS_HH
@@ -47,11 +45,9 @@ frameCeil(Tick t, Tick frame)
  *
  * In round k the producer appends to buffer k&1 while the consumer
  * drains buffer (k&1)^1 — the messages its peer staged in round k-1.
- * The two phases are separated by the round barrier, whose
- * acquire/release ordering also publishes the buffer contents, so the
- * mailbox itself needs no atomics and no locks.  Messages are drained
- * in staging order, which is deterministic because each producer is a
- * single shard executing a deterministic schedule.
+ * Messages are drained in staging order, which is deterministic
+ * because each producer is a single shard executing a deterministic
+ * schedule.
  */
 template <typename T>
 class FrameMailbox
@@ -81,8 +77,7 @@ class FrameMailbox
 
     /** Messages ever posted (cheap enough to maintain always; the
      *  kernel profiler reads it, and posted minus drained bounds the
-     *  in-flight hand-offs).  Written by the producer shard only —
-     *  read it after a barrier, like the buffers themselves. */
+     *  in-flight hand-offs). */
     std::uint64_t posted() const { return nPosted; }
 
   private:

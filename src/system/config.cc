@@ -90,23 +90,57 @@ SystemConfig::resolvedMcPrefetch() const
     return mp;
 }
 
+namespace {
+
+/** Most logic channels or DIMMs per channel a machine may have: far
+ *  past any FB-DIMM system, short of exhausting host memory. */
+constexpr unsigned maxTopology = 1024;
+
+/** fatal()s unless @p pc's buffer can be built (AmbCache's shape). */
+void
+checkBufferShape(const char *point, const PrefetchConfig &pc)
+{
+    if (pc.entries < 1 || pc.entries > PrefetchConfig::maxCount)
+        fatal("%s prefetch buffer needs 1 to %u entries, not %u",
+              point, PrefetchConfig::maxCount, pc.entries);
+    if (pc.ways != 0 && pc.entries % pc.ways != 0)
+        fatal("%s prefetch buffer: %u entries not divisible by %u "
+              "ways", point, pc.entries, pc.ways);
+}
+
+} // namespace
+
 ControllerConfig
 SystemConfig::controllerConfig() const
 {
+    if (logicChannels < 1 || logicChannels > maxTopology
+        || dimmsPerChannel < 1 || dimmsPerChannel > maxTopology
+        || banksPerDimm < 1)
+        fatal("unsupported DRAM topology: %u channels, %u DIMMs per "
+              "channel, %u banks per DIMM (channels and DIMMs must be "
+              "in [1, %u])", logicChannels, dimmsPerChannel,
+              banksPerDimm, maxTopology);
+    const unsigned row_lines = addressMapConfig().rowBytes / lineBytes;
+    if (regionLines < 1 || row_lines % regionLines != 0)
+        fatal("region size K=%u must divide the %u lines of a DRAM row",
+              regionLines, row_lines);
     const PrefetchConfig ap = resolvedAmbPrefetch();
     const PrefetchConfig mp = resolvedMcPrefetch();
     if (ap.enabled()) {
-        fbdp_assert(fbd, "AMB prefetching requires FB-DIMM");
-        fbdp_assert(scheme != Interleave::Cacheline,
-                    "AMB prefetching needs multi-cacheline or page "
-                    "interleaving (Section 3.2)");
+        if (!fbd)
+            fatal("AMB prefetching requires FB-DIMM");
+        if (scheme == Interleave::Cacheline)
+            fatal("AMB prefetching needs multi-cacheline or page "
+                  "interleaving (Section 3.2)");
+        checkBufferShape("AMB", ap);
     }
     if (mp.enabled()) {
-        fbdp_assert(!ap.enabled(),
-                    "mcPrefetch and apEnable are exclusive");
-        fbdp_assert(scheme != Interleave::Cacheline,
-                    "controller prefetching needs region-preserving "
-                    "interleaving too");
+        if (ap.enabled())
+            fatal("mcPrefetch and apEnable are exclusive");
+        if (scheme == Interleave::Cacheline)
+            fatal("controller prefetching needs region-preserving "
+                  "interleaving too");
+        checkBufferShape("controller", mp);
     }
     ControllerConfig cc;
     cc.fbd = fbd;

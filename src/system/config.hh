@@ -107,26 +107,16 @@ struct SystemConfig
 
     /**
      * Kernel self-profiling: time every shard round (busy vs mailbox
-     * drain), every lane's barrier waits, and the cross-shard mailbox
-     * traffic, into KernelProfile::shards/lanes.  Observer-only —
-     * simulation results are bit-identical with it on or off; the cost
-     * is a pair of clock reads per active shard per round.  Surfaced
+     * drain) and count the cross-shard mailbox traffic, into
+     * KernelProfile::shards.  Observer-only — simulation results are
+     * bit-identical with it on or off; the cost is a few clock reads
+     * per active shard per round.  Surfaced
      * by `fbdpsim --profile-kernel`, the --stats-json "kernel" block
      * and the kernel.* telemetry gauges.
      */
     bool profileKernel = false;
 
-    // --- execution ---
-    /**
-     * Worker threads for the sharded event kernel: the core/cache
-     * shard plus one shard per logic channel are spread over this many
-     * lanes, synchronizing at every memory-cycle frame.  Results are
-     * bit-identical for every value — the kernel executes the same
-     * staged schedule whether the lanes run serially (threads == 1) or
-     * on a thread pool — so this knob trades host CPUs for sim-rate
-     * only.  Clamped to 1 + logicChannels (more lanes than shards
-     * cannot help).
-     */
+    /** Unread (every run is serial); perfbench/ still assigns it. */
     unsigned threads = 1;
 
     /** Number of cores (== benchmarks.size() once assigned). */
@@ -156,7 +146,13 @@ struct SystemConfig
     /** mcBufPrefetch with the deprecated mirrors folded in. */
     PrefetchConfig resolvedMcPrefetch() const;
 
-    /** Derived controller configuration for one logic channel. */
+    /**
+     * Derived controller configuration for one logic channel.
+     * fatal()s on a configuration the components cannot build: no
+     * channels or DIMMs, a region size K that does not divide a DRAM
+     * row, an empty or unevenly divided prefetch buffer, or prefetching
+     * on a machine or interleaving that cannot support it.
+     */
     ControllerConfig controllerConfig() const;
 
     /** Derived address-map configuration. */

@@ -26,7 +26,7 @@
  *
  * History analysis groups records by manifest config digest: the
  * digest hashes the simulated machine and workload (not observer or
- * host facts), so records from different hosts or thread counts land
+ * host facts), so records from different hosts or worker counts land
  * on the same trend line — their simulated results are bit-identical
  * by construction, and only genuine regressions (or host-side
  * sim-rate changes, which are exactly what one wants to notice)

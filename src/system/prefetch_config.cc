@@ -3,9 +3,28 @@
 #include <cstdlib>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "prefetch/policy.hh"
 
 namespace fbdp {
+
+namespace {
+
+/** @p val as a whole-string integer in [@p lo, maxCount]; fatal()s
+ *  naming @p key and @p spec otherwise. */
+unsigned
+specCount(const std::string &key, const std::string &val, long long lo,
+          const std::string &spec)
+{
+    const std::string what =
+        csprintf("prefetch spec '%s' key '%s'", spec.c_str(),
+                 key.c_str());
+    return static_cast<unsigned>(
+        requireCount(what.c_str(), val.c_str(), lo,
+                     PrefetchConfig::maxCount));
+}
+
+} // namespace
 
 PrefetchConfig
 PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
@@ -42,19 +61,20 @@ PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
                   key.c_str(), spec.c_str());
 
         if (key == "degree") {
-            pc.degree = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.degree = specCount(key, val, 0, spec);
         } else if (key == "entries") {
-            pc.entries = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.entries = specCount(key, val, 1, spec);
         } else if (key == "ways") {
-            pc.ways = static_cast<unsigned>(
-                std::strtoul(val.c_str(), nullptr, 10));
+            pc.ways = specCount(key, val, 0, spec);
         } else if (key == "throttle") {
-            pc.throttle = std::strtod(val.c_str(), nullptr);
-            if (pc.throttle < 0.0 || pc.throttle > 1.0)
-                fatal("prefetch throttle %s outside [0,1]",
-                      val.c_str());
+            char *end = nullptr;
+            const double t = std::strtod(val.c_str(), &end);
+            // The negated range test also rejects NaN.
+            if (*end != '\0' || !(t >= 0.0 && t <= 1.0))
+                fatal("prefetch spec key 'throttle' has value '%s' "
+                      "outside [0,1] (spec '%s')", val.c_str(),
+                      spec.c_str());
+            pc.throttle = t;
         } else {
             fatal("unknown prefetch spec key '%s' (spec '%s'; known: "
                   "degree, entries, ways, throttle)",

@@ -44,10 +44,16 @@ struct PrefetchConfig
 
     bool enabled() const { return policy != "none"; }
 
+    /** Upper bound of degree, entries and ways: a DRAM-side buffer
+     *  larger than the 4 MB L2's 65536 lines is meaningless. */
+    static constexpr unsigned maxCount = 1u << 16;
+
     /**
      * Parse a spec string (see the grammar above).  fatal()s on a
-     * malformed spec, an unknown key, or a policy name missing from
-     * the PolicyRegistry.  @p dflt supplies the buffer shape for keys
+     * malformed spec, an unknown key, a value that is not one whole
+     * in-range number (degree and ways in [0, maxCount], entries in
+     * [1, maxCount], throttle in [0,1]), or a policy name missing
+     * from the PolicyRegistry.  @p dflt supplies the buffer shape for keys
      * the spec leaves out, so "--amb-policy=dspatch" inherits the
      * attachment point's natural entries/ways.
      */

@@ -20,8 +20,7 @@
  *    exactly the TelemetrySampler pattern, so attaching it cannot
  *    change simulation results — and reports instructions retired,
  *    the percent of the run target, and the host-side sim rate.  It
- *    reads only core-shard state, so unlike the telemetry sampler it
- *    does not pin the sharded kernel to one lane.
+ *    reads only core-shard state.
  *
  * Everything here is opt-in and zero-overhead when absent: a Sweep
  * without a sink and a System without a pulse execute exactly the
@@ -195,8 +194,8 @@ class ProgressMux : public ProgressSink
  * instruction counters (guarded against the mid-run resetStats()
  * between warm-up and measurement) and reports a HeartbeatSample.
  * Observer-only: results are bit-identical with a pulse attached or
- * not, and no lane pinning is needed — everything it reads lives on
- * the core shard the pulse event runs on.
+ * not; everything it reads lives on the core shard the pulse event
+ * runs on.
  */
 class ProgressPulse
 {

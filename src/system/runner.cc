@@ -2,10 +2,9 @@
 
 #include <cstdlib>
 #include <future>
-#include <optional>
-#include <thread>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "common/thread_pool.hh"
 
 namespace fbdp {
@@ -15,24 +14,11 @@ runMix(const SystemConfig &base, const WorkloadMix &mix)
 {
     SystemConfig cfg = base;
     cfg.benchmarks = mix.benches;
-    applyThreadsFromEnv(cfg);
     System sys(cfg);
     return sys.run();
 }
 
 namespace {
-
-/** @p text as a whole-string decimal integer in [@p lo, @p hi], or
- *  nothing (non-numeric text, trailing junk, out of range). */
-std::optional<long long>
-parseCount(const char *text, long long lo, long long hi)
-{
-    char *end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || v < lo || v > hi)
-        return std::nullopt;
-    return v;
-}
 
 /** Largest instruction count the *_INSTS variables accept. */
 constexpr long long maxEnvInsts = 1'000'000'000'000;
@@ -71,36 +57,6 @@ jobsFromEnv()
     return static_cast<unsigned>(*v);
 }
 
-unsigned
-parseThreadCount(const char *text, const char *origin)
-{
-    if (!text || !*text)
-        return 1;
-    const auto parsed = parseCount(text, 1, 1024);
-    if (!parsed) {
-        warn("ignoring %s='%s': expected a lane count in [1, 1024]; "
-             "running serially", origin, text);
-        return 1;
-    }
-    const long long v = *parsed;
-    const unsigned hw = std::thread::hardware_concurrency();
-    if (hw > 0 && v > hw) {
-        warn("%s=%lld exceeds the %u host CPUs; clamping (results "
-             "are identical for every thread count)", origin, v, hw);
-        return hw;
-    }
-    return static_cast<unsigned>(v);
-}
-
-void
-applyThreadsFromEnv(SystemConfig &cfg)
-{
-    const char *e = std::getenv("FBDP_THREADS");
-    if (!e || !*e)
-        return;
-    cfg.threads = parseThreadCount(e, "FBDP_THREADS");
-}
-
 std::vector<RunResult>
 runCells(const std::vector<RunCell> &cells, unsigned jobs)
 {
@@ -110,7 +66,6 @@ runCells(const std::vector<RunCell> &cells, unsigned jobs)
         cfgs.push_back(cell.cfg);
         if (cell.mix)
             cfgs.back().benchmarks = cell.mix->benches;
-        applyThreadsFromEnv(cfgs.back());
     }
 
     std::vector<RunResult> results;

@@ -89,23 +89,6 @@ double smtSpeedup(const RunResult &r, const WorkloadMix &mix,
  */
 void applyInstsFromEnv(SystemConfig &cfg);
 
-/**
- * Validate a per-run lane count (the `--threads` flag / FBDP_THREADS
- * variable) with the same rules as jobsFromEnv: decimal integers in
- * [1, 1024] are accepted, anything else — non-numeric text, trailing
- * junk, zero, negatives, absurd counts — warns and falls back to 1.
- * Counts above std::thread::hardware_concurrency are clamped to it
- * with a warning: more lanes than host CPUs can only add barrier
- * overhead (results are thread-count-invariant either way).
- * @p origin names the source in warnings ("--threads",
- * "FBDP_THREADS").
- */
-unsigned parseThreadCount(const char *text, const char *origin);
-
-/** Apply FBDP_THREADS (validated by parseThreadCount) to
- *  cfg.threads; unset or empty leaves the config untouched. */
-void applyThreadsFromEnv(SystemConfig &cfg);
-
 } // namespace fbdp
 
 #endif // FBDP_SYSTEM_RUNNER_HH

@@ -20,11 +20,11 @@ jsonReal(double v)
 /**
  * The "kernel" section.  Always the flat kernelStats() row; when the
  * run was profiled (--profile-kernel) the object is extended in place
- * with the imbalance summaries and the per-shard / per-lane arrays.
- * Each array element carries a "name" member so fbdp-report's
- * flattener produces stable dotted paths (kernel.shards.ch0.events,
- * kernel.lanes.lane1.rounds).  Unprofiled runs emit the arrays empty,
- * which keeps a profiled-off diff free of one-sided keys.
+ * with the imbalance summary and the per-shard array.  Each array
+ * element carries a "name" member so fbdp-report's flattener produces
+ * stable dotted paths (kernel.shards.ch0.events).  Unprofiled runs
+ * emit the array empty, which keeps a profiled-off diff free of
+ * one-sided keys.
  */
 void
 writeKernelSection(const SweepRow &row, std::ostream &os)
@@ -36,47 +36,22 @@ writeKernelSection(const SweepRow &row, std::ostream &os)
 
     const KernelProfile &k = row.result.kernel;
     os << ", \"profiled\": " << (k.profiled ? "true" : "false")
-       << ", \"event_imbalance\": " << jsonReal(k.eventImbalance())
-       << ", \"busy_imbalance\": " << jsonReal(k.busyImbalance());
+       << ", \"event_imbalance\": " << jsonReal(k.eventImbalance());
 
     os << ", \"shards\": [";
     for (std::size_t i = 0; i < k.shards.size(); ++i) {
         const ShardProfile &s = k.shards[i];
         os << (i ? ", " : "")
            << "{\"name\": \"" << jsonEscape(s.name) << "\""
-           << ", \"lane\": " << s.lane
            << ", \"events\": " << s.events
            << ", \"schedules\": " << s.schedules
            << ", \"reschedules\": " << s.reschedules
            << ", \"deschedules\": " << s.deschedules
            << ", \"peak_queue_depth\": " << s.peakQueueDepth
-           << ", \"batch_drains\": " << s.batchDrains
-           << ", \"batched_events\": " << s.batchedEvents
            << ", \"mailbox_in\": " << s.mailboxIn
            << ", \"mailbox_out\": " << s.mailboxOut
            << ", \"busy_seconds\": " << jsonReal(s.busySeconds)
            << ", \"drain_seconds\": " << jsonReal(s.drainSeconds)
-           << "}";
-    }
-    os << "]";
-
-    os << ", \"lanes\": [";
-    for (std::size_t i = 0; i < k.lanes.size(); ++i) {
-        const LaneProfile &l = k.lanes[i];
-        os << (i ? ", " : "")
-           << "{\"name\": \"lane" << l.lane << "\""
-           << ", \"lane\": " << l.lane
-           << ", \"shards_owned\": " << l.shardsOwned
-           << ", \"rounds\": " << l.rounds
-           << ", \"busy_seconds\": " << jsonReal(l.busySeconds)
-           << ", \"drain_seconds\": " << jsonReal(l.drainSeconds)
-           << ", \"barrier_wait_seconds\": "
-           << jsonReal(l.barrierWaitSeconds)
-           << ", \"wall_seconds\": " << jsonReal(l.wallSeconds)
-           << ", \"last_arrivals\": " << l.lastArrivals
-           << ", \"spin_releases\": " << l.spinReleases
-           << ", \"yield_releases\": " << l.yieldReleases
-           << ", \"sleep_releases\": " << l.sleepReleases
            << "}";
     }
     os << "]}";

@@ -3,8 +3,11 @@
  * SystemConfig preset and derivation tests.
  */
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "common/parse.hh"
 #include "system/config.hh"
 
 namespace fbdp {
@@ -90,6 +93,72 @@ TEST(ConfigTest, ApRequiresFbd)
     SystemConfig c = SystemConfig::fbdAp();
     c.fbd = false;
     EXPECT_DEATH(c.controllerConfig(), "requires FB-DIMM");
+}
+
+// Configuration errors a user can reach from fbdpsim's flags end in
+// fatal (exit code 1) at controllerConfig(), before any component
+// asserts on them.
+TEST(ConfigDeathTest, TopologyOutOfRangeIsFatal)
+{
+    SystemConfig c = SystemConfig::fbdAp();
+    c.logicChannels = 0;  // --channels 0
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "unsupported DRAM topology: 0 channels");
+    c = SystemConfig::fbdAp();
+    c.dimmsPerChannel = 0;  // --dimms 0
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "0 DIMMs per channel");
+    c = SystemConfig::fbdAp();
+    c.logicChannels = 4'000'000'000u;  // would exhaust host memory
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "unsupported DRAM topology: 4000000000 channels");
+}
+
+TEST(ConfigDeathTest, RegionThatDoesNotDivideARowIsFatal)
+{
+    SystemConfig c = SystemConfig::fbdAp();
+    c.regionLines = 3;  // --k 3
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "K=3 must divide the 128 lines");
+}
+
+TEST(ConfigDeathTest, UnbuildablePrefetchBufferIsFatal)
+{
+    SystemConfig c = SystemConfig::fbdAp();
+    c.ambPrefetch.entries = 0;  // --entries 0
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "needs 1 to 65536 entries, not 0");
+    c = SystemConfig::fbdAp();
+    c.ambPrefetch.ways = 3;  // --ways 3
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "64 entries not divisible by 3 ways");
+}
+
+TEST(ConfigDeathTest, AmbPolicyOnDdr2IsFatal)
+{
+    // --machine ddr2 --amb-policy region
+    SystemConfig c = SystemConfig::ddr2();
+    c.ambPrefetch = PrefetchConfig::parse("region");
+    c.scheme = Interleave::MultiCacheline;
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "requires FB-DIMM");
+}
+
+TEST(ConfigDeathTest, NonNumericFlagValueIsFatal)
+{
+    // fbdpsim --channels abc: no longer read as 0.
+    EXPECT_EXIT(requireCount("--channels", "abc", 0, 1024),
+                ::testing::ExitedWithCode(1),
+                "--channels: bad value 'abc'");
+    EXPECT_EXIT(requireCount("--k", "4x", 0, 1024),
+                ::testing::ExitedWithCode(1), "--k: bad value '4x'");
+    // Past LLONG_MAX: strtoll clamps, which must not pass a bound of
+    // LLONG_MAX as a silently different seed.
+    EXPECT_EXIT(requireCount("--seed", "99999999999999999999", 0,
+                             std::numeric_limits<long long>::max()),
+                ::testing::ExitedWithCode(1),
+                "--seed: bad value '99999999999999999999'");
+    EXPECT_EQ(requireCount("--k", "8", 0, 1024), 8);
 }
 
 TEST(ConfigTest, AddressMapDerivation)

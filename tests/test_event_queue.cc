@@ -189,12 +189,10 @@ TEST(EventQueueTest, ManyEventsStressOrdering)
     EXPECT_EQ(eq.dispatched(), 1000u);
 }
 
-// --- batched same-tick dispatch ---------------------------------------
-// run() extracts everything due at the current tick into one batch
-// before invoking any handler.  The observable semantics must remain
-// exactly those of the per-event heap walk: handlers may deschedule,
-// reschedule, or newly schedule same-tick peers mid-batch and the
-// (priority, seq) total order still decides what runs.
+// --- same-tick groups -------------------------------------------------
+// Handlers may deschedule, reschedule, or newly schedule same-tick
+// peers while the tick's group is being dispatched, and the (priority,
+// seq) total order still decides what runs.
 
 TEST(EventQueueTest, BatchPeerDescheduleCancelsUnrunEntry)
 {

@@ -3,31 +3,22 @@
  * The kernel self-profiler's contract (SystemConfig::profileKernel):
  *
  *  - invisibility: a profiled run is bit-for-bit identical to the same
- *    run unprofiled, at every thread count — the profiler only reads
- *    clocks and existing state;
- *  - conservation: per lane, busy + drain + barrier-wait telescopes to
- *    the lane's wall time (the three terms come from the same clock
- *    reads, so only floating-point summation error remains);
- *  - shape: one ShardProfile per queue shard, lanes as configured,
- *    shard event counts summing to the kernel total, mailbox traffic
- *    consistent between posters and drainers;
+ *    run unprofiled — the profiler only reads clocks and existing
+ *    state;
+ *  - bounded host time: the shards' busy + drain seconds fit inside
+ *    the event phases' wall time they were measured in;
+ *  - shape: one ShardProfile per queue shard, shard event counts
+ *    summing to the kernel total, mailbox traffic consistent between
+ *    posters and drainers;
  *  - determinism of the gateable summary: eventImbalance() is exactly
- *    equal across thread counts;
- *  - the SpinBarrier release census and the EventQueue batch counters
- *    the per-shard rows are built from.
+ *    equal between repeated runs.
  */
 
 #include <gtest/gtest.h>
 
-#include <iomanip>
-#include <memory>
-#include <sstream>
 #include <string>
-#include <thread>
-#include <vector>
 
-#include "common/thread_pool.hh"
-#include "sim/event_queue.hh"
+#include "run_digest.hh"
 #include "system/system.hh"
 #include "workload/mixes.hh"
 
@@ -46,45 +37,9 @@ profiledMachine(unsigned channels)
     return c;
 }
 
-/** Every deterministic field the profiler could plausibly disturb,
- *  folded into one token stream (doubles via hexfloat, bit-exact). */
-std::string
-digest(const RunResult &r)
-{
-    std::ostringstream os;
-    os << std::hexfloat;
-    os << "ticks " << r.measuredTicks << " lat " << r.avgReadLatencyNs
-       << " bw " << r.bandwidthGBs << "\n";
-    os << "reads " << r.reads << " writes " << r.writes << " ambHits "
-       << r.ambHits << " cov " << r.coverage << " eff "
-       << r.efficiency << "\n";
-    os << "ipc";
-    for (double v : r.ipc)
-        os << ' ' << v;
-    os << "\ninsts";
-    for (std::uint64_t v : r.insts)
-        os << ' ' << v;
-    os << "\nops " << r.ops.actPre << ' ' << r.ops.rdCas << ' '
-       << r.ops.wrCas << ' ' << r.ops.refresh << "\n";
-    os << "l2 " << r.l2Misses << ' ' << r.l2Hits << ' '
-       << r.swPrefetchesSent << " late " << r.latePrefetchHits << "\n";
-    for (const LatencyClassStats *s :
-         {&r.latDemand, &r.latPrefHit, &r.latWrite})
-        os << "latclass " << s->samples << ' ' << s->p50Ns << ' '
-           << s->p95Ns << ' ' << s->p99Ns << "\n";
-    os << "runinsts " << r.runInsts << "\n";
-    os << "kernel " << r.kernel.eventsDispatched << ' '
-       << r.kernel.schedules << ' ' << r.kernel.reschedules << ' '
-       << r.kernel.deschedules << ' ' << r.kernel.peakQueueDepth << ' '
-       << r.kernel.batchDrains << ' ' << r.kernel.batchedEvents << ' '
-       << r.kernel.poolHighWater << "\n";
-    return os.str();
-}
-
 RunResult
-runProfiled(SystemConfig c, unsigned threads, bool profiled)
+runProfiled(SystemConfig c, bool profiled)
 {
-    c.threads = threads;
     c.profileKernel = profiled;
     System sys(c);
     return sys.run();
@@ -92,84 +47,35 @@ runProfiled(SystemConfig c, unsigned threads, bool profiled)
 
 } // namespace
 
-TEST(KernelProfileInvisibility, SerialOnEqualsOff)
+TEST(KernelProfileInvisibility, OnEqualsOff)
 {
     const SystemConfig c = profiledMachine(8);
-    EXPECT_EQ(digest(runProfiled(c, 1, false)),
-              digest(runProfiled(c, 1, true)));
+    EXPECT_EQ(digest(runProfiled(c, false)),
+              digest(runProfiled(c, true)));
 }
 
-TEST(KernelProfileInvisibility, FourLanesOnEqualsOff)
+TEST(KernelProfileHostTime, ShardSecondsFitInsideTheEventPhases)
 {
-    const SystemConfig c = profiledMachine(8);
-    EXPECT_EQ(digest(runProfiled(c, 4, false)),
-              digest(runProfiled(c, 4, true)));
-}
-
-TEST(KernelProfileInvisibility, EightLanesOnEqualsSerialOff)
-{
-    // Cross thread count *and* cross profiling in one comparison.
-    const SystemConfig c = profiledMachine(8);
-    EXPECT_EQ(digest(runProfiled(c, 1, false)),
-              digest(runProfiled(c, 8, true)));
-}
-
-namespace {
-
-void
-checkConservation(const RunResult &r, unsigned expect_lanes)
-{
+    const RunResult r = runProfiled(profiledMachine(4), true);
     ASSERT_TRUE(r.kernel.profiled);
-    ASSERT_EQ(r.kernel.lanes.size(), expect_lanes);
-    for (const LaneProfile &l : r.kernel.lanes) {
-        EXPECT_GT(l.rounds, 0u);
-        EXPECT_GT(l.wallSeconds, 0.0);
-        // busy, drain and wait are differences of the same clock
-        // reads, so their sum telescopes to wall up to one rounding
-        // per round (~1e-16 s each); 1e-9 s absolute is generous.
-        EXPECT_NEAR(l.busySeconds + l.drainSeconds
-                        + l.barrierWaitSeconds,
-                    l.wallSeconds, 1e-9)
-            << "lane " << l.lane;
+    // Each shard's busy and drain seconds come from disjoint clock
+    // intervals inside the event phases, so their sum cannot exceed
+    // the phases' wall time.
+    double busy = 0.0, drain = 0.0;
+    for (const ShardProfile &s : r.kernel.shards) {
+        EXPECT_GE(s.busySeconds, 0.0) << s.name;
+        EXPECT_GE(s.drainSeconds, 0.0) << s.name;
+        busy += s.busySeconds;
+        drain += s.drainSeconds;
     }
-    // Every round arrives at the barrier exactly once; each arrival is
-    // released by exactly one path.
-    for (const LaneProfile &l : r.kernel.lanes) {
-        EXPECT_EQ(l.lastArrivals + l.spinReleases + l.yieldReleases
-                      + l.sleepReleases,
-                  l.rounds)
-            << "lane " << l.lane;
-    }
-    // Per barrier round exactly one lane is the last arriver, so the
-    // lastArrivals sum over lanes equals the (shared) round count.
-    std::uint64_t last = 0;
-    for (const LaneProfile &l : r.kernel.lanes) {
-        EXPECT_EQ(l.rounds, r.kernel.lanes[0].rounds);
-        last += l.lastArrivals;
-    }
-    EXPECT_EQ(last, r.kernel.lanes[0].rounds);
-}
-
-} // namespace
-
-TEST(KernelProfileConservation, SerialLaneTelescopes)
-{
-    const RunResult r = runProfiled(profiledMachine(4), 1, true);
-    checkConservation(r, 1);
-    // Serial runs "arrive last" every round: the hook is the inline
-    // endOfRound() call.
-    EXPECT_EQ(r.kernel.lanes[0].lastArrivals, r.kernel.lanes[0].rounds);
-}
-
-TEST(KernelProfileConservation, FourLanesTelescope)
-{
-    checkConservation(runProfiled(profiledMachine(4), 4, true), 4);
+    EXPECT_GT(busy, 0.0);
+    EXPECT_LE(busy + drain, r.kernel.hostEventSeconds);
 }
 
 TEST(KernelProfileShape, ShardRowsCoverEveryQueue)
 {
     const unsigned channels = 4;
-    const RunResult r = runProfiled(profiledMachine(channels), 2, true);
+    const RunResult r = runProfiled(profiledMachine(channels), true);
     ASSERT_TRUE(r.kernel.profiled);
     ASSERT_EQ(r.kernel.shards.size(), 1 + channels);
     EXPECT_EQ(r.kernel.shards[0].name, "core");
@@ -192,103 +98,33 @@ TEST(KernelProfileShape, ShardRowsCoverEveryQueue)
     // run stops.
     EXPECT_GT(out, 0u);
     EXPECT_LE(in, out);
-
-    // Two lanes over five shards: lane 0 owns the core shard, lane 1
-    // all channel shards.
-    ASSERT_EQ(r.kernel.lanes.size(), 2u);
-    unsigned owned = 0;
-    for (const LaneProfile &l : r.kernel.lanes)
-        owned += l.shardsOwned;
-    EXPECT_EQ(owned, 1 + channels);
-    EXPECT_EQ(r.kernel.shards[0].lane, 0u);
 }
 
 TEST(KernelProfileShape, UnprofiledRunStaysEmpty)
 {
-    const RunResult r = runProfiled(profiledMachine(2), 2, false);
+    const RunResult r = runProfiled(profiledMachine(2), false);
     EXPECT_FALSE(r.kernel.profiled);
     EXPECT_TRUE(r.kernel.shards.empty());
-    EXPECT_TRUE(r.kernel.lanes.empty());
     EXPECT_EQ(r.kernel.eventImbalance(), 0.0);
-    EXPECT_EQ(r.kernel.busyImbalance(), 0.0);
     // The aggregate counters stay on regardless of profiling.
     EXPECT_GT(r.kernel.eventsDispatched, 0u);
 }
 
-TEST(KernelProfileShape, EventImbalanceIsThreadCountInvariant)
+TEST(KernelProfileShape, EventImbalanceIsDeterministic)
 {
     const SystemConfig c = profiledMachine(4);
-    const RunResult serial = runProfiled(c, 1, true);
-    const RunResult wide = runProfiled(c, 4, true);
-    ASSERT_GT(serial.kernel.eventImbalance(), 0.0);
+    const RunResult first = runProfiled(c, true);
+    const RunResult again = runProfiled(c, true);
+    ASSERT_GT(first.kernel.eventImbalance(), 0.0);
     // Dispatch counts are deterministic, so the summary is exactly
     // equal — this is what lets CI gate it at tolerance zero.
-    EXPECT_EQ(serial.kernel.eventImbalance(),
-              wide.kernel.eventImbalance());
-    for (std::size_t i = 0; i < serial.kernel.shards.size(); ++i) {
-        EXPECT_EQ(serial.kernel.shards[i].events,
-                  wide.kernel.shards[i].events)
-            << serial.kernel.shards[i].name;
+    EXPECT_EQ(first.kernel.eventImbalance(),
+              again.kernel.eventImbalance());
+    for (std::size_t i = 0; i < first.kernel.shards.size(); ++i) {
+        EXPECT_EQ(first.kernel.shards[i].events,
+                  again.kernel.shards[i].events)
+            << first.kernel.shards[i].name;
     }
-}
-
-TEST(SpinBarrierRelease, SoloArriverIsAlwaysLast)
-{
-    SpinBarrier b(1);
-    for (int i = 0; i < 100; ++i)
-        EXPECT_EQ(b.arriveAndWait(), SpinBarrier::Release::Last);
-    EXPECT_EQ(b.rounds(), 100u);
-}
-
-TEST(SpinBarrierRelease, EveryRoundHasExactlyOneLastArriver)
-{
-    constexpr std::uint64_t rounds = 2'000;
-    SpinBarrier b(2);
-    std::uint64_t last[2] = {0, 0}, total[2] = {0, 0};
-    auto lane = [&b, &last, &total](int who) {
-        for (std::uint64_t i = 0; i < rounds; ++i) {
-            const SpinBarrier::Release rel = b.arriveAndWait();
-            ++total[who];
-            if (rel == SpinBarrier::Release::Last)
-                ++last[who];
-        }
-    };
-    std::thread peer(lane, 1);
-    lane(0);
-    peer.join();
-    EXPECT_EQ(total[0], rounds);
-    EXPECT_EQ(total[1], rounds);
-    EXPECT_EQ(last[0] + last[1], rounds);
-    EXPECT_EQ(b.rounds(), rounds);
-}
-
-TEST(EventQueueBatchCounters, SameTickBurstIsCountedOnce)
-{
-    EventQueue eq;
-    int fired = 0;
-    std::vector<std::unique_ptr<Event>> evs;
-    for (int i = 0; i < 32; ++i)
-        evs.push_back(std::make_unique<Event>([&fired] { ++fired; }));
-    for (auto &e : evs)
-        eq.schedule(e.get(), 100);
-    eq.run(100);
-    EXPECT_EQ(fired, 32);
-    EXPECT_EQ(eq.counters().dispatched, 32u);
-    // One long burst: one drain pass, and everything past the
-    // burst-switch threshold dispatched from the batch.
-    EXPECT_EQ(eq.counters().batchDrains, 1u);
-    EXPECT_GT(eq.counters().batchedDispatched, 0u);
-    EXPECT_LT(eq.counters().batchedDispatched,
-              eq.counters().dispatched);
-
-    // A short group never trips the batch path.
-    EventQueue small;
-    Event a([] {}), c([] {});
-    small.schedule(&a, 50);
-    small.schedule(&c, 50);
-    small.run(50);
-    EXPECT_EQ(small.counters().batchDrains, 0u);
-    EXPECT_EQ(small.counters().batchedDispatched, 0u);
 }
 
 } // namespace fbdp

@@ -94,7 +94,6 @@ TEST(ManifestTest, JsonFormIsOneParseableLine)
     EXPECT_EQ(pr.value->get("version")->asString(), m.toolVersion);
     EXPECT_EQ(pr.value->get("git_sha")->asString(), m.gitSha);
     EXPECT_EQ(pr.value->get("seed")->asUint64(), m.seed);
-    EXPECT_EQ(pr.value->get("threads")->asUint64(), m.threads);
     ASSERT_NE(pr.value->get("started_utc"), nullptr);
     ASSERT_NE(pr.value->get("hostname"), nullptr);
     ASSERT_NE(pr.value->get("build_type"), nullptr);

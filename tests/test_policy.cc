@@ -296,3 +296,21 @@ TEST(PrefetchConfigDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH(PrefetchConfig::parse("region,throttle=1.5"),
                  "outside");
 }
+
+TEST(PrefetchConfigDeathTest, RejectsValuesThatAreNotWholeNumbers)
+{
+    // Each once misparsed: a huge unsigned (bad_alloc), zero entries
+    // (a panic in AmbCache), a silent 4, a silent 0, and NaN slipping
+    // past the range check.  Now each is a clean fatal, exit code 1.
+    const auto fatalExit = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries=-4"), fatalExit,
+                "key 'entries': bad value '-4'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries=abc"), fatalExit,
+                "key 'entries': bad value 'abc'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,degree=4x"), fatalExit,
+                "key 'degree': bad value '4x'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle=abc"), fatalExit,
+                "'throttle' has value 'abc' outside");
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle=nan"), fatalExit,
+                "'throttle' has value 'nan' outside");
+}

@@ -1,9 +1,7 @@
 /**
  * @file
  * Worker-pool tests: result ordering via futures, exception
- * propagation, concurrency, and clean shutdown under load — plus the
- * SpinBarrier round-synchronisation primitive the sharded event
- * kernel builds its frame barriers on.
+ * propagation, concurrency, and clean shutdown under load.
  */
 
 #include <gtest/gtest.h>
@@ -106,126 +104,6 @@ TEST(ThreadPoolTest, DestructorDrainsQueue)
         // No get(): the destructor must still run everything.
     }
     EXPECT_EQ(n.load(), 32);
-}
-
-TEST(SpinBarrierTest, SingleParticipantNeverBlocks)
-{
-    SpinBarrier b(1);
-    int hook_runs = 0;
-    for (int i = 0; i < 5; ++i)
-        b.arriveAndWait([&hook_runs] { ++hook_runs; });
-    b.arriveAndWait(); // default no-op hook
-    EXPECT_EQ(hook_runs, 5);
-    EXPECT_EQ(b.rounds(), 6u);
-    EXPECT_EQ(b.participants(), 1u);
-}
-
-TEST(SpinBarrierTest, ClampsToAtLeastOneParticipant)
-{
-    SpinBarrier b(0);
-    EXPECT_EQ(b.participants(), 1u);
-    b.arriveAndWait();
-    EXPECT_EQ(b.rounds(), 1u);
-}
-
-TEST(SpinBarrierTest, GenerationsStaySynchronisedAcrossManyRounds)
-{
-    // The kernel reuses one barrier for thousands of frame rounds;
-    // the generation counter must keep all lanes in lock-step with no
-    // round stealing (a lane racing ahead would observe a stale
-    // counter value below its own round index).
-    constexpr unsigned kLanes = 4;
-    constexpr int kRounds = 2000;
-    SpinBarrier barrier(kLanes);
-    std::atomic<int> counter{0};
-    std::atomic<bool> torn{false};
-
-    ThreadPool pool(kLanes - 1);
-    std::vector<std::future<void>> futs;
-    auto lane = [&] {
-        for (int r = 0; r < kRounds; ++r) {
-            ++counter;
-            barrier.arriveAndWait();
-            // After the barrier every lane's increment for round r is
-            // visible: the counter is exactly kLanes * (r + 1).
-            if (counter.load() != static_cast<int>(kLanes) * (r + 1))
-                torn = true;
-            barrier.arriveAndWait();
-        }
-    };
-    for (unsigned i = 1; i < kLanes; ++i)
-        futs.push_back(pool.submit(lane));
-    lane();
-    for (auto &f : futs)
-        f.get();
-
-    EXPECT_FALSE(torn.load());
-    EXPECT_EQ(barrier.rounds(), 2u * kRounds);
-}
-
-TEST(SpinBarrierTest, HookRunsExactlyOncePerRoundWhileOthersWait)
-{
-    // The last arriver runs the hook alone, before anyone is
-    // released — the kernel relies on this to mutate shared
-    // end-of-round state (stop flag, round counter) without locks.
-    constexpr unsigned kLanes = 3;
-    constexpr int kRounds = 200;
-    SpinBarrier barrier(kLanes);
-    std::atomic<int> in_hook{0};
-    std::atomic<int> hook_runs{0};
-    std::atomic<bool> overlapped{false};
-
-    ThreadPool pool(kLanes - 1);
-    std::vector<std::future<void>> futs;
-    auto lane = [&] {
-        for (int r = 0; r < kRounds; ++r) {
-            barrier.arriveAndWait([&] {
-                if (in_hook.fetch_add(1) != 0)
-                    overlapped = true;
-                ++hook_runs;
-                --in_hook;
-            });
-        }
-    };
-    for (unsigned i = 1; i < kLanes; ++i)
-        futs.push_back(pool.submit(lane));
-    lane();
-    for (auto &f : futs)
-        f.get();
-
-    EXPECT_FALSE(overlapped.load());
-    EXPECT_EQ(hook_runs.load(), kRounds);
-}
-
-TEST(SpinBarrierTest, HookExceptionReleasesWaitersThenRethrows)
-{
-    // A throwing hook must not deadlock the other lanes: the barrier
-    // opens first, then the exception surfaces on the last arriver.
-    constexpr unsigned kLanes = 2;
-    SpinBarrier barrier(kLanes);
-    ThreadPool pool(1);
-
-    auto waiter = pool.submit([&] {
-        barrier.arriveAndWait(); // plain waiter, must be released
-        return 1;
-    });
-    // Give the worker a head start so this thread is the last
-    // arriver and therefore the one that runs the throwing hook.
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    bool threw = false;
-    try {
-        barrier.arriveAndWait(
-            [] { throw std::runtime_error("hook failed"); });
-    } catch (const std::runtime_error &) {
-        threw = true;
-    }
-    EXPECT_EQ(waiter.get(), 1);
-    // Whichever thread arrived last saw the exception; if the worker
-    // happened to be last, it ran the no-hook path and nobody threw.
-    // With the sleep above that is vanishingly unlikely, but either
-    // way the barrier must have completed the round.
-    EXPECT_EQ(barrier.rounds(), 1u);
-    (void)threw;
 }
 
 } // namespace

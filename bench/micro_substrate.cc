@@ -21,6 +21,7 @@
 #include "mc/controller.hh"
 #include "prefetch/amb_cache.hh"
 #include "sim/event_queue.hh"
+#include "system/warm_share.hh"
 #include "workload/generator.hh"
 #include "workload/mixes.hh"
 
@@ -236,20 +237,27 @@ BM_SyntheticGenerator(benchmark::State &state)
 }
 BENCHMARK(BM_SyntheticGenerator);
 
+/** Warm-up draws as phase 0 makes them: blocks of 64 through
+ *  nextWarmBlock().  One item is one op. */
 void
 BM_SyntheticGeneratorWarm(benchmark::State &state)
 {
     SyntheticGenerator gen(benchProfile("swim"), 0, 42, true);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(gen.nextWarm());
+    TraceOp block[64];
+    for (auto _ : state) {
+        gen.nextWarmBlock(block, 64);
+        benchmark::DoNotOptimize(block);
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * 64);
 }
 BENCHMARK(BM_SyntheticGeneratorWarm);
 
 /**
- * System::run's functional warm-up loop: the first Table 3 mix with
+ * System::run's functional warm-up kernel: the first Table 3 mix with
  * range(0) cores, generators seeded as a default System seeds them
- * (seed 1, software prefetch on), drawing round-robin into a fresh
- * Table 1 hierarchy.  One item is one op.
+ * (seed 1, software prefetch on), drawing into a fresh Table 1
+ * hierarchy.  One item is one op; each iteration replays 4096 rounds.
  */
 void
 BM_FunctionalWarmup(benchmark::State &state)
@@ -262,17 +270,11 @@ BM_FunctionalWarmup(benchmark::State &state)
             benchProfile(mix.benches[i]), static_cast<Addr>(i) << 32,
             1000 + i, true));
     CacheHierarchy hier(nullptr, n, HierConfig{}, nullptr);
-    for (auto _ : state) {
-        for (unsigned i = 0; i < n; ++i) {
-            const TraceOp op = gens[i]->nextWarm();
-            if (op.kind == TraceOp::Kind::Prefetch)
-                hier.functionalPrefetch(static_cast<int>(i), op.addr);
-            else
-                hier.functionalAccess(static_cast<int>(i), op.addr,
-                                      op.kind == TraceOp::Kind::Store);
-        }
-    }
-    state.SetItemsProcessed(state.iterations() * n);
+    constexpr std::uint64_t rounds = 4096;
+    for (auto _ : state)
+        functionalWarmup(gens, hier, rounds);
+    benchmark::DoNotOptimize(hier.l2Hits());
+    state.SetItemsProcessed(state.iterations() * rounds * n);
 }
 BENCHMARK(BM_FunctionalWarmup)->Arg(1)->Arg(4)->Arg(8);
 

@@ -10,6 +10,7 @@
 #ifndef FBDP_CACHE_CACHE_ARRAY_HH
 #define FBDP_CACHE_CACHE_ARRAY_HH
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -27,7 +28,8 @@ namespace fbdp {
  * lines as a prefix of its ways in recency order, most recent first,
  * with the invalid ways after them.  So the LRU line of a full set is
  * its last way, and
- *  - a touching hit rotates the line to the front;
+ *  - a touching hit rotates the line to the front (hit(), without
+ *    branching on the line's way: see promoteWays());
  *  - an install shifts the set back one way, dropping the last way
  *    (the victim, when the set is full), and takes the front;
  *  - invalidate shifts the lines behind the dropped one forward.
@@ -46,6 +48,8 @@ class CacheArray
         bool dirty() const { return word & dirtyBit; }
         void setDirty() { word |= dirtyBit; }
 
+        bool operator==(const Tag &) const = default;
+
       private:
         friend class CacheArray;
 
@@ -55,6 +59,9 @@ class CacheArray
 
         std::uint64_t word = 0;  ///< 0 == invalid
     };
+
+    /** Widest set: one bit per way in a 64-bit match mask. */
+    static constexpr unsigned maxWays = 64;
 
     /** What fell out of the set on an install (16 bytes, so it is
      *  returned in registers). */
@@ -68,11 +75,35 @@ class CacheArray
     CacheArray(std::uint64_t size_bytes, unsigned ways);
 
     /**
+     * The hit path of every access: on a hit the line becomes the
+     * set's most recent, with the dirty bit ORed in when @p dirty.
+     * @return whether the line was present.
+     */
+    bool
+    hit(Addr line_addr, bool dirty)
+    {
+        const bool found = promote(setBase(line_addr), line_addr, dirty);
+        nHits += found;
+        nMisses += !found;
+        return found;
+    }
+
+    /**
      * Find a line; on a hit with @p touch it becomes the set's most
      * recent.  @return the line's tag (valid until the next call that
      * changes this array), or nullptr on a miss.
      */
-    Tag *lookup(Addr line_addr, bool touch = true);
+    Tag *
+    lookup(Addr line_addr, bool touch = true)
+    {
+        Tag *base = setBase(line_addr);
+        if (touch)
+            return hit(line_addr, false) ? base : nullptr;
+        const std::uint64_t m = matchMask(base, line_addr);
+        nHits += m != 0;
+        nMisses += m == 0;
+        return m ? &base[std::countr_zero(m)] : nullptr;
+    }
 
     /**
      * Install @p line_addr as the set's most recent line.  The line
@@ -105,6 +136,9 @@ class CacheArray
     std::uint64_t misses() const { return nMisses; }
     void resetStats() { nHits = 0; nMisses = 0; }
 
+    /** Same geometry, tags (order and dirty bits) and counters. */
+    bool operator==(const CacheArray &) const = default;
+
   private:
     unsigned setOf(Addr line_addr) const
     {
@@ -122,25 +156,64 @@ class CacheArray
         return &tags[static_cast<std::size_t>(setOf(line_addr)) * nWays];
     }
 
-    /** Way of @p line_addr in the set at @p base, or nWays. */
-    unsigned find(const Tag *base, Addr line_addr) const
+    /** Bit w set when way w of the set at @p base holds @p line_addr
+     *  (at most one bit, since a set holds a line at most once).
+     *  @p W fixes the way count at compile time; 0 reads nWays. */
+    template <unsigned W = 0>
+    std::uint64_t
+    matchMask(const Tag *base, Addr line_addr) const
     {
         // A present line's word is the address plus validBit, with or
         // without dirtyBit; invalid ways (word 0) never match.
         const std::uint64_t key = line_addr | Tag::validBit
             | Tag::dirtyBit;
-        unsigned w = 0;
-        while (w < nWays && (base[w].word | Tag::dirtyBit) != key)
-            ++w;
-        return w;
+        const unsigned n = W ? W : nWays;
+        std::uint64_t m = 0;
+        for (unsigned w = 0; w < n; ++w)
+            m |= std::uint64_t{(base[w].word | Tag::dirtyBit) == key}
+                << w;
+        return m;
     }
 
     /**
-     * Put @p t at the front of the set at @p base, shifting ways
-     * [0, n) back one.  @return the tag way @p n held before.  With
-     * t == base[w] and n == w this moves way w to the front.
+     * If the set at @p base holds @p line_addr, rotate it to the
+     * front with @p dirty ORed in.  The rotate is arithmetic, so
+     * nothing branches on where the line sits: way k takes way k-1
+     * under a mask that is all ones exactly when the match lies at or
+     * behind k.  @return whether the line was present.
      */
-    static Tag pushFront(Tag *base, unsigned n, Tag t);
+    template <unsigned W>
+    bool
+    promoteWays(Tag *base, Addr line_addr, bool dirty)
+    {
+        const unsigned n = W ? W : nWays;
+        const std::uint64_t m = matchMask<W>(base, line_addr);
+        if (!m)
+            return false;
+        std::uint64_t front = 0;
+        for (unsigned w = 0; w < n; ++w)
+            front |= base[w].word & -((m >> w) & 1);
+        for (unsigned k = n - 1; k > 0; --k) {
+            const std::uint64_t take = -std::uint64_t{(m >> k) != 0};
+            base[k].word ^= (base[k].word ^ base[k - 1].word) & take;
+        }
+        base[0].word = front | (std::uint64_t{dirty} * Tag::dirtyBit);
+        return true;
+    }
+
+    /** promoteWays() with Table 1's way counts unrolled. */
+    bool
+    promote(Tag *base, Addr line_addr, bool dirty)
+    {
+        switch (nWays) {
+          case 2:
+            return promoteWays<2>(base, line_addr, dirty);
+          case 4:
+            return promoteWays<4>(base, line_addr, dirty);
+          default:
+            return promoteWays<0>(base, line_addr, dirty);
+        }
+    }
 
     Victim fillSet(Tag *base, Addr line_addr, bool dirty);
 

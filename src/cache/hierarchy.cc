@@ -49,16 +49,13 @@ CacheHierarchy::access(int core, Addr addr, bool store,
     const Addr line = lineAlign(addr);
     auto c = static_cast<size_t>(core);
 
-    if (CacheArray::Tag *l = l1[c].lookup(line)) {
-        if (store)
-            l->setDirty();
+    if (l1[c].hit(line, store))
         return Result{Outcome::L1Hit, eq->now()};
-    }
 
     if (l1Pending[c] >= cfg.l1Mshrs)
         return Result{Outcome::Blocked, 0};
 
-    if (l2.lookup(line)) {
+    if (l2.hit(line, false)) {
         // The L1 lookup above just missed: fill without a rescan.
         writebackL1Victim(l1[c].fill(line, store), core);
         return Result{Outcome::L2Hit, eq->now() + cfg.l2HitLatency};
@@ -229,20 +226,13 @@ CacheHierarchy::resetStats()
 }
 
 void
-CacheHierarchy::functionalAccess(int core, Addr addr, bool store)
+CacheHierarchy::functionalMiss(CacheArray &l1c, Addr line, bool store)
 {
-    const Addr line = lineAlign(addr);
-    CacheArray &l1c = l1[static_cast<size_t>(core)];
-    if (CacheArray::Tag *l = l1c.lookup(line)) {
-        if (store)
-            l->setDirty();
-        return;
-    }
     // Both fills follow a lookup that just missed.  Nothing reaches
     // memory: warm-up victims are silently dropped, and a dirty L1
     // victim's writeback stops at the L2 (which may still hold that
     // line, hence a full install there).
-    if (!l2.lookup(line))
+    if (!l2.hit(line, false))
         l2.fill(line, false);
     auto v = l1c.fill(line, store);
     if (v.valid && v.dirty)

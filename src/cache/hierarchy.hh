@@ -95,9 +95,17 @@ class CacheHierarchy
      * Timeless (functional) warm-up access: updates tags and dirty
      * bits without events or memory traffic.  Used to pre-warm the
      * large L2 before timed simulation, standing in for the warm
-     * caches a SimPoint checkpoint would carry.
+     * caches a SimPoint checkpoint would carry.  The L1 hit, most
+     * warm-up ops, is inline; a miss goes on to the L2.
      */
-    void functionalAccess(int core, Addr addr, bool store);
+    void
+    functionalAccess(int core, Addr addr, bool store)
+    {
+        const Addr line = lineAlign(addr);
+        CacheArray &l1c = l1[static_cast<size_t>(core)];
+        if (!l1c.hit(line, store))
+            functionalMiss(l1c, line, store);
+    }
 
     /** Functional counterpart of a software prefetch. */
     void functionalPrefetch(int core, Addr addr);
@@ -135,7 +143,16 @@ class CacheHierarchy
 
     void resetStats();
 
+    /** The tag arrays, for comparing functional state. */
+    const CacheArray &l1Tags(int core) const
+    {
+        return l1.at(static_cast<size_t>(core));
+    }
+    const CacheArray &l2Tags() const { return l2; }
+
   private:
+    /** functionalAccess() past an L1 miss of @p line. */
+    void functionalMiss(CacheArray &l1c, Addr line, bool store);
     void fillComplete(Addr line_addr, Tick when);
     /** Write a dirty L1 victim back into the L2. */
     void writebackL1Victim(const CacheArray::Victim &v, int core);

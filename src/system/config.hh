@@ -34,10 +34,10 @@ struct SystemConfig
     std::uint64_t warmupInsts = 300'000;
     std::uint64_t measureInsts = 1'000'000;
     /**
-     * Trace prefix replayed functionally (no timing) through the
-     * cache tags before simulation starts, standing in for the warm
-     * caches of a SimPoint checkpoint.  0 derives a default from the
-     * L2 size and core count.
+     * Ops of each core's trace replayed functionally (no timing)
+     * through the cache tags before simulation starts, standing in
+     * for the warm caches of a SimPoint checkpoint.  0 derives a
+     * default from the L2 size and core count (resolvedWarmupOps()).
      */
     std::uint64_t functionalWarmupOps = 0;
     std::uint64_t seed = 1;

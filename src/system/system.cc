@@ -102,6 +102,18 @@ MemorySystem::write(Addr line_addr, int core_id)
         (*controllers)[ch]->push(std::move(t));
 }
 
+void
+requireFitsCoreSlice(const BenchProfile &prof)
+{
+    if (prof.footprint > coreSliceBytes) {
+        fatal("profile '%s': footprint of %llu bytes exceeds the "
+              "%llu-byte address slice of a core",
+              prof.name.c_str(),
+              static_cast<unsigned long long>(prof.footprint),
+              static_cast<unsigned long long>(coreSliceBytes));
+    }
+}
+
 System::System(const SystemConfig &config)
     : cfg(config),
       deliverEvent([this] { deliverFire(); }, Event::prioData)
@@ -147,13 +159,12 @@ System::System(const SystemConfig &config)
     // share one loaded op vector (in-RAM mode) or one TraceStream —
     // file handle, decode pipeline and chunk window (streaming mode);
     // the first spec mentioning a path fixes that file's options.
-    constexpr Addr slice = 1ull << 32;
     std::map<std::string,
              std::shared_ptr<const std::vector<TraceOp>>> traceOps;
     std::map<std::string, std::shared_ptr<TraceStream>> traceStreams;
     for (unsigned i = 0; i < cfg.nCores(); ++i) {
         const std::string &bench = cfg.benchmarks[i];
-        const Addr base = static_cast<Addr>(i) * slice;
+        const Addr base = static_cast<Addr>(i) * coreSliceBytes;
         std::unique_ptr<Generator> gen;
         if (TraceSpec::isTraceSpec(bench)) {
             const TraceSpec spec = TraceSpec::parse(bench);
@@ -171,9 +182,10 @@ System::System(const SystemConfig &config)
                     ops, spec.path, base);
             }
         } else {
+            const BenchProfile &prof = benchProfile(bench);
+            requireFitsCoreSlice(prof);
             gen = std::make_unique<SyntheticGenerator>(
-                benchProfile(bench), base, cfg.seed * 1000 + i,
-                cfg.swPrefetch);
+                prof, base, cfg.seed * 1000 + i, cfg.swPrefetch);
         }
         gens.push_back(std::move(gen));
         const BenchProfile &prof = gens[i]->profile();
@@ -239,23 +251,12 @@ System::run()
     // Phase 0: functional cache warm-up.  Replay a prefix of each
     // core's trace through the tag arrays so the measured region does
     // not see an artificially cold 4 MB L2 (the paper's SimPoint runs
-    // start from warm state).  The replay ignores gaps, so it draws
-    // with nextWarm().  It reads only the generators and the tags, so
-    // concurrent runs of the same mix compute it once (warmOnce).
+    // start from warm state).  It reads only the generators and the
+    // tags, so concurrent runs of the same mix compute it once
+    // (warmOnce).
     const std::uint64_t warm_ops = resolvedWarmupOps(cfg);
     const auto warm_up = [this, warm_ops] {
-        for (std::uint64_t k = 0; k < warm_ops; ++k) {
-            for (unsigned i = 0; i < cfg.nCores(); ++i) {
-                TraceOp op = gens[i]->nextWarm();
-                if (op.kind == TraceOp::Kind::Prefetch)
-                    hier->functionalPrefetch(static_cast<int>(i),
-                                             op.addr);
-                else
-                    hier->functionalAccess(
-                        static_cast<int>(i), op.addr,
-                        op.kind == TraceOp::Kind::Store);
-            }
-        }
+        functionalWarmup(gens, *hier, warm_ops);
     };
     // Only a fresh System shares: a generator that has already drawn
     // (a second run()) is past the key's state.

@@ -237,6 +237,13 @@ class MemorySystem : public MemoryIface
     System *router = nullptr;
 };
 
+/** Physical address space each core owns: core i's slice starts at
+ *  i * coreSliceBytes. */
+constexpr Addr coreSliceBytes = 1ull << 32;
+
+/** Fatal unless @p prof's footprint fits in one core's slice. */
+void requireFitsCoreSlice(const BenchProfile &prof);
+
 /**
  * One simulated machine, built on the sharded event kernel: a
  * core/cache event-queue shard (queue 0) plus one shard per logic

@@ -1,16 +1,17 @@
 /**
  * @file
- * Shared functional warm-up: concurrent runs that would replay the
- * same warm-up compute it once.
+ * The functional warm-up, shared: concurrent runs that would replay
+ * the same warm-up compute it once.
  *
  * Phase 0 of System::run() replays a prefix of every core's synthetic
- * trace through the cache tags.  It reads only the generators and the
- * tag arrays, so every memory configuration of one mix reaches the
- * same warm state.  warmOnce() lets runs that reach phase 0 while
- * another run with the same WarmKey is computing it wait and copy the
- * result instead, the way the paper's configurations all start from
- * one SimPoint checkpoint.  Sharing lasts only while a warm-up is in
- * flight: nothing is cached, and nothing outlives the runs involved.
+ * trace through the cache tags (functionalWarmup()).  It reads only
+ * the generators and the tag arrays, so every memory configuration of
+ * one mix reaches the same warm state.  warmOnce() lets runs that
+ * reach phase 0 while another run with the same WarmKey is computing
+ * it wait and copy the result instead, the way the paper's
+ * configurations all start from one SimPoint checkpoint.  Sharing
+ * lasts only while a warm-up is in flight: nothing is cached, and
+ * nothing outlives the runs involved.
  */
 
 #ifndef FBDP_SYSTEM_WARM_SHARE_HH
@@ -20,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -51,10 +54,20 @@ struct WarmKey
 };
 
 /**
- * Functional warm-up ops per core of @p cfg: cfg.functionalWarmupOps,
- * or twice the L2's lines split over the cores when that is 0.
+ * Functional warm-up ops per core of @p cfg: cfg.functionalWarmupOps
+ * or, when that is 0, twenty ops per L2 line split over the cores.
+ * At roughly one install per ten ops, that installs about twice the
+ * L2's capacity in all.
  */
 std::uint64_t resolvedWarmupOps(const SystemConfig &cfg);
+
+/**
+ * Phase 0 of System::run(): replay @p ops warm-up ops of each of
+ * @p gens (core i draws from gens[i]) through @p hier's tags, round
+ * by round: op k of every core in core order, then op k + 1.
+ */
+void functionalWarmup(std::span<const std::unique_ptr<Generator>> gens,
+                      CacheHierarchy &hier, std::uint64_t ops);
 
 /** The warm-up key of @p cfg, or nothing when a core replays a trace
  *  (trace generators hold stream positions and never share). */

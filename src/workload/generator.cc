@@ -28,6 +28,12 @@ SyntheticGenerator::SyntheticGenerator(const BenchProfile &profile_in,
     // Lanes stay line-aligned so stride patterns land on real
     // cacheline boundaries.
     const Addr lane = lineAlign(stream_area / prof.nStreams);
+    if (lane < lineBytes) {
+        fatal("profile '%s': %u streams over %llu bytes leave lanes "
+              "shorter than one %u-byte line",
+              prof.name.c_str(), prof.nStreams,
+              static_cast<unsigned long long>(stream_area), lineBytes);
+    }
     streams.resize(prof.nStreams);
     storeStreams = static_cast<size_t>(
         prof.storeFrac * static_cast<double>(prof.nStreams) + 0.5);
@@ -40,7 +46,7 @@ SyntheticGenerator::SyntheticGenerator(const BenchProfile &profile_in,
             + static_cast<Addr>(s) * lane;
         streams[s].laneSize = lane;
         streams[s].cursor = streams[s].laneBase
-            + lineAlign(randomIn(0, lane / 2));
+            + lineAlign(randomIn(rng, 0, lane / 2));
         // The trailing streams stride; the leading (store) streams
         // stay unit-stride, as output arrays are written densely.
         if (s >= prof.nStreams - n_stride2)
@@ -49,16 +55,16 @@ SyntheticGenerator::SyntheticGenerator(const BenchProfile &profile_in,
 }
 
 Addr
-SyntheticGenerator::randomIn(Addr base_addr, Addr size)
+SyntheticGenerator::randomIn(Rng &r, Addr base_addr, Addr size)
 {
     if (size == 0)
         return base_addr;
-    return base_addr + rng.below(size);
+    return base_addr + r.below(size);
 }
 
 template <bool WantGap>
 TraceOp
-SyntheticGenerator::draw()
+SyntheticGenerator::draw(Rng &r)
 {
     ++nOps;
     TraceOp op;
@@ -72,23 +78,23 @@ SyntheticGenerator::draw()
 
     if constexpr (WantGap) {
         op.gap = static_cast<std::uint32_t>(
-            rng.geometric(prof.meanGap, 0));
+            r.geometric(prof.meanGap, 0));
     } else {
-        rng.skipGeometric(prof.meanGap);
+        r.skipGeometric(prof.meanGap);
     }
 
-    if (rng.chanceBelow(streamThr)) {
+    if (r.chanceBelow(streamThr)) {
         // Sequential stream access.  Streams advance in lockstep
         // (round-robin), like the arrays of a vector inner loop.
         const size_t idx = nextStream;
         Stream &s = streams[idx];
         if (++nextStream == streams.size())
             nextStream = 0;
-        if (rng.chanceBelow(jumpThr)
+        if (r.chanceBelow(jumpThr)
             || s.cursor + prof.elemBytes
                >= s.laneBase + s.laneSize) {
             s.cursor = s.laneBase
-                + lineAlign(randomIn(0, s.laneSize - lineBytes));
+                + lineAlign(randomIn(r, 0, s.laneSize - lineBytes));
         }
         op.addr = s.cursor;
         s.cursor += prof.elemBytes;
@@ -104,7 +110,7 @@ SyntheticGenerator::draw()
         ++nStreamOps;
         if (new_line)
             ++nCrossings;
-        if (spEnabled && new_line && rng.chanceBelow(spThr)) {
+        if (spEnabled && new_line && r.chanceBelow(spThr)) {
             queuedPrefetch = lineAlign(op.addr)
                 + static_cast<Addr>(prof.spDistanceLines) * lineBytes;
         }
@@ -117,17 +123,17 @@ SyntheticGenerator::draw()
             ? TraceOp::Kind::Store
             : TraceOp::Kind::Load;
         return op;
-    } else if (rng.chanceBelow(hotThr)) {
+    } else if (r.chanceBelow(hotThr)) {
         // Hot-set access (mostly cache resident).
-        op.addr = randomIn(base, prof.hotBytes);
+        op.addr = randomIn(r, base, prof.hotBytes);
         ++nHotOps;
     } else {
         // Cold irregular access.
-        op.addr = randomIn(base, prof.footprint);
+        op.addr = randomIn(r, base, prof.footprint);
         ++nColdOps;
     }
 
-    op.kind = rng.chanceBelow(storeThr)
+    op.kind = r.chanceBelow(storeThr)
         ? TraceOp::Kind::Store
         : TraceOp::Kind::Load;
     return op;
@@ -136,13 +142,24 @@ SyntheticGenerator::draw()
 TraceOp
 SyntheticGenerator::next()
 {
-    return draw<true>();
+    return draw<true>(rng);
 }
 
 TraceOp
 SyntheticGenerator::nextWarm()
 {
-    return draw<false>();
+    return draw<false>(rng);
+}
+
+void
+SyntheticGenerator::nextWarmBlock(TraceOp *out, std::size_t n)
+{
+    // A local copy keeps the state in a register: the stores into
+    // out and the streams could otherwise alias the member.
+    Rng r = rng;
+    for (std::size_t k = 0; k < n; ++k)
+        out[k] = draw<false>(r);
+    rng = r;
 }
 
 } // namespace fbdp

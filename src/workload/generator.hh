@@ -12,6 +12,7 @@
 #ifndef FBDP_WORKLOAD_GENERATOR_HH
 #define FBDP_WORKLOAD_GENERATOR_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -48,6 +49,15 @@ class Generator
      */
     virtual TraceOp nextWarm() { return next(); }
 
+    /** @p n nextWarm() ops into @p out: one call per block of
+     *  functional warm-up rather than one per op. */
+    virtual void
+    nextWarmBlock(TraceOp *out, std::size_t n)
+    {
+        for (std::size_t k = 0; k < n; ++k)
+            out[k] = nextWarm();
+    }
+
     /** The profile driving this trace. */
     virtual const BenchProfile &profile() const = 0;
 
@@ -59,7 +69,7 @@ class Generator
 };
 
 /** Profile-driven synthetic trace. */
-class SyntheticGenerator : public Generator
+class SyntheticGenerator final : public Generator
 {
   public:
     /**
@@ -67,6 +77,9 @@ class SyntheticGenerator : public Generator
      * @param base_addr   physical base of this core's address slice
      * @param seed        RNG seed (vary per core)
      * @param sw_prefetch emit software-prefetch ops per the profile
+     *
+     * Fatal when the profile's streams split its stream area into
+     * lanes shorter than one cacheline.
      */
     SyntheticGenerator(const BenchProfile &prof, Addr base_addr,
                        std::uint64_t seed, bool sw_prefetch);
@@ -74,6 +87,8 @@ class SyntheticGenerator : public Generator
     TraceOp next() override;
     /** Draws the gap's random number but not its logarithm. */
     TraceOp nextWarm() override;
+    /** nextWarm()'s draw inlined into the block loop. */
+    void nextWarmBlock(TraceOp *out, std::size_t n) override;
     const BenchProfile &profile() const override { return prof; }
 
     std::uint64_t opsGenerated() const { return nOps; }
@@ -86,10 +101,13 @@ class SyntheticGenerator : public Generator
     std::uint64_t prefetchOps() const { return nPrefetchOps; }
 
   private:
-    /** The body of next() (@p WantGap) and nextWarm() (gap left 0). */
-    template <bool WantGap> TraceOp draw();
+    /** The body of next() (@p WantGap) and nextWarm() (gap left 0),
+     *  drawing from @p r (rng or a copy of it), forced inline so
+     *  nextWarmBlock()'s loop carries no call. */
+    template <bool WantGap>
+    [[gnu::always_inline]] inline TraceOp draw(Rng &r);
 
-    Addr randomIn(Addr base, Addr size);
+    static Addr randomIn(Rng &r, Addr base, Addr size);
 
     BenchProfile prof;
     Addr base;

@@ -292,7 +292,7 @@ runDifferential(unsigned sets, unsigned ways, std::uint64_t seed)
     for (int step = 0; step < 20'000; ++step) {
         const Addr a = line(static_cast<unsigned>(rng.below(footprint)));
         const bool flag = rng.chance(0.5);
-        switch (rng.below(6)) {
+        switch (rng.below(7)) {
           case 0:
           case 1: {
             // Touching lookup; a hit may be a store that dirties it.
@@ -333,6 +333,20 @@ runDifferential(unsigned sets, unsigned ways, std::uint64_t seed)
                                  step);
             break;
           }
+          case 5: {
+            // The access hit path: a hit takes the dirty bit ORed in.
+            const bool hit = dut.hit(a, flag);
+            RefCacheArray::Line *l = ref.lookup(a, true);
+            ASSERT_EQ(hit, l != nullptr) << "step " << step;
+            if (l) {
+                l->dirty = l->dirty || flag;
+                CacheArray::Tag *t = dut.lookup(a, /*touch=*/false);
+                ASSERT_NE(t, nullptr) << "step " << step;
+                ASSERT_EQ(t->dirty(), l->dirty) << "step " << step;
+                ref.lookup(a, false);  // keep the counters in step
+            }
+            break;
+          }
           default:
             ASSERT_EQ(dut.invalidate(a), ref.invalidate(a))
                 << "step " << step;
@@ -348,13 +362,21 @@ runDifferential(unsigned sets, unsigned ways, std::uint64_t seed)
 TEST(CacheArrayTest, MatchesLruSequenceReference)
 {
     std::uint64_t seed = 1;
-    for (unsigned ways : {1u, 2u, 3u, 4u, 8u}) {
+    for (unsigned ways : {1u, 2u, 3u, 4u, 8u, 16u, 32u}) {
         for (unsigned sets : {1u, 4u, 6u, 16u, 24u}) {
             runDifferential(sets, ways, seed++);
             if (::testing::Test::HasFatalFailure())
                 return;
         }
     }
+}
+
+TEST(CacheArrayTest, WaysCappedByTheMatchMask)
+{
+    const unsigned cap = CacheArray::maxWays;
+    EXPECT_EQ(CacheArray(cap * lineBytes, cap).numWays(), cap);
+    EXPECT_DEATH(CacheArray((cap + 1) * lineBytes, cap + 1),
+                 "65 ways, not 1 to 64");
 }
 
 } // namespace

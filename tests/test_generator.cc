@@ -56,6 +56,35 @@ TEST(GeneratorTest, AddressesStayInSlice)
     }
 }
 
+TEST(GeneratorTest, LanesShorterThanALineAreFatal)
+{
+    // 3 KB of stream area over 128 streams: 24-byte lanes, which
+    // line-align to nothing.
+    BenchProfile p = benchProfile("swim");
+    p.footprint = 4096;
+    p.hotBytes = 1024;
+    p.nStreams = 128;
+    EXPECT_DEATH(SyntheticGenerator(p, 3ull << 32, 1, true),
+                 "profile 'swim': 128 streams over 3072 bytes leave "
+                 "lanes shorter than one 64-byte line");
+}
+
+TEST(GeneratorTest, OneLineLanesStayInSlice)
+{
+    // The narrowest legal lanes: exactly one line per stream.
+    BenchProfile p = benchProfile("swim");
+    p.hotBytes = 1024;
+    p.nStreams = 128;
+    p.footprint = p.hotBytes + p.nStreams * lineBytes;
+    const Addr base = 3ull << 32;
+    SyntheticGenerator g(p, base, 1, false);
+    for (int i = 0; i < 100'000; ++i) {
+        const Addr a = g.next().addr;
+        ASSERT_GE(a, base) << "op " << i;
+        ASSERT_LT(a, base + p.footprint) << "op " << i;
+    }
+}
+
 TEST(GeneratorTest, StoreFractionRoughlyRespected)
 {
     const BenchProfile &p = benchProfile("swim");

@@ -23,6 +23,35 @@ quick(SystemConfig c)
     return c;
 }
 
+TEST(SystemTest, FootprintBeyondTheCoreSliceIsFatal)
+{
+    BenchProfile p = benchProfile("swim");
+    p.footprint = coreSliceBytes;
+    requireFitsCoreSlice(p);  // exactly one slice fits
+    p.footprint = coreSliceBytes + lineBytes;
+    EXPECT_DEATH(requireFitsCoreSlice(p),
+                 "profile 'swim': footprint of 4294967360 bytes exceeds "
+                 "the 4294967296-byte address slice of a core");
+}
+
+TEST(SystemTest, BuiltInProfilesFitTheirSlices)
+{
+    // Core 3's slice, as a System lays them out.
+    const Addr base = 3 * coreSliceBytes;
+    for (const BenchProfile &p : allProfiles()) {
+        SCOPED_TRACE(p.name);
+        requireFitsCoreSlice(p);
+        SyntheticGenerator g(p, base, 3, true);
+        for (int i = 0; i < 20'000; ++i) {
+            const TraceOp op = g.next();
+            if (op.kind == TraceOp::Kind::Prefetch)
+                continue;  // may run a few lines past a lane end
+            ASSERT_GE(op.addr, base) << "op " << i;
+            ASSERT_LT(op.addr, base + p.footprint) << "op " << i;
+        }
+    }
+}
+
 TEST(SystemTest, Ddr2SingleCoreRuns)
 {
     auto r = runMix(quick(SystemConfig::ddr2()), mixByName("1C-swim"));

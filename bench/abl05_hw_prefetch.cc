@@ -31,10 +31,9 @@ main(int argc, char **argv)
         c.warmupInsts = quick ? 20'000 : 50'000;
         c.measureInsts = quick ? 80'000 : 200'000;
         c.swPrefetch = false;  // isolate the hardware prefetcher
-        c.hwPrefetch = hw;
+        c.hier.hwPrefetch.enable = hw;
         if (!ap) {
             c.ambPrefetch.policy = "none";
-            c.apEnable = false;
             c.scheme = Interleave::Cacheline;
         }
         applyInstsFromEnv(c);

@@ -35,7 +35,6 @@ main(int argc, char **argv)
         c.swPrefetch = sp;
         if (!ap) {
             c.ambPrefetch.policy = "none";
-            c.apEnable = false;
             c.scheme = Interleave::Cacheline;
         }
         applyInstsFromEnv(c);

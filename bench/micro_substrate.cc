@@ -163,7 +163,7 @@ BM_ControllerIssueCycle(benchmark::State &state)
     map_cfg.scheme = Interleave::MultiCacheline;
     AddressMap map(map_cfg);
     ControllerConfig cfg;
-    cfg.apEnable = true;
+    cfg.ambPrefetch.policy = "region";
     MemController mc("mc", &eq, cfg);
 
     Rng rng(11);

@@ -40,7 +40,7 @@ rawControllerDemo()
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.apEnable = true;
+    cfg.ambPrefetch.policy = "region";
     MemController mc("demo", &eq, cfg);
 
     std::vector<Tick> completions;

@@ -273,15 +273,12 @@ main(int argc, char **argv)
             PrefetchConfig::parse(mc_policy, cfg.mcBufPrefetch);
         // The two attachment points are exclusive; an explicit MC
         // policy takes the slot unless the AMB one is also explicit.
-        if (amb_policy.empty() && cfg.mcBufPrefetch.enabled()) {
+        if (amb_policy.empty() && cfg.mcBufPrefetch.enabled())
             cfg.ambPrefetch.policy = "none";
-            cfg.apEnable = false;
-        }
     }
     if (!amb_policy.empty()) {
         cfg.ambPrefetch =
             PrefetchConfig::parse(amb_policy, cfg.ambPrefetch);
-        cfg.apEnable = cfg.ambPrefetch.enabled();
         // Prefetching needs a region-preserving interleaving; switch
         // the plain presets over unless --interleave overrode it.
         if (cfg.ambPrefetch.enabled() && interleave.empty()
@@ -435,8 +432,8 @@ main(int argc, char **argv)
     t.addRow({"ACT/PRE pairs", std::to_string(r.ops.actPre)});
     t.addRow({"column accesses", std::to_string(r.ops.cas())});
     t.addRow({"refresh commands", std::to_string(r.ops.refresh)});
-    const bool pf_on = cfg.resolvedAmbPrefetch().enabled()
-        || cfg.resolvedMcPrefetch().enabled();
+    const bool pf_on =
+        cfg.ambPrefetch.enabled() || cfg.mcBufPrefetch.enabled();
     if (pf_on) {
         t.addRow({"AMB-cache hits", std::to_string(r.ambHits)});
         t.addRow({"prefetch coverage", fmtPct(r.coverage)});

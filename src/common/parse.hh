@@ -3,7 +3,9 @@
  * Strict number parsing for values read from the command line, the
  * environment and spec strings: the whole string must be one number
  * in range, so "4x", "abc" and "-4" are rejected instead of being
- * read as 4, 0 or a huge unsigned value.
+ * read as 4, 0 or a huge unsigned value.  Counts are never negative,
+ * so the text must start with a digit: "+4" and " 4" are rejected
+ * too.
  */
 
 #ifndef FBDP_COMMON_PARSE_HH
@@ -18,11 +20,15 @@
 namespace fbdp {
 
 /** @p text as a whole-string decimal integer in [@p lo, @p hi], or
- *  nothing (non-numeric text, trailing junk, out of range, or too
- *  large for a long long, which strtoll would clamp). */
+ *  nothing (non-numeric text, a sign or blank in front, trailing
+ *  junk, out of range, or too large for a long long, which strtoll
+ *  would clamp). */
 inline std::optional<long long>
 parseCount(const char *text, long long lo, long long hi)
 {
+    // strtoll alone would also take leading blanks and a sign.
+    if (*text < '0' || *text > '9')
+        return std::nullopt;
     char *end = nullptr;
     errno = 0;
     const long long v = std::strtoll(text, &end, 10);

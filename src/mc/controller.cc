@@ -26,30 +26,31 @@ MemController::MemController(std::string name, EventQueue *event_queue,
         dimms.emplace_back(&cfg.timing, cfg.banksPerDimm);
     if (cfg.fbd)
         dimmBus.resize(cfg.nDimms);
-    if (cfg.apEnable) {
+    const PrefetchConfig &ap = cfg.ambPrefetch;
+    const PrefetchConfig &mp = cfg.mcBufPrefetch;
+    if (ap.enabled()) {
         fbdp_assert(cfg.fbd, "AMB prefetching requires FB-DIMM");
-        table = std::make_unique<PrefetchTable>(
-            cfg.nDimms, cfg.ambEntries, cfg.ambWays);
+        table = std::make_unique<PrefetchTable>(cfg.nDimms, ap.entries,
+                                                ap.ways);
         PolicyParams pp;
         pp.regionLines = cfg.regionLines;
-        pp.degree = cfg.apDegree;
+        pp.degree = ap.degree;
         pp.nDimms = cfg.nDimms;
-        pp.throttle = cfg.apThrottle;
-        apPol = PolicyRegistry::instance().make(cfg.apPolicy, pp);
+        pp.throttle = ap.throttle;
+        apPol = PolicyRegistry::instance().make(ap.policy, pp);
     }
-    if (cfg.mcPrefetch) {
-        fbdp_assert(!cfg.apEnable,
-                    "mcPrefetch and apEnable are exclusive");
+    if (mp.enabled()) {
+        fbdp_assert(!ap.enabled(),
+                    "mcBufPrefetch and ambPrefetch are exclusive");
         // One pseudo-DIMM: the buffer sits at the controller.
-        mcBuf = std::make_unique<PrefetchTable>(1, cfg.mcEntries,
-                                                cfg.mcWays);
+        mcBuf = std::make_unique<PrefetchTable>(1, mp.entries, mp.ways);
         PolicyParams pp;
         pp.regionLines = cfg.regionLines;
-        pp.degree = cfg.mcDegree;
+        pp.degree = mp.degree;
         pp.nDimms = cfg.nDimms;  // a DIMM-aware policy still sees
                                  // the real topology
-        pp.throttle = cfg.mcThrottle;
-        mcPol = PolicyRegistry::instance().make(cfg.mcPolicy, pp);
+        pp.throttle = mp.throttle;
+        mcPol = PolicyRegistry::instance().make(mp.policy, pp);
     }
     if (cfg.refreshEnable) {
         refreshPending.assign(cfg.nDimms, false);
@@ -81,12 +82,12 @@ MemController::bindTracer(trace::Tracer *t, unsigned channel)
             trc.bank[d * cfg.banksPerDimm + b] =
                 t->track(dn + ".bank" + std::to_string(b));
     }
-    if (cfg.apEnable) {
+    if (table) {
         trc.amb.resize(cfg.nDimms);
         for (unsigned d = 0; d < cfg.nDimms; ++d)
             trc.amb[d] = t->track(ch + ".dimm" + std::to_string(d)
                                   + ".amb");
-    } else if (cfg.mcPrefetch) {
+    } else if (mcBuf) {
         trc.amb.resize(1);
         trc.amb[0] = t->track(ch + ".mcbuf");
     }
@@ -192,25 +193,20 @@ MemController::pushAt(TransPtr t, Tick sent_at)
         ++nWrites;
     }
 
-    if (cfg.apEnable) {
+    if (table) {
         const unsigned d = t->coord.dimm;
         if (t->isRead()) {
-            const bool use_ap = !t->swPrefetch || cfg.apOnSwPrefetch;
-            if (use_ap) {
-                table->countRead();
-                if (table->peek(d, t->lineAddr)) {
-                    t->phase = TransPhase::AmbHit;
-                    apPol->onHit(policyAccess(t.get(), now));
-                } else {
-                    // Ask the policy what should ride this fetch; the
-                    // accepted candidates become visible in the tag
-                    // mirror immediately so later reads to the same
-                    // lines coalesce onto this fetch.
-                    t->phase = TransPhase::NeedActivate;
-                    emitCandidates(t.get(), /*convert=*/false);
-                }
+            table->countRead();
+            if (table->peek(d, t->lineAddr)) {
+                t->phase = TransPhase::AmbHit;
+                apPol->onHit(policyAccess(t.get(), now));
             } else {
+                // Ask the policy what should ride this fetch; the
+                // accepted candidates become visible in the tag
+                // mirror immediately so later reads to the same
+                // lines coalesce onto this fetch.
                 t->phase = TransPhase::NeedActivate;
+                emitCandidates(t.get(), /*convert=*/false);
             }
         } else {
             // Writes invalidate any stale prefetched copy.
@@ -225,7 +221,7 @@ MemController::pushAt(TransPtr t, Tick sent_at)
             }
             t->phase = TransPhase::NeedActivate;
         }
-    } else if (cfg.mcPrefetch) {
+    } else if (mcBuf) {
         if (t->isRead()) {
             mcBuf->countRead();
             if (mcBuf->peek(0, t->lineAddr)) {
@@ -452,10 +448,10 @@ MemController::policyAccess(const Transaction *t, Tick now) const
 void
 MemController::emitCandidates(Transaction *t, bool convert)
 {
-    PrefetchTable *tbl = cfg.apEnable ? table.get() : mcBuf.get();
-    PrefetchPolicy *pol = cfg.apEnable ? apPol.get() : mcPol.get();
+    PrefetchTable *tbl = table ? table.get() : mcBuf.get();
+    PrefetchPolicy *pol = table ? apPol.get() : mcPol.get();
     // The AMB cache is per DIMM; the MC buffer is one pseudo-DIMM.
-    const unsigned td = cfg.apEnable ? t->coord.dimm : 0u;
+    const unsigned td = table ? t->coord.dimm : 0u;
 
     t->nPfLines = 0;
     t->groupLines = 1;
@@ -787,7 +783,7 @@ MemController::issueRead(unsigned slot, Tick now)
             finish(slot, ready);
         } else {
             const Addr la = t->pfLines[order[i - 1]];
-            if (cfg.apEnable) {
+            if (table) {
                 // AMB prefetching: fills stay behind the AMB and
                 // never touch the channel.
                 table->resolveFill(d, la, d_start + tm.burst);

@@ -40,6 +40,7 @@
 #include "mc/link.hh"
 #include "mc/transaction.hh"
 #include "prefetch/policy.hh"
+#include "prefetch/prefetch_config.hh"
 #include "prefetch/prefetch_table.hh"
 #include "sim/event_queue.hh"
 #include "sim/trace.hh"
@@ -68,28 +69,17 @@ struct ControllerConfig
     /** Model DDR2 auto-refresh (tREFI / tRFC). */
     bool refreshEnable = true;
 
-    // --- AMB prefetching ---
-    bool apEnable = false;
     unsigned regionLines = 4;    ///< K
-    unsigned ambEntries = 64;
-    unsigned ambWays = 0;        ///< 0 = fully associative
     bool apFullLatency = false;  ///< APFL analysis mode (Fig. 9)
-    bool apOnSwPrefetch = true;  ///< sw-prefetch reads use the AP path
-    /** PolicyRegistry key selecting what rides the group fetch. */
-    std::string apPolicy = "region";
-    unsigned apDegree = 0;       ///< 0 = the policy's default
-    double apThrottle = 0.0;     ///< link-util ceiling; 0 = off
 
-    // --- controller-level prefetching (the comparison class the
-    //     paper discusses in Section 6, after Lin/Reinhardt/Burger:
-    //     region fetches ride the *channel* into a buffer at the
-    //     memory controller) ---
-    bool mcPrefetch = false;
-    unsigned mcEntries = 256;    ///< MC prefetch-buffer lines
-    unsigned mcWays = 0;
-    std::string mcPolicy = "region";
-    unsigned mcDegree = 0;
-    double mcThrottle = 0.0;
+    /** AMB prefetching: the per-DIMM AMB caches (FB-DIMM only).
+     *  The policy "none" switches it off. */
+    PrefetchConfig ambPrefetch;
+    /** Controller-level prefetching (the comparison class the paper
+     *  discusses in Section 6, after Lin/Reinhardt/Burger): region
+     *  fetches ride the *channel* into a buffer at the memory
+     *  controller.  Exclusive with ambPrefetch. */
+    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
 };
 
 /**
@@ -256,14 +246,15 @@ class MemController
 
     const PrefetchTable *prefetchTable() const { return table.get(); }
 
-    /** MC-buffer mirror when mcPrefetch is enabled. */
+    /** MC-buffer mirror when mcBufPrefetch is enabled. */
     const PrefetchTable *mcBuffer() const { return mcBuf.get(); }
 
     /** Candidate policy of the AMB attachment point (nullptr unless
-     *  apEnable). */
+     *  ambPrefetch is enabled). */
     const PrefetchPolicy *ambPolicy() const { return apPol.get(); }
 
-    /** Candidate policy of the MC buffer (nullptr unless mcPrefetch). */
+    /** Candidate policy of the MC buffer (nullptr unless
+     *  mcBufPrefetch is enabled). */
     const PrefetchPolicy *mcBufferPolicy() const { return mcPol.get(); }
 
     /** The active prefetch policy at either attachment point, or

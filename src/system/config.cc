@@ -10,7 +10,6 @@ SystemConfig::ddr2()
     SystemConfig c;
     c.fbd = false;
     c.scheme = Interleave::Cacheline;
-    c.apEnable = false;
     return c;
 }
 
@@ -20,7 +19,6 @@ SystemConfig::fbdBase()
     SystemConfig c;
     c.fbd = true;
     c.scheme = Interleave::Cacheline;
-    c.apEnable = false;
     return c;
 }
 
@@ -31,63 +29,8 @@ SystemConfig::fbdAp()
     c.fbd = true;
     c.scheme = Interleave::MultiCacheline;
     c.regionLines = 4;
-    // The canned FBD-AP spec; the deprecated mirrors are kept in sync
-    // so legacy readers observe the same values.
     c.ambPrefetch = PrefetchConfig{"region", 0, 64, 0, 0.0};
-    c.apEnable = true;
-    c.ambEntries = 64;
-    c.ambWays = 0;
     return c;
-}
-
-namespace {
-
-/** One-time deprecation nag for the pre-PrefetchConfig fields. */
-void
-warnLegacyPrefetchFields(const char *which)
-{
-    static bool warned = false;
-    if (warned)
-        return;
-    warned = true;
-    warn("SystemConfig::%s and its companion fields are deprecated; "
-         "set SystemConfig::ambPrefetch / mcBufPrefetch (e.g. "
-         "PrefetchConfig::parse(\"region,entries=64\")) instead",
-         which);
-}
-
-} // namespace
-
-PrefetchConfig
-SystemConfig::resolvedAmbPrefetch() const
-{
-    PrefetchConfig ap = ambPrefetch;
-    if (!ap.enabled() && apEnable) {
-        // Only the legacy mirror enables it: honour the legacy
-        // buffer-shape fields as the paper's region scheme.
-        warnLegacyPrefetchFields("apEnable");
-        ap.policy = "region";
-        ap.entries = ambEntries;
-        ap.ways = ambWays;
-        ap.degree = 0;
-        ap.throttle = 0.0;
-    }
-    return ap;
-}
-
-PrefetchConfig
-SystemConfig::resolvedMcPrefetch() const
-{
-    PrefetchConfig mp = mcBufPrefetch;
-    if (!mp.enabled() && mcPrefetch) {
-        warnLegacyPrefetchFields("mcPrefetch");
-        mp.policy = "region";
-        mp.entries = mcEntries;
-        mp.ways = mcWays;
-        mp.degree = 0;
-        mp.throttle = 0.0;
-    }
-    return mp;
 }
 
 namespace {
@@ -124,23 +67,21 @@ SystemConfig::controllerConfig() const
     if (regionLines < 1 || row_lines % regionLines != 0)
         fatal("region size K=%u must divide the %u lines of a DRAM row",
               regionLines, row_lines);
-    const PrefetchConfig ap = resolvedAmbPrefetch();
-    const PrefetchConfig mp = resolvedMcPrefetch();
-    if (ap.enabled()) {
+    if (ambPrefetch.enabled()) {
         if (!fbd)
             fatal("AMB prefetching requires FB-DIMM");
         if (scheme == Interleave::Cacheline)
             fatal("AMB prefetching needs multi-cacheline or page "
                   "interleaving (Section 3.2)");
-        checkBufferShape("AMB", ap);
+        checkBufferShape("AMB", ambPrefetch);
     }
-    if (mp.enabled()) {
-        if (ap.enabled())
-            fatal("mcPrefetch and apEnable are exclusive");
+    if (mcBufPrefetch.enabled()) {
+        if (ambPrefetch.enabled())
+            fatal("mcBufPrefetch and ambPrefetch are exclusive");
         if (scheme == Interleave::Cacheline)
             fatal("controller prefetching needs region-preserving "
                   "interleaving too");
-        checkBufferShape("controller", mp);
+        checkBufferShape("controller", mcBufPrefetch);
     }
     ControllerConfig cc;
     cc.fbd = fbd;
@@ -161,18 +102,8 @@ SystemConfig::controllerConfig() const
     cc.openPage = (scheme == Interleave::Page);
     cc.regionLines = regionLines;
     cc.apFullLatency = apFullLatency;
-    cc.apEnable = ap.enabled();
-    cc.apPolicy = ap.policy;
-    cc.apDegree = ap.degree;
-    cc.apThrottle = ap.throttle;
-    cc.ambEntries = ap.entries;
-    cc.ambWays = ap.ways;
-    cc.mcPrefetch = mp.enabled();
-    cc.mcPolicy = mp.policy;
-    cc.mcDegree = mp.degree;
-    cc.mcThrottle = mp.throttle;
-    cc.mcEntries = mp.entries;
-    cc.mcWays = mp.ways;
+    cc.ambPrefetch = ambPrefetch;
+    cc.mcBufPrefetch = mcBufPrefetch;
     return cc;
 }
 

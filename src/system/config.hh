@@ -22,7 +22,7 @@
 #include "common/types.hh"
 #include "mc/address_map.hh"
 #include "mc/controller.hh"
-#include "system/prefetch_config.hh"
+#include "prefetch/prefetch_config.hh"
 
 namespace fbdp {
 
@@ -49,7 +49,7 @@ struct SystemConfig
     unsigned sq = 32;
 
     // --- caches ---
-    HierConfig hier;
+    HierConfig hier;  ///< hier.hwPrefetch: the L2 stream prefetcher
 
     // --- memory subsystem ---
     bool fbd = true;              ///< FB-DIMM vs conventional DDR2
@@ -66,9 +66,9 @@ struct SystemConfig
     // --- DRAM-level prefetching ---
     /**
      * The AMB attachment point: policy + buffer shape of the per-DIMM
-     * AMB caches.  The FBD-AP preset is the canned spec
-     * "region,entries=64,ways=0"; select other policies with e.g.
-     * PrefetchConfig::parse("dspatch,degree=2").
+     * AMB caches ("none", the default, switches it off).  The FBD-AP
+     * preset is the canned spec "region,entries=64,ways=0"; select
+     * other policies with e.g. PrefetchConfig::parse("dspatch,degree=2").
      */
     PrefetchConfig ambPrefetch;
     /**
@@ -80,21 +80,6 @@ struct SystemConfig
 
     unsigned regionLines = 4;     ///< K of the address interleaving
     bool apFullLatency = false;   ///< APFL analysis mode
-
-    // --- deprecated prefetch mirrors ---
-    // Honoured (with a one-time warning) only while the nested block
-    // above is untouched; new code should set ambPrefetch /
-    // mcBufPrefetch instead.  Presets keep them in sync so existing
-    // readers observe the same values.
-    bool apEnable = false;
-    unsigned ambEntries = 64;
-    unsigned ambWays = 0;         ///< 0 = fully associative
-    bool mcPrefetch = false;
-    unsigned mcEntries = 256;
-    unsigned mcWays = 0;
-    /** Hardware stream prefetcher at the L2 (Section 5.4's
-     *  speculation). Configure via hier.hwPrefetch for detail. */
-    bool hwPrefetch = false;
 
     // --- observability ---
     /**
@@ -136,22 +121,12 @@ struct SystemConfig
     static SystemConfig fbdAp();
 
     /**
-     * ambPrefetch with the deprecated mirrors folded in: when the
-     * nested block is disabled but the legacy apEnable flag is set,
-     * the legacy fields are honoured as a region policy (and a
-     * one-time deprecation warning is emitted).
-     */
-    PrefetchConfig resolvedAmbPrefetch() const;
-
-    /** mcBufPrefetch with the deprecated mirrors folded in. */
-    PrefetchConfig resolvedMcPrefetch() const;
-
-    /**
      * Derived controller configuration for one logic channel.
      * fatal()s on a configuration the components cannot build: no
      * channels or DIMMs, a region size K that does not divide a DRAM
-     * row, an empty or unevenly divided prefetch buffer, or prefetching
-     * on a machine or interleaving that cannot support it.
+     * row, an empty or unevenly divided prefetch buffer, both
+     * attachment points enabled at once, or prefetching on a machine
+     * or interleaving that cannot support it.
      */
     ControllerConfig controllerConfig() const;
 

@@ -157,13 +157,11 @@ canonicalConfigString(const SystemConfig &cfg)
     kv(os, "writeDrainLow", cfg.writeDrainLow);
     kv(os, "refreshEnable", cfg.refreshEnable);
 
-    // Prefetching — through the resolved accessors, so a legacy
-    // flat-field config and its nested equivalent digest identically.
-    kvPf(os, "ambPrefetch", cfg.resolvedAmbPrefetch());
-    kvPf(os, "mcBufPrefetch", cfg.resolvedMcPrefetch());
+    // Prefetching.
+    kvPf(os, "ambPrefetch", cfg.ambPrefetch);
+    kvPf(os, "mcBufPrefetch", cfg.mcBufPrefetch);
     kv(os, "regionLines", cfg.regionLines);
     kv(os, "apFullLatency", cfg.apFullLatency);
-    kv(os, "hwPrefetch", cfg.hwPrefetch);
 
     kvD(os, "cpuCyclePs", static_cast<double>(cpuCyclePs));
     return os.str();

@@ -145,11 +145,8 @@ System::System(const SystemConfig &config)
     memSys = std::make_unique<MemorySystem>(coreQ, map.get(),
                                             &controllers);
     memSys->setRouter(this);
-    HierConfig hc = cfg.hier;
-    if (cfg.hwPrefetch)
-        hc.hwPrefetch.enable = true;
-    hier = std::make_unique<CacheHierarchy>(coreQ, cfg.nCores(), hc,
-                                            memSys.get());
+    hier = std::make_unique<CacheHierarchy>(coreQ, cfg.nCores(),
+                                            cfg.hier, memSys.get());
 
     // Each core owns a disjoint 4 GB slice of the physical space; the
     // interleaving spreads every slice across all channels and banks.

@@ -107,10 +107,15 @@ struct FbtHeader
  *   trace:/data/app.fbt.gz,stream=on,chunk=8m,format=auto
  *
  *   stream=on|off   streaming (default) vs legacy in-RAM replay
- *   chunk=N[k|m]    raw chunk budget per read (default 64k; below
- *                   64 bytes is raised to 64 with a warning, above
- *                   1 GiB is fatal, as are signs and trailing text)
+ *                   (1/true and 0/false also work)
+ *   chunk=N[k|m]    raw chunk budget per read (default 64k; K and M
+ *                   also work; below 64 bytes is raised to 64 with a
+ *                   warning, 0 and above 1 GiB are fatal, as are
+ *                   signs and trailing text)
  *   format=auto|text|fbt   override the by-magic detection
+ *
+ * PATH is the first item, verbatim.  Empty items are skipped, and a
+ * repeated key's last value wins.
  *
  * The default is the smallest budget that ingests and replays no
  * slower than larger ones (EXPERIMENTS.md, "Chunk budget").

@@ -17,7 +17,8 @@ TEST(ConfigTest, Ddr2Preset)
 {
     SystemConfig c = SystemConfig::ddr2();
     EXPECT_FALSE(c.fbd);
-    EXPECT_FALSE(c.apEnable);
+    EXPECT_FALSE(c.ambPrefetch.enabled());
+    EXPECT_FALSE(c.mcBufPrefetch.enabled());
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::Cacheline));
     EXPECT_EQ(c.logicChannels, 2u);
@@ -31,12 +32,15 @@ TEST(ConfigTest, FbdApPresetMatchesSection52Defaults)
 {
     SystemConfig c = SystemConfig::fbdAp();
     EXPECT_TRUE(c.fbd);
-    EXPECT_TRUE(c.apEnable);
+    EXPECT_EQ(c.ambPrefetch.policy, "region");
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::MultiCacheline));
     EXPECT_EQ(c.regionLines, 4u);
-    EXPECT_EQ(c.ambEntries, 64u);
-    EXPECT_EQ(c.ambWays, 0u) << "fully associative default";
+    EXPECT_EQ(c.ambPrefetch.degree, 0u);
+    EXPECT_EQ(c.ambPrefetch.entries, 64u);
+    EXPECT_EQ(c.ambPrefetch.ways, 0u) << "fully associative default";
+    EXPECT_EQ(c.ambPrefetch.throttle, 0.0);
+    EXPECT_FALSE(c.mcBufPrefetch.enabled());
     EXPECT_FALSE(c.apFullLatency);
 }
 
@@ -60,7 +64,9 @@ TEST(ConfigTest, ControllerDerivation)
     SystemConfig c = SystemConfig::fbdAp();
     ControllerConfig cc = c.controllerConfig();
     EXPECT_TRUE(cc.fbd);
-    EXPECT_TRUE(cc.apEnable);
+    EXPECT_EQ(cc.ambPrefetch.policy, "region");
+    EXPECT_EQ(cc.ambPrefetch.entries, 64u);
+    EXPECT_FALSE(cc.mcBufPrefetch.enabled());
     EXPECT_EQ(cc.nDimms, 4u);
     EXPECT_EQ(cc.timing.memCycle, 3000u);
     EXPECT_FALSE(cc.openPage);
@@ -152,6 +158,11 @@ TEST(ConfigDeathTest, NonNumericFlagValueIsFatal)
                 "--channels: bad value 'abc'");
     EXPECT_EXIT(requireCount("--k", "4x", 0, 1024),
                 ::testing::ExitedWithCode(1), "--k: bad value '4x'");
+    // strtoll would skip the blank and the sign.
+    EXPECT_EXIT(requireCount("--k", " 4", 0, 1024),
+                ::testing::ExitedWithCode(1), "--k: bad value ' 4'");
+    EXPECT_EXIT(requireCount("--k", "+4", 0, 1024),
+                ::testing::ExitedWithCode(1), "--k: bad value '.4'");
     // Past LLONG_MAX: strtoll clamps, which must not pass a bound of
     // LLONG_MAX as a silently different seed.
     EXPECT_EXIT(requireCount("--seed", "99999999999999999999", 0,

@@ -42,10 +42,8 @@ class ControllerApTest : public ::testing::Test
     {
         ControllerConfig c;
         c.fbd = true;
-        c.apEnable = true;
         c.regionLines = k;
-        c.ambEntries = entries;
-        c.ambWays = ways;
+        c.ambPrefetch = PrefetchConfig{"region", 0, entries, ways, 0.0};
         return c;
     }
 
@@ -262,21 +260,6 @@ TEST_F(ControllerApTest, CoverageBoundHoldsUnderStreaming)
     EXPECT_DOUBLE_EQ(mc.prefetchTable()->coverage(), 0.75);
     EXPECT_EQ(mc.dramOps().actPre, 64u);
     EXPECT_EQ(mc.dramOps().rdCas, 256u);
-}
-
-TEST_F(ControllerApTest, SwPrefetchFlagRespectsConfig)
-{
-    ControllerConfig cfg = apCfg();
-    cfg.apOnSwPrefetch = false;
-    MemController mc("mc", &eq, cfg);
-    std::vector<Tick> done;
-    auto t = makeRead(0, &done);
-    t->swPrefetch = true;
-    mc.push(std::move(t));
-    eq.run();
-    // Not an AP read: one CAS, nothing prefetched.
-    EXPECT_EQ(mc.dramOps().rdCas, 1u);
-    EXPECT_EQ(mc.prefetchTable()->prefetchesIssued(), 0u);
 }
 
 TEST_F(ControllerApTest, PrefetchFillsDoNotTouchChannelBytes)

@@ -76,11 +76,13 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     cfg.fbd = f.fbd;
     if (!f.fbd)
         cfg.cmdDelay = nsToTicks(3) + 2 * cfg.timing.memCycle;
-    cfg.apEnable = f.ap;
-    cfg.ambWays = f.ways;
+    if (f.ap)
+        cfg.ambPrefetch.policy = "region";
+    cfg.ambPrefetch.ways = f.ways;
     cfg.openPage = f.open_page;
     cfg.vrl = f.vrl;
-    cfg.mcPrefetch = f.mc;
+    if (f.mc)
+        cfg.mcBufPrefetch.policy = "region";
     cfg.writeDrainHigh = f.drainHigh;
     cfg.writeDrainLow = f.drainLow;
     cfg.queueSize = f.queue;
@@ -193,7 +195,7 @@ runBurst(std::uint64_t seed)
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.apEnable = true;
+    cfg.ambPrefetch.policy = "region";
     MemController mc("mc", &eq, cfg);
 
     Rng rng(seed);

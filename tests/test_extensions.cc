@@ -27,7 +27,7 @@ TEST(ExtensionsTest, HwPrefetchHelpsStreamsWithoutSoftware)
     SystemConfig off = quick(SystemConfig::fbdBase());
     off.swPrefetch = false;
     SystemConfig on = off;
-    on.hwPrefetch = true;
+    on.hier.hwPrefetch.enable = true;
     auto r_off = runMix(off, mixByName("1C-swim"));
     auto r_on = runMix(on, mixByName("1C-swim"));
     EXPECT_GT(r_on.ipcSum(), r_off.ipcSum() * 1.01)
@@ -39,7 +39,7 @@ TEST(ExtensionsTest, HwPrefetchHarmlessOnIrregularCode)
     SystemConfig off = quick(SystemConfig::fbdBase());
     off.swPrefetch = false;
     SystemConfig on = off;
-    on.hwPrefetch = true;
+    on.hier.hwPrefetch.enable = true;
     auto r_off = runMix(off, mixByName("1C-parser"));
     auto r_on = runMix(on, mixByName("1C-parser"));
     EXPECT_GT(r_on.ipcSum(), r_off.ipcSum() * 0.97);
@@ -48,7 +48,7 @@ TEST(ExtensionsTest, HwPrefetchHarmlessOnIrregularCode)
 TEST(ExtensionsTest, HwPrefetcherVisibleThroughHierarchy)
 {
     SystemConfig c = quick(SystemConfig::fbdBase());
-    c.hwPrefetch = true;
+    c.hier.hwPrefetch.enable = true;
     c.benchmarks = {"swim"};
     System sys(c);
     sys.run();
@@ -61,7 +61,7 @@ TEST(ExtensionsTest, McPrefetchRunsAndCovers)
 {
     SystemConfig c = quick(SystemConfig::fbdBase());
     c.scheme = Interleave::MultiCacheline;
-    c.mcPrefetch = true;
+    c.mcBufPrefetch.policy = "region";
     auto r = runMix(c, mixByName("1C-swim"));
     EXPECT_GT(r.ambHits, 0u) << "MC hits reported through ambHits";
     EXPECT_GT(r.coverage, 0.3);
@@ -72,7 +72,7 @@ TEST(ExtensionsTest, McPrefetchConsumesMoreChannelBandwidth)
 {
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcPrefetch = true;
+    mcp.mcBufPrefetch.policy = "region";
     auto r_mcp = runMix(mcp, mixByName("1C-swim"));
     auto r_ap = runMix(quick(SystemConfig::fbdAp()),
                        mixByName("1C-swim"));
@@ -86,7 +86,7 @@ TEST(ExtensionsTest, McPrefetchBeatsPlainFbdAtOneCore)
                        mixByName("1C-swim"));
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcPrefetch = true;
+    mcp.mcBufPrefetch.policy = "region";
     auto r = runMix(mcp, mixByName("1C-swim"));
     EXPECT_GT(r.ipcSum(), base.ipcSum());
 }
@@ -97,7 +97,7 @@ TEST(ExtensionsTest, ApBeatsMcPrefetchAtEightCores)
     // channel is precious and MCP wastes it.
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcPrefetch = true;
+    mcp.mcBufPrefetch.policy = "region";
     auto r_mcp = runMix(mcp, mixByName("8C-1"));
     auto r_ap = runMix(quick(SystemConfig::fbdAp()),
                        mixByName("8C-1"));
@@ -107,7 +107,7 @@ TEST(ExtensionsTest, ApBeatsMcPrefetchAtEightCores)
 TEST(ExtensionsTest, McPrefetchExclusiveWithAp)
 {
     SystemConfig c = quick(SystemConfig::fbdAp());
-    c.mcPrefetch = true;
+    c.mcBufPrefetch.policy = "region";
     EXPECT_DEATH(c.controllerConfig(), "exclusive");
 }
 

@@ -58,6 +58,10 @@ TEST(ManifestTest, DigestSeesSimulationRelevantFields)
     c = base();
     c.benchmarks = {"gap", "swim"};  // assignment order matters
     EXPECT_NE(RunManifest::capture(c).configDigest, ref);
+
+    c = base();
+    c.hier.hwPrefetch.enable = true;
+    EXPECT_NE(RunManifest::capture(c).configDigest, ref);
 }
 
 TEST(ManifestTest, DigestIgnoresObserverAndExecutionKnobs)

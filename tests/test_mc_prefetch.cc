@@ -39,7 +39,7 @@ class McPrefetchTest : public ::testing::Test
     {
         ControllerConfig c;
         c.fbd = true;
-        c.mcPrefetch = true;
+        c.mcBufPrefetch.policy = "region";
         c.regionLines = 4;
         return c;
     }
@@ -138,7 +138,7 @@ TEST_F(McPrefetchTest, CoverageMatchesAmbPathOnSweep)
 TEST_F(McPrefetchTest, ExclusiveWithAmbPrefetching)
 {
     ControllerConfig c = mcpCfg();
-    c.apEnable = true;
+    c.ambPrefetch.policy = "region";
     EXPECT_DEATH(MemController mc("mc", &eq, c), "exclusive");
 }
 

@@ -17,7 +17,7 @@
 
 #include "common/types.hh"
 #include "prefetch/policy.hh"
-#include "system/prefetch_config.hh"
+#include "prefetch/prefetch_config.hh"
 
 using namespace fbdp;
 
@@ -270,18 +270,6 @@ TEST(PrefetchConfigTest, ParseInheritsCallerDefaults)
     EXPECT_EQ(p.ways, 8u);
 }
 
-TEST(PrefetchConfigTest, SpecRoundTrips)
-{
-    const PrefetchConfig p = PrefetchConfig::parse(
-        "dspatch,degree=2,entries=128,ways=4,throttle=0.8");
-    const PrefetchConfig q = PrefetchConfig::parse(p.spec());
-    EXPECT_EQ(q.policy, p.policy);
-    EXPECT_EQ(q.degree, p.degree);
-    EXPECT_EQ(q.entries, p.entries);
-    EXPECT_EQ(q.ways, p.ways);
-    EXPECT_DOUBLE_EQ(q.throttle, p.throttle);
-}
-
 TEST(PrefetchConfigDeathTest, RejectsMalformedSpecs)
 {
     EXPECT_DEATH(PrefetchConfig::parse(""), "empty prefetch policy");
@@ -313,4 +301,13 @@ TEST(PrefetchConfigDeathTest, RejectsValuesThatAreNotWholeNumbers)
                 "'throttle' has value 'abc' outside");
     EXPECT_EXIT(PrefetchConfig::parse("region,throttle=nan"), fatalExit,
                 "'throttle' has value 'nan' outside");
+    // Signs, blanks and hex, which strtod alone would take.
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle=-0"), fatalExit,
+                "'throttle' has value '-0' outside");
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle= 0.5"), fatalExit,
+                "'throttle' has value ' 0.5' outside");
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle=0x.8"), fatalExit,
+                "'throttle' has value '0x.8' outside");
+    EXPECT_EXIT(PrefetchConfig::parse("region,degree=+4"), fatalExit,
+                "key 'degree': bad value '.4'");
 }

@@ -9,13 +9,14 @@
  * of them exactly — including the doubles, compared with EXPECT_EQ on
  * purpose.
  *
- * Also pins the config-resolution equivalences: the FBD-AP preset,
- * the explicit nested spec and the deprecated legacy mirrors must all
- * build the same machine.
+ * Also pins the config equivalences: the FBD-AP preset and the
+ * explicit spec string must build the same machine, and the policy
+ * "none" alone must switch the preset's AMB prefetching off.
  */
 
 #include <gtest/gtest.h>
 
+#include "run_digest.hh"
 #include "system/system.hh"
 #include "workload/mixes.hh"
 
@@ -75,20 +76,6 @@ TEST(PolicyInvisibility, ExplicitSpecMatchesPreset)
     expectGolden(sys.run());
 }
 
-TEST(PolicyInvisibility, LegacyMirrorsMatchPreset)
-{
-    // The deprecated path: nested block disabled, legacy booleans
-    // set.  Resolution folds the mirrors into a region policy (and
-    // warns once); results must still be bit-identical.
-    SystemConfig c = golden();
-    c.ambPrefetch.policy = "none";
-    c.apEnable = true;
-    c.ambEntries = 64;
-    c.ambWays = 0;
-    System sys(c);
-    expectGolden(sys.run());
-}
-
 TEST(PolicyInvisibility, PrefetchStatsBlockIsConsistent)
 {
     System sys(golden());
@@ -102,4 +89,27 @@ TEST(PolicyInvisibility, PrefetchStatsBlockIsConsistent)
     EXPECT_DOUBLE_EQ(r.efficiency,
                      static_cast<double>(r.prefetch.hits)
                          / static_cast<double>(r.prefetch.issued));
+}
+
+TEST(PolicyInvisibility, PolicyNoneAloneSwitchesFbdApOff)
+{
+    // The ambPrefetch block is the one switch: no other field may
+    // bring the region policy back, and nothing is warned about.
+    SystemConfig off = golden();
+    off.ambPrefetch.policy = "none";
+    SystemConfig plain = SystemConfig::fbdBase();
+    plain.scheme = Interleave::MultiCacheline;
+    plain.benchmarks = off.benchmarks;
+    plain.warmupInsts = off.warmupInsts;
+    plain.measureInsts = off.measureInsts;
+    plain.seed = off.seed;
+
+    ::testing::internal::CaptureStderr();
+    const ControllerConfig cc = off.controllerConfig();
+    const std::string off_digest = digest(System(off).run());
+    const std::string warned = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(cc.ambPrefetch.enabled());
+    EXPECT_FALSE(cc.mcBufPrefetch.enabled());
+    EXPECT_EQ(warned, "");
+    EXPECT_EQ(off_digest, digest(System(plain).run()));
 }

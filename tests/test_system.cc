@@ -183,10 +183,8 @@ TEST_P(PresetSweepTest, RunsWithConsistentStats)
     // Bandwidth accounting must agree with transaction counts.
     const double seconds = static_cast<double>(r.measuredTicks)
         * 1e-12;
-    double expect_bytes = static_cast<double>(r.reads + r.writes)
-        * lineBytes;
-    if (c.mcPrefetch)
-        expect_bytes = 0;  // not used in this sweep
+    const double expect_bytes =
+        static_cast<double>(r.reads + r.writes) * lineBytes;
     EXPECT_NEAR(r.bandwidthGBs, expect_bytes / 1e9 / seconds,
                 r.bandwidthGBs * 0.02);
     // Close-page op accounting (every machine here uses close page).

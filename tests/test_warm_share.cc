@@ -104,7 +104,8 @@ TEST(WarmKey, MemorySideFieldsLeaveTheKeyAlone)
                  c.measureInsts = 2;
              }},
             {"rob", [](SystemConfig &c) { c.rob = 64; }},
-            {"hwPrefetch", [](SystemConfig &c) { c.hwPrefetch = true; }},
+            {"hwPrefetch",
+             [](SystemConfig &c) { c.hier.hwPrefetch.enable = true; }},
             {"l2 latency",
              [](SystemConfig &c) { c.hier.l2HitLatency *= 2; }},
         };

@@ -39,7 +39,6 @@
 #include "system/config.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
-#include "workload/trace_file.hh"
 #include "workload/trace_stream.hh"
 
 namespace {
@@ -402,9 +401,7 @@ BENCHMARK(BM_FullSystemSimRateTraced)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // Trace-ingest throughput: ops parsed per host second over one      //
-// recorded trace.  TraceIngestTextLegacy is the seed loader         //
-// (getline + sscanf via parseTraceOp); TraceIngestText is the       //
-// chunked hand-rolled parser behind the streaming frontend;         //
+// recorded trace.  TraceIngestText is the chunked text parser;      //
 // TraceIngestFbt decodes the fixed-width binary format.  Decoding   //
 // runs synchronously here (no background worker) so the rows        //
 // measure parse cost, not overlap.                                  //
@@ -453,28 +450,6 @@ ingestFbtTrace()
 }
 
 void
-BM_TraceIngestTextLegacy(benchmark::State &state)
-{
-    const std::string &path = ingestTextTrace();
-    std::uint64_t ops = 0;
-    for (auto _ : state) {
-        std::ifstream in(path);
-        std::string line;
-        TraceOp op;
-        std::uint64_t line_no = 0;
-        while (std::getline(in, line)) {
-            ++line_no;
-            if (parseTraceOp(line, &op, line_no)) {
-                benchmark::DoNotOptimize(op);
-                ++ops;
-            }
-        }
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(ops));
-}
-BENCHMARK(BM_TraceIngestTextLegacy)->Unit(benchmark::kMillisecond);
-
-void
 BM_TraceIngestText(benchmark::State &state)
 {
     TraceSpec spec;
@@ -511,25 +486,19 @@ BM_TraceIngestFbt(benchmark::State &state)
 BENCHMARK(BM_TraceIngestFbt)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
-// Full-system sim rate on a trace-bound config: the same file       //
-// replayed in-RAM (arg 0) vs streamed with overlapped decode        //
-// (arg 1).  items/sec is simulated insts per wall-clock second, so  //
-// the streamed row's background decode worker counts too.  It       //
-// decodes every pass of this trace, which is shorter than the       //
-// functional warm-up, where the in-RAM row pays one full            //
-// materialisation per iteration (System construction) instead.      //
+// Full-system sim rate on a trace-bound config.  items/sec is       //
+// simulated insts per wall-clock second, so the background decode   //
+// worker counts too.  The trace is shorter than the functional      //
+// warm-up, so its stream decodes it once and keeps it.             //
 // ---------------------------------------------------------------- //
 
 void
 BM_TraceReplaySimRate(benchmark::State &state)
 {
-    const bool streamed = state.range(0) != 0;
     SystemConfig cfg = SystemConfig::fbdAp();
     cfg.measureInsts = 20'000;
     cfg.warmupInsts = 5'000;
-    cfg.benchmarks = {
-        streamed ? "trace:" + ingestTextTrace()
-                 : "trace:" + ingestTextTrace() + ",stream=off"};
+    cfg.benchmarks = {"trace:" + ingestTextTrace()};
     std::uint64_t insts = 0;
     for (auto _ : state) {
         System sys(cfg);
@@ -540,7 +509,6 @@ BM_TraceReplaySimRate(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
 BENCHMARK(BM_TraceReplaySimRate)
-    ->Arg(0)->Arg(1)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

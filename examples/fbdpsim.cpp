@@ -7,7 +7,7 @@
  * Options:
  *   --mix NAME        workload mix (default 2C-1; see Table 3 names,
  *                     or 1C-<bench> for single programs), or a trace
- *                     spec "trace:PATH[,stream=on|off][,chunk=N[k|m]]
+ *                     spec "trace:PATH[,chunk=N[k|m]]
  *                     [,format=auto|text|fbt]" replaying a recorded
  *                     trace (text, .fbt, or gzip of either) on every
  *                     core — see --cores
@@ -410,8 +410,8 @@ main(int argc, char **argv)
 
     TextTable per_core({"core", "benchmark", "IPC", "insts"});
     for (size_t i = 0; i < r.ipc.size(); ++i) {
-        // Trace specs print option-free so streamed and in-RAM
-        // replays of one file produce identical output.
+        // Trace specs print option-free so replays of one file at
+        // any chunk budget produce identical output.
         per_core.addRow({std::to_string(i),
                          trace_workload ? trace_mix.name
                                         : mix.benches[i],

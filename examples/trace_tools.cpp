@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "system/metrics.hh"
-#include "workload/trace_file.hh"
+#include "workload/trace_stream.hh"
 
 int
 main(int argc, char **argv)
@@ -34,16 +34,18 @@ main(int argc, char **argv)
     // 1. Record.
     SyntheticGenerator gen(benchProfile(bench), 0, 42, true);
     {
-        TraceRecorder rec(&gen, path);
+        TraceWriter w(path, TraceFormat::Text, false, bench);
         for (std::uint64_t i = 0; i < n_ops; ++i)
-            rec.next();
+            w.append(gen.next());
     }
     std::cout << "recorded " << n_ops << " ops of '" << bench
               << "' to " << path << "\n\n";
 
-    // 2. Replay and analyse.
-    TraceFileGenerator replay(path);
-    std::uint64_t loads = 0, stores = 0, prefetches = 0;
+    // 2. Read it back and analyse.
+    TraceSpec spec;
+    spec.path = path;
+    TracePassReader reader(spec);
+    std::uint64_t ops = 0, loads = 0, stores = 0, prefetches = 0;
     std::uint64_t insts = 0;
     std::set<Addr> lines;
     // Strides are measured against the previous access in the same
@@ -55,8 +57,8 @@ main(int argc, char **argv)
     std::map<Addr, std::uint64_t> last_touch;
     std::vector<std::uint64_t> reuse;
 
-    for (std::uint64_t i = 0; i < replay.size(); ++i) {
-        TraceOp op = replay.next();
+    TraceOp op;
+    for (; reader.next(&op); ++ops) {
         insts += op.gap + 1;
         switch (op.kind) {
           case TraceOp::Kind::Load:
@@ -84,12 +86,12 @@ main(int argc, char **argv)
         prev_in_segment[seg] = op.addr;
         auto it = last_touch.find(line);
         if (it != last_touch.end())
-            reuse.push_back(i - it->second);
-        last_touch[line] = i;
+            reuse.push_back(ops - it->second);
+        last_touch[line] = ops;
     }
 
     TextTable t({"metric", "value"});
-    t.addRow({"operations", std::to_string(replay.size())});
+    t.addRow({"operations", std::to_string(ops)});
     t.addRow({"instructions (incl. gaps)", std::to_string(insts)});
     t.addRow({"loads", std::to_string(loads)});
     t.addRow({"stores", std::to_string(stores)});

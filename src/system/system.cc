@@ -10,7 +10,6 @@
 #include "mc/transaction.hh"
 #include "sim/trace.hh"
 #include "system/warm_share.hh"
-#include "workload/trace_file.hh"
 #include "workload/trace_stream.hh"
 
 namespace fbdp {
@@ -153,11 +152,10 @@ System::System(const SystemConfig &config)
     //
     // Benchmark slots name either a synthetic profile or a recorded
     // trace ("trace:PATH[,options]").  Cores replaying the same file
-    // share one loaded op vector (in-RAM mode) or one TraceStream —
-    // file handle, decode pipeline and chunk window (streaming mode);
-    // the first spec mentioning a path fixes that file's options.
-    std::map<std::string,
-             std::shared_ptr<const std::vector<TraceOp>>> traceOps;
+    // share one TraceStream — file handle, decode pipeline and chunk
+    // window; the first spec mentioning a path fixes that file's
+    // options.  A trace shorter than the warm-up is decoded once.
+    const std::uint64_t warm_ops = resolvedWarmupOps(cfg);
     std::map<std::string, std::shared_ptr<TraceStream>> traceStreams;
     for (unsigned i = 0; i < cfg.nCores(); ++i) {
         const std::string &bench = cfg.benchmarks[i];
@@ -165,19 +163,10 @@ System::System(const SystemConfig &config)
         std::unique_ptr<Generator> gen;
         if (TraceSpec::isTraceSpec(bench)) {
             const TraceSpec spec = TraceSpec::parse(bench);
-            if (spec.stream) {
-                auto &str = traceStreams[spec.path];
-                if (!str)
-                    str = std::make_shared<TraceStream>(spec);
-                gen = std::make_unique<StreamingTraceGenerator>(
-                    str, base);
-            } else {
-                auto &ops = traceOps[spec.path];
-                if (!ops)
-                    ops = TraceFileGenerator::loadOps(spec.path);
-                gen = std::make_unique<TraceFileGenerator>(
-                    ops, spec.path, base);
-            }
+            auto &str = traceStreams[spec.path];
+            if (!str)
+                str = std::make_shared<TraceStream>(spec, warm_ops);
+            gen = std::make_unique<StreamingTraceGenerator>(str, base);
         } else {
             const BenchProfile &prof = benchProfile(bench);
             requireFitsCoreSlice(prof);

@@ -4,8 +4,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include <sys/stat.h>
+
 #include "common/logging.hh"
-#include "workload/trace_file.hh"
 
 #ifdef FBDP_HAVE_ZLIB
 #include <zlib.h>
@@ -84,19 +85,6 @@ parseChunkSize(const std::string &val, const std::string &spec)
     return static_cast<std::size_t>(n);
 }
 
-bool
-parseOnOff(const std::string &val, const std::string &key,
-           const std::string &spec)
-{
-    if (val == "on" || val == "1" || val == "true")
-        return true;
-    if (val == "off" || val == "0" || val == "false")
-        return false;
-    fatal("bad value '%s' for %s= in trace spec '%s' (use on/off)",
-          val.c_str(), key.c_str(), spec.c_str());
-    return false; // unreached
-}
-
 } // namespace
 
 bool
@@ -134,9 +122,7 @@ TraceSpec::parse(const std::string &bench)
         std::string key = part.substr(0, eq);
         std::string val =
             eq == std::string::npos ? "" : part.substr(eq + 1);
-        if (key == "stream") {
-            spec.stream = parseOnOff(val, key, bench);
-        } else if (key == "chunk") {
+        if (key == "chunk") {
             spec.chunkBytes = parseChunkSize(val, bench);
         } else if (key == "format") {
             if (val == "auto")
@@ -151,7 +137,7 @@ TraceSpec::parse(const std::string &bench)
                       bench.c_str());
         } else {
             fatal("unknown trace spec option '%s' in '%s' (valid: "
-                  "stream=, chunk=, format=)", key.c_str(),
+                  "chunk=, format=)", key.c_str(),
                   bench.c_str());
         }
     }
@@ -193,6 +179,15 @@ class FileByteSource : public ByteSource
     {
         if (std::fseek(f, 0, SEEK_SET) != 0)
             fatal("cannot rewind trace file '%s'", p.c_str());
+    }
+
+    std::optional<std::uint64_t>
+    size() const override
+    {
+        struct stat st;
+        if (fstat(fileno(f), &st) != 0 || !S_ISREG(st.st_mode))
+            return std::nullopt;
+        return static_cast<std::uint64_t>(st.st_size);
     }
 
   private:
@@ -325,22 +320,29 @@ getLE64(const char *src)
     return v;
 }
 
-char
-kindByte(TraceOp::Kind k)
-{
-    if (k == TraceOp::Kind::Store)
-        return 1;
-    if (k == TraceOp::Kind::Prefetch)
-        return 2;
-    return 0;
-}
+// The .fbt kind byte, and the index into "LSP" of the text kind
+// letter, is the Kind's value.
+static_assert(static_cast<int>(TraceOp::Kind::Load) == 0
+              && static_cast<int>(TraceOp::Kind::Store) == 1
+              && static_cast<int>(TraceOp::Kind::Prefetch) == 2);
 
 void
 encodeRecord(char *dst, const TraceOp &op)
 {
     putLE32(dst, op.gap);
-    dst[4] = kindByte(op.kind);
+    dst[4] = static_cast<char>(op.kind);
     putLE64(dst + 5, static_cast<std::uint64_t>(op.addr));
+}
+
+/** encodeRecord() reversed; @return false for an unknown kind. */
+bool
+decodeRecord(const char *src, TraceOp *out)
+{
+    const unsigned char kind = static_cast<unsigned char>(src[4]);
+    out->gap = getLE32(src);
+    out->kind = static_cast<TraceOp::Kind>(kind);
+    out->addr = static_cast<Addr>(getLE64(src + 5));
+    return kind <= 2;
 }
 
 } // namespace
@@ -348,6 +350,16 @@ encodeRecord(char *dst, const TraceOp &op)
 // ---------------------------------------------------------------- //
 // TraceWriter                                                       //
 // ---------------------------------------------------------------- //
+
+std::string
+formatTraceOp(const TraceOp &op)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), "%u %c %llx", op.gap,
+                  "LSP"[static_cast<int>(op.kind)],
+                  static_cast<unsigned long long>(op.addr));
+    return buf;
+}
 
 struct TraceWriter::Impl
 {
@@ -449,6 +461,13 @@ TraceWriter::close()
 {
 #ifdef FBDP_HAVE_ZLIB
     if (impl->zf) {
+        // No patching here: readers trust a nonzero header count.
+        fbdp_assert(impl->fmt != TraceFormat::Fbt || !impl->hinted
+                        || impl->hinted == nWritten,
+                    "trace '%s' promised %llu ops in its header but "
+                    "holds %llu", impl->path.c_str(),
+                    static_cast<unsigned long long>(impl->hinted),
+                    static_cast<unsigned long long>(nWritten));
         if (gzclose(impl->zf) != Z_OK)
             fatal("write to trace file '%s' failed (disk full?)",
                   impl->path.c_str());
@@ -484,19 +503,24 @@ namespace {
 
 [[noreturn]] void
 failTextLine(const std::string &path, std::uint64_t line_no,
-             const char *s, std::size_t n)
+             const char *why, const char *s, std::size_t n)
 {
     std::string line(s, std::min<std::size_t>(n, 128));
-    fatal("malformed trace line %llu in '%s': '%s'",
-          static_cast<unsigned long long>(line_no), path.c_str(),
+    fatal("malformed trace line %llu in '%s' (%s): '%s'",
+          static_cast<unsigned long long>(line_no), path.c_str(), why,
           line.c_str());
 }
 
+bool
+isBlank(char c)
+{
+    return c == ' ' || c == '\t';
+}
+
 /**
- * The fast text-line parser: `<gap> <kind> <addr-hex>`, '#' comments,
- * blank / whitespace-only lines (and CRLF tails) skipped.  Anything
- * after the address is ignored, matching the sscanf loader it
- * replaces.  @return false when the line held no op.
+ * The text-line parser, to the grammar in trace_stream.hh: every
+ * departure from it is fatal.  @return false when the line held no
+ * op.
  */
 bool
 parseTextLine(const char *s, std::size_t n, const std::string &path,
@@ -504,29 +528,30 @@ parseTextLine(const char *s, std::size_t n, const std::string &path,
 {
     const char *q = s;
     const char *e = s + n;
-    while (q < e && (*q == ' ' || *q == '\t' || *q == '\r'))
+    if (q < e && e[-1] == '\r')
+        --e;
+    while (q < e && isBlank(*q))
         ++q;
     if (q == e || *q == '#')
         return false;
 
     // Decimal gap.
+    const char *field = q;
     std::uint64_t gap = 0;
-    bool any = false;
-    while (q < e && *q >= '0' && *q <= '9') {
+    for (; q < e && *q >= '0' && *q <= '9'; ++q) {
         gap = gap * 10 + static_cast<std::uint64_t>(*q - '0');
-        any = true;
-        ++q;
+        if (gap > 0xffffffffu)
+            failTextLine(path, line_no, "gap above 4294967295", s, n);
     }
-    if (!any)
-        failTextLine(path, line_no, s, n);
-    while (q < e && (*q == ' ' || *q == '\t'))
+    if (q == field)
+        failTextLine(path, line_no, "no decimal gap", s, n);
+    if (q == e || !isBlank(*q))
+        failTextLine(path, line_no, "no blank after the gap", s, n);
+    while (q < e && isBlank(*q))
         ++q;
 
     // Kind letter.
-    if (q == e)
-        failTextLine(path, line_no, s, n);
-    char kind = *q++;
-    switch (kind) {
+    switch (q < e ? *q : '\0') {
       case 'L':
         out->kind = TraceOp::Kind::Load;
         break;
@@ -537,19 +562,20 @@ parseTextLine(const char *s, std::size_t n, const std::string &path,
         out->kind = TraceOp::Kind::Prefetch;
         break;
       default:
-        fatal("unknown trace op kind '%c' on line %llu in '%s'", kind,
-              static_cast<unsigned long long>(line_no), path.c_str());
+        failTextLine(path, line_no, "unknown op kind", s, n);
     }
-    while (q < e && (*q == ' ' || *q == '\t'))
+    if (++q == e || !isBlank(*q))
+        failTextLine(path, line_no, "no blank after the op kind", s, n);
+    while (q < e && isBlank(*q))
         ++q;
 
-    // Hex address, optional 0x prefix.
-    if (q + 1 < e && q[0] == '0' && (q[1] == 'x' || q[1] == 'X'))
+    // Hex address: optional 0x prefix, 1 to 16 digits.
+    if (e - q >= 2 && q[0] == '0' && (q[1] == 'x' || q[1] == 'X'))
         q += 2;
+    field = q;
     std::uint64_t addr = 0;
-    bool anyHex = false;
-    while (q < e) {
-        char c = *q;
+    for (; q < e; ++q) {
+        const char c = *q;
         unsigned v;
         if (c >= '0' && c <= '9')
             v = static_cast<unsigned>(c - '0');
@@ -560,11 +586,15 @@ parseTextLine(const char *s, std::size_t n, const std::string &path,
         else
             break;
         addr = (addr << 4) | v;
-        anyHex = true;
-        ++q;
     }
-    if (!anyHex)
-        failTextLine(path, line_no, s, n);
+    if (q == field)
+        failTextLine(path, line_no, "no hex address", s, n);
+    if (q - field > 16)
+        failTextLine(path, line_no, "address above 16 hex digits", s, n);
+    while (q < e && isBlank(*q))
+        ++q;
+    if (q != e)
+        failTextLine(path, line_no, "text after the address", s, n);
 
     out->gap = static_cast<std::uint32_t>(gap);
     out->addr = static_cast<Addr>(addr);
@@ -573,7 +603,8 @@ parseTextLine(const char *s, std::size_t n, const std::string &path,
 
 } // namespace
 
-TraceStream::TraceStream(const TraceSpec &spec_, bool background)
+TraceStream::TraceStream(const TraceSpec &spec_,
+                         std::uint64_t warmup_ops, bool background)
     : spec(spec_)
 {
     src = openByteSource(spec.path);
@@ -589,14 +620,23 @@ TraceStream::TraceStream(const TraceSpec &spec_, bool background)
         fmt = looksFbt ? TraceFormat::Fbt : TraceFormat::Text;
     else
         fmt = spec.format;
+    // The most ops the file can hold, when known before decoding.
+    std::optional<std::uint64_t> maxOps;
     if (fmt == TraceFormat::Fbt) {
         if (!looksFbt)
             fatal("trace file '%s' is not an fbt trace (bad magic)",
                   spec.path.c_str());
         readFbtHeader(true);
+        if (hdr.opCount)
+            maxOps = hdr.opCount;
     } else {
         preload.assign(m4, got);
+        if (const auto bytes = src->size())
+            maxOps = (*bytes + 1) / 6;  // "0 L 0\n" is the shortest op
     }
+    // Keep a trace certain to wrap during the warm-up: one that holds
+    // fewer ops than one view draws there.
+    keep = maxOps && *maxOps < warmup_ops;
 
     if (background)
         worker = std::make_unique<ThreadPool>(1);
@@ -669,7 +709,7 @@ TraceStream::startPass()
     recCarryLen = 0;
     lineNo = 0;
     passOps = 0;
-    ++nPasses;
+    nPasses.fetch_add(1, std::memory_order_relaxed);
     if (fmt == TraceFormat::Fbt)
         readFbtHeader(false);
 }
@@ -678,7 +718,7 @@ std::shared_ptr<TraceChunk>
 TraceStream::decodeNext()
 {
     auto chunk = std::make_shared<TraceChunk>();
-    chunk->seq = nextSeq++;
+    chunk->seq = nextSeq.fetch_add(1, std::memory_order_relaxed);
 
     const std::size_t want = spec.chunkBytes;
     std::size_t got = fillRaw(rawBuf.data(), want);
@@ -736,6 +776,11 @@ TraceStream::decodeNext()
     } else {
         std::size_t avail = got;
         chunk->ops.reserve((recCarryLen + avail) / fbtRecordBytes + 1);
+        // Records this pass may still hold by the header's nonzero
+        // count: one past it is fatal at once, so a kept stream never
+        // grows beyond the count it trusted.
+        std::uint64_t room = hdr.opCount ? hdr.opCount - passOps
+                                         : ~std::uint64_t{0};
         if (recCarryLen) {
             std::size_t need = fbtRecordBytes - recCarryLen;
             std::size_t take = std::min(need, avail);
@@ -744,67 +789,76 @@ TraceStream::decodeNext()
             p += take;
             avail -= take;
             if (recCarryLen == fbtRecordBytes) {
-                decodeRecord(recCarry, &op);
+                if (!room)
+                    pastHeaderCount(passOps + 1);
+                if (!decodeRecord(recCarry, &op))
+                    badRecordKind(recCarry, passOps + 1);
                 chunk->ops.push_back(op);
                 recCarryLen = 0;
+                --room;
             }
         }
-        std::size_t nRec = avail / fbtRecordBytes;
-        for (std::size_t i = 0; i < nRec; ++i) {
-            decodeRecord(p + i * fbtRecordBytes, &op);
+        const std::size_t nRec = avail / fbtRecordBytes;
+        const std::size_t nOk =
+            static_cast<std::size_t>(std::min<std::uint64_t>(nRec, room));
+        for (std::size_t i = 0; i < nOk; ++i) {
+            const char *rec = p + i * fbtRecordBytes;
+            if (!decodeRecord(rec, &op))
+                badRecordKind(rec, passOps + chunk->ops.size() + 1);
             chunk->ops.push_back(op);
         }
-        std::size_t rem = avail % fbtRecordBytes;
-        if (rem)
-            std::memcpy(recCarry, p + nRec * fbtRecordBytes, rem);
-        recCarryLen = rem;
+        if (nOk < nRec)
+            pastHeaderCount(passOps + chunk->ops.size() + 1);
+        // A carry the read could not complete took every byte, so
+        // it stays; otherwise the read's tail is the new carry.
+        if (avail) {
+            recCarryLen = avail % fbtRecordBytes;
+            std::memcpy(recCarry, p + nRec * fbtRecordBytes,
+                        recCarryLen);
+        }
         if (got < want && recCarryLen)
-            fatal("trace file '%s' is truncated (%zu stray bytes at "
-                  "end of record stream)", spec.path.c_str(),
-                  recCarryLen);
+            fatal("trace file '%s' is truncated (%zu stray bytes "
+                  "after fbt record %llu)", spec.path.c_str(),
+                  recCarryLen,
+                  static_cast<unsigned long long>(passOps
+                                                  + chunk->ops.size()));
     }
 
     passOps += chunk->ops.size();
     if (got < want) {
-        // Short read == end of this pass: validate, rewind, loop.
+        // Short read == end of this pass: validate, then rewind to
+        // loop, unless the pass is kept.
         if (passOps == 0)
             fatal("trace file '%s' contains no operations",
                   spec.path.c_str());
         if (fmt == TraceFormat::Fbt && hdr.opCount
-            && passOps != hdr.opCount)
-            warn("trace file '%s' decoded %llu ops but its header "
-                 "claims %llu", spec.path.c_str(),
-                 static_cast<unsigned long long>(passOps),
-                 static_cast<unsigned long long>(hdr.opCount));
+            && passOps < hdr.opCount)
+            fatal("trace file '%s' holds %llu fbt records but its "
+                  "header claims %llu", spec.path.c_str(),
+                  static_cast<unsigned long long>(passOps),
+                  static_cast<unsigned long long>(hdr.opCount));
         chunk->lastOfPass = true;
-        startPass();
+        if (!keep)
+            startPass();
     }
     return chunk;
 }
 
 void
-TraceStream::decodeRecord(const char *rec, TraceOp *out)
+TraceStream::badRecordKind(const char *rec, std::uint64_t rec_no) const
 {
-    out->gap = getLE32(rec);
-    unsigned char kind = static_cast<unsigned char>(rec[4]);
-    switch (kind) {
-      case 0:
-        out->kind = TraceOp::Kind::Load;
-        break;
-      case 1:
-        out->kind = TraceOp::Kind::Store;
-        break;
-      case 2:
-        out->kind = TraceOp::Kind::Prefetch;
-        break;
-      default:
-        fatal("unknown trace op kind %u in fbt record %llu of '%s'",
-              kind,
-              static_cast<unsigned long long>(passOps
-                                              + /* current */ 1),
-              spec.path.c_str());
-    }
-    out->addr = static_cast<Addr>(getLE64(rec + 5));
+    fatal("unknown trace op kind %u in fbt record %llu of '%s'",
+          static_cast<unsigned char>(rec[4]),
+          static_cast<unsigned long long>(rec_no), spec.path.c_str());
+}
+
+void
+TraceStream::pastHeaderCount(std::uint64_t rec_no) const
+{
+    fatal("trace file '%s' has fbt record %llu but its header claims "
+          "%llu", spec.path.c_str(),
+          static_cast<unsigned long long>(rec_no),
+          static_cast<unsigned long long>(hdr.opCount));
 }
 
 std::shared_ptr<TraceChunk>
@@ -815,8 +869,9 @@ TraceStream::produce()
         c = pending.get();
     else
         c = decodeNext();
-    // Overlap: kick off the next decode before handing this one out.
-    if (worker)
+    // Overlap: kick off the next decode before handing this one out
+    // (a kept pass ends the decoding).
+    if (worker && !(keep && c->lastOfPass))
         pending = worker->submit([this] { return decodeNext(); });
     return c;
 }
@@ -840,9 +895,16 @@ TraceStream::chunkFor(unsigned view, std::uint64_t seq)
                 "trace view %u asked for retired chunk %llu", view,
                 static_cast<unsigned long long>(seq));
     viewSeq[view] = seq;
-    while (firstSeq + window.size() <= seq) {
+    while (!keptChunks && firstSeq + window.size() <= seq) {
         window.push_back(produce());
         windowPeak = std::max(windowPeak, window.size());
+        if (keep && window.back()->lastOfPass)
+            keptChunks = window.size();
+    }
+    if (keep) {
+        // The window holds the pass from its first chunk on.
+        return window[static_cast<std::size_t>(
+            keptChunks ? seq % keptChunks : seq)];
     }
     // Retire chunks every view has passed (each view still holds a
     // shared_ptr to its current chunk, so dropping the window entry
@@ -877,9 +939,8 @@ StreamingTraceGenerator::StreamingTraceGenerator(
 void
 StreamingTraceGenerator::advanceChunk()
 {
-    // A pass completes when its lastOfPass chunk is fully consumed —
-    // the same op boundary where TraceFileGenerator resets its
-    // cursor.  Empty chunks (comment-only blocks, or the zero-op
+    // A pass completes when its lastOfPass chunk is fully consumed.
+    // Empty chunks (comment-only blocks, or the zero-op
     // chunk a chunk-aligned file ends on) are skipped here; a whole
     // pass with no ops is fatal inside the decoder, so this loop
     // always terminates with ops in hand.
@@ -912,13 +973,36 @@ StreamingTraceGenerator::next()
     return op;
 }
 
+void
+StreamingTraceGenerator::nextWarmBlock(TraceOp *out, std::size_t n)
+{
+    if (n && !chunk) {
+        *out++ = next();
+        --n;
+    }
+    while (n) {
+        const std::size_t take = std::min(n, chunk->ops.size() - idx);
+        const TraceOp *from = chunk->ops.data() + idx;
+        for (std::size_t k = 0; k < take; ++k) {
+            out[k] = from[k];
+            out[k].addr += base;
+        }
+        out += take;
+        n -= take;
+        nOps += take;
+        idx += take;
+        if (idx == chunk->ops.size())
+            advanceChunk();
+    }
+}
+
 // ---------------------------------------------------------------- //
 // TracePassReader                                                   //
 // ---------------------------------------------------------------- //
 
 TracePassReader::TracePassReader(const TraceSpec &spec,
                                  bool background)
-    : str(std::make_shared<TraceStream>(spec, background)),
+    : str(std::make_shared<TraceStream>(spec, 0, background)),
       viewId(str->addView())
 {
 }

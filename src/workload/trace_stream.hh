@@ -1,34 +1,52 @@
 /**
  * @file
- * Streaming trace frontend: bounded-memory, compressed, overlapped-
- * decode replay of recorded traces at production scale.
+ * Trace replay: bounded-memory, compressed, overlapped-decode replay
+ * of recorded traces, and the writer that records them.
  *
- * The in-RAM replayer (workload/trace_file.hh) materialises the whole
- * trace as a std::vector<TraceOp>, which caps trace size at host
- * memory and ingests at text-parse speed while the simulator waits.
- * This frontend instead reads the file in bounded chunks (default
- * 64 KiB of raw input per chunk) and decodes the *next* chunk on a
- * background worker while the simulator consumes the current one, so
- * ingest overlaps simulation and the resident set is O(chunk) no
- * matter how large the trace is.  A single-view stream holds one raw
- * buffer plus at most three decoded chunks (the window's one or two
- * and the one decoding ahead), each sized to the ops it decoded
- * (about 80 KB at the default): about 0.3 MB per stream, so an
- * eight-stream 8-core replay peaks at the same ~14 MB of process RSS
- * as its synthetic twin.  Wrap-around replay reopens the
- * stream, exactly like the in-RAM replayer loops its vector; replay
- * through either frontend is bit-identical.
+ * A TraceStream reads its file in bounded chunks (default 64 KiB of
+ * raw input per chunk) and decodes the *next* chunk on a background
+ * worker while the simulator consumes the current one, so ingest
+ * overlaps simulation and the resident set is O(chunk) no matter how
+ * large the trace is.  A single-view stream holds one raw buffer plus
+ * at most three decoded chunks (the window's one or two and the one
+ * decoding ahead), each sized to the ops it decoded (about 80 KB at
+ * the default): about 0.3 MB per stream, so an eight-stream 8-core
+ * replay peaks at the same ~14 MB of process RSS as its synthetic
+ * twin.  Wrap-around replay rewinds the file and decodes it again.
+ *
+ * One case keeps the decoded trace instead: a file that says, before
+ * any decoding, that it holds fewer ops than one view draws in the
+ * functional warm-up is certain to wrap during warm-up, so its first
+ * pass is kept and every later pass is served from memory.  The op
+ * count comes from the .fbt header, or for plain text from the file
+ * size (the shortest op line, "0 L 0\n", is 6 bytes).  Gzipped text
+ * and .fbt files with a zero op count are of unknown size and
+ * stream.  Both ways replay the same ops.
  *
  * Three file encodings are auto-detected by magic:
- *   - text   — the `<gap> <kind> <addr-hex>` line format of
- *              TraceRecorder, parsed by a hand-rolled chunked parser
- *              (several times faster than the sscanf loader);
+ *   - text   — one op per line, parsed strictly by a hand-rolled
+ *              chunked parser (grammar below);
  *   - .fbt   — "fbdp binary trace": a fixed-width little-endian
  *              record stream behind a small header (magic, version,
  *              op count, originating profile name);
  *   - gzip   — either of the above compressed; decompressed on the
  *              fly through zlib when the build found it, a clear
  *              fatal otherwise.
+ *
+ * Text grammar, one line at a time ('\n' ends a line; the last line
+ * may lack it, and one '\r' before it is dropped):
+ *   - a line of only spaces and tabs is blank and skipped;
+ *   - a line whose first non-blank byte is '#' is a comment;
+ *   - any other line is `GAP KIND ADDR`, fields separated by one or
+ *     more spaces or tabs, with optional blanks before and after:
+ *     GAP is decimal digits worth at most 2^32-1, KIND one of L
+ *     (load), S (store) or P (software prefetch), ADDR one to 16 hex
+ *     digits after an optional 0x or 0X.
+ * Anything else is fatal, naming the file and line.  A .fbt record
+ * of an unknown kind, a record stream that does not end on a record
+ * boundary, and a nonzero header op count that disagrees with the
+ * records are fatal too (a record past the count as soon as it is
+ * read), as is a trace with no ops.
  *
  * Multi-core slicing shares one TraceStream per file: every core's
  * StreamingTraceGenerator view has its own logical cursor (and base
@@ -40,18 +58,19 @@
  * practice a chunk or two since cores progress at similar rates).
  *
  * Thread model: all views of a stream must be driven from one thread
- * (the simulator's core shard; the functional warm-up loop).  The
- * only concurrency is the internal decode worker, and its hand-off
- * is a std::future.
+ * (the thread that runs the System).  The only concurrency is the
+ * internal decode worker, and its hand-off is a std::future.
  */
 
 #ifndef FBDP_WORKLOAD_TRACE_STREAM_HH
 #define FBDP_WORKLOAD_TRACE_STREAM_HH
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -104,10 +123,8 @@ struct FbtHeader
  * A parsed `trace:` workload spec.  The benchmark-name slot of
  * SystemConfig::benchmarks accepts `trace:PATH` plus options:
  *
- *   trace:/data/app.fbt.gz,stream=on,chunk=8m,format=auto
+ *   trace:/data/app.fbt.gz,chunk=8m,format=auto
  *
- *   stream=on|off   streaming (default) vs legacy in-RAM replay
- *                   (1/true and 0/false also work)
  *   chunk=N[k|m]    raw chunk budget per read (default 64k; K and M
  *                   also work; below 64 bytes is raised to 64 with a
  *                   warning, 0 and above 1 GiB are fatal, as are
@@ -127,7 +144,6 @@ struct TraceSpec
     static constexpr std::size_t maxChunkBytes = std::size_t{1} << 30;
 
     std::string path;
-    bool stream = true;
     std::size_t chunkBytes = defaultChunkBytes;
     TraceFormat format = TraceFormat::Auto;
 
@@ -137,9 +153,9 @@ struct TraceSpec
     /** Parse a full spec (fatal on unknown keys / bad values). */
     static TraceSpec parse(const std::string &bench);
 
-    /** The option-independent workload name: "trace:" + path.  Both
-     *  replay modes report this as the profile name, so streamed and
-     *  in-RAM runs of one file are byte-identical everywhere. */
+    /** The option-independent workload name: "trace:" + path, the
+     *  profile name of every replay of the file whatever its chunk
+     *  budget or format override. */
     std::string canonicalName() const { return "trace:" + path; }
 };
 
@@ -158,6 +174,12 @@ class ByteSource
     virtual ~ByteSource() = default;
     virtual std::size_t read(char *dst, std::size_t n) = 0;
     virtual void rewind() = 0;
+    /** Bytes in the stream, when known before reading it: a regular
+     *  uncompressed file's size; nullopt for gzip and pipes. */
+    virtual std::optional<std::uint64_t> size() const
+    {
+        return std::nullopt;
+    }
     const std::string &path() const { return p; }
 
   protected:
@@ -176,7 +198,7 @@ std::unique_ptr<ByteSource> openByteSource(const std::string &path);
  * Sequential trace writer: text or .fbt, optionally gzipped.  The
  * .fbt op count is patched into the header on close() when the sink
  * is seekable (plain files); gzip sinks keep @p op_count_hint (0 =
- * unknown).  Write failures (disk full) are fatal with the path, at
+ * unknown), which must then be exact.  Write failures (disk full) are fatal with the path, at
  * the failing append or on close at the latest.
  */
 class TraceWriter
@@ -201,6 +223,9 @@ class TraceWriter
     std::uint64_t nWritten = 0;
 };
 
+/** One op as a text-trace line (`GAP KIND ADDR`, no newline). */
+std::string formatTraceOp(const TraceOp &op);
+
 // ---------------------------------------------------------------- //
 // Chunked decoding                                                  //
 // ---------------------------------------------------------------- //
@@ -208,7 +233,7 @@ class TraceWriter
 /** One decoded chunk: the ops of ~chunkBytes of raw input. */
 struct TraceChunk
 {
-    std::uint64_t seq = 0;      ///< position in the chunk sequence
+    std::uint64_t seq = 0;      ///< position in the decode sequence
     std::vector<TraceOp> ops;   ///< may be empty (comment-only block)
     bool lastOfPass = false;    ///< EOF hit; the stream rewound after
 };
@@ -217,16 +242,22 @@ struct TraceChunk
  * The shared, endless chunk pipeline over one trace file.  Views
  * (StreamingTraceGenerator) pull consecutive chunks; the stream
  * decodes ahead on a one-thread worker and retires chunks that every
- * view has passed.  Not thread-safe across views by design (see the
- * file comment).
+ * view has passed, or keeps a short trace's one pass (see the file
+ * comment).  Not thread-safe across views by design.
  */
 class TraceStream
 {
   public:
-    /** Open @p spec.path; resolves Auto format by magic.  Fatal on
-     *  missing files, bad magic/version, or (at first decode) an
-     *  empty trace. */
+    /**
+     * Open @p spec.path; resolves Auto format by magic.  Fatal on
+     * missing files, bad magic/version, or (at first decode) an
+     * empty trace.
+     * @param warmup_ops ops each view draws in the functional
+     *        warm-up; a file known to hold fewer is kept (0: never)
+     * @param background decode ahead on a worker thread
+     */
     explicit TraceStream(const TraceSpec &spec,
+                         std::uint64_t warmup_ops = 0,
                          bool background = true);
     ~TraceStream();
 
@@ -254,10 +285,20 @@ class TraceStream
     /** Peak simultaneous decoded chunks (memory-bound telemetry;
      *  1-2 for a single view, grows only when views drift apart). */
     std::size_t windowPeakChunks() const { return windowPeak; }
-    /** Chunks decoded so far (across passes). */
-    std::uint64_t chunksDecoded() const { return nextSeq; }
-    /** Completed passes over the file (wraps of the file cursor). */
-    std::uint64_t passes() const { return nPasses; }
+    /** Chunks decoded so far (across passes; may include one the
+     *  worker is decoding ahead). */
+    std::uint64_t chunksDecoded() const
+    {
+        return nextSeq.load(std::memory_order_relaxed);
+    }
+    /** Completed passes over the file (wraps of the file cursor;
+     *  may include one the worker has begun ahead). */
+    std::uint64_t passes() const
+    {
+        return nPasses.load(std::memory_order_relaxed);
+    }
+    /** Is the first pass kept and replayed from memory? */
+    bool keeps() const { return keep; }
 
   private:
     std::shared_ptr<TraceChunk> decodeNext();
@@ -265,7 +306,9 @@ class TraceStream
     void startPass();
     void readFbtHeader(bool first);
     std::size_t fillRaw(char *dst, std::size_t n);
-    void decodeRecord(const char *rec, TraceOp *out);
+    [[noreturn]] void badRecordKind(const char *rec,
+                                    std::uint64_t rec_no) const;
+    [[noreturn]] void pastHeaderCount(std::uint64_t rec_no) const;
 
     TraceSpec spec;
     TraceFormat fmt = TraceFormat::Text;
@@ -282,8 +325,12 @@ class TraceStream
     std::size_t recCarryLen = 0; ///< partial record across reads
     std::uint64_t lineNo = 0;    ///< text line counter (this pass)
     std::uint64_t passOps = 0;   ///< ops decoded this pass
-    std::uint64_t nextSeq = 0;
-    std::uint64_t nPasses = 0;
+    // Counters the getters read from the driving thread while the
+    // worker may be writing them (the future orders everything else).
+    std::atomic<std::uint64_t> nextSeq{0};
+    std::atomic<std::uint64_t> nPasses{0};
+    bool keep = false;
+    std::size_t keptChunks = 0;  ///< chunks in the kept pass, once whole
 
     // Overlapped decode.
     std::unique_ptr<ThreadPool> worker;
@@ -298,8 +345,7 @@ class TraceStream
 
 /**
  * One core's view of a (possibly shared) TraceStream: an endless
- * Generator replaying the trace with wrap-around, bit-identical to
- * TraceFileGenerator over the same file.
+ * Generator replaying the trace with wrap-around.
  */
 class StreamingTraceGenerator : public Generator
 {
@@ -308,11 +354,13 @@ class StreamingTraceGenerator : public Generator
     explicit StreamingTraceGenerator(
         std::shared_ptr<TraceStream> stream, Addr base_addr = 0);
 
-    /** Convenience: open a private stream for @p spec. */
+    /** Convenience: open a private, never-kept stream for @p spec. */
     explicit StreamingTraceGenerator(const TraceSpec &spec,
                                      Addr base_addr = 0);
 
     TraceOp next() override;
+    /** next() over @p n ops, a chunk's span at a time. */
+    void nextWarmBlock(TraceOp *out, std::size_t n) override;
     const BenchProfile &profile() const override { return prof; }
 
     std::uint64_t wraps() const { return nWraps; }

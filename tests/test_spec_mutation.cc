@@ -172,14 +172,7 @@ refTrace(const std::string &bench)
             return std::nullopt;
         const std::string key = items[i].substr(0, eq);
         const std::string val = items[i].substr(eq + 1);
-        if (key == "stream") {
-            if (val == "on" || val == "1" || val == "true")
-                r.spec.stream = true;
-            else if (val == "off" || val == "0" || val == "false")
-                r.spec.stream = false;
-            else
-                return std::nullopt;
-        } else if (key == "format") {
+        if (key == "format") {
             if (val == "auto")
                 r.spec.format = TraceFormat::Auto;
             else if (val == "text")
@@ -374,11 +367,11 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
     const std::string prefix = "trace:";
     const std::vector<std::string> seeds = {
         "/data/app.fbt",
-        "/tmp/x.txt,stream=off",
+        "/tmp/x.txt,format=text",
         "t.txt,format=text,chunk=64k",
-        "t,chunk=4096,format=fbt,stream=1",
-        "x.txt,chunk=48,stream=off",
-        "a.fbt.gz,stream=on,chunk=8m,format=auto",
+        "t,chunk=4096,format=fbt",
+        "x.txt,chunk=48,format=auto",
+        "a.fbt.gz,chunk=8m,format=auto",
     };
     unsigned accepted = 0, rejected = 0;
     for (const std::string &body :
@@ -398,7 +391,6 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
         const TraceSpec got = TraceSpec::parse(m);
         const std::string err = ::testing::internal::GetCapturedStderr();
         EXPECT_EQ(got.path, want->spec.path) << m;
-        EXPECT_EQ(got.stream, want->spec.stream) << m;
         EXPECT_EQ(got.chunkBytes, want->spec.chunkBytes) << m;
         EXPECT_EQ(got.format, want->spec.format) << m;
         EXPECT_EQ(err.find("warn: trace chunk size") != std::string::npos,

@@ -1,20 +1,29 @@
 /**
  * @file
- * Trace record/replay tests.
+ * Trace record/replay tests: the writer, the strict text and .fbt
+ * decoders, streamed and kept replay.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "workload/trace_file.hh"
+#include "system/system.hh"
 #include "workload/trace_stream.hh"
 
 namespace fbdp {
 namespace {
+
+// ---------------------------------------------------------------- //
+// Text decoding                                                     //
+// ---------------------------------------------------------------- //
 
 class TraceFileTest : public ::testing::Test
 {
@@ -27,6 +36,39 @@ class TraceFileTest : public ::testing::Test
 
     void TearDown() override { std::remove(path.c_str()); }
 
+    /** Write @p content to the trace path. */
+    void
+    write(const std::string &content)
+    {
+        std::ofstream out(path, std::ios::binary);
+        out << content;
+    }
+
+    /** One pass over the trace path. */
+    std::vector<TraceOp>
+    decode()
+    {
+        TraceSpec spec;
+        spec.path = path;
+        TracePassReader in(spec);
+        std::vector<TraceOp> ops;
+        TraceOp op;
+        while (in.next(&op))
+            ops.push_back(op);
+        return ops;
+    }
+
+    /** Decoding @p content must fail on line @p line_no. */
+    void
+    expectBadLine(const std::string &content, unsigned line_no)
+    {
+        write(content);
+        EXPECT_DEATH(decode(), "malformed trace line "
+                                   + std::to_string(line_no) + " in '"
+                                   + path + "'")
+            << content;
+    }
+
     std::string path;
 };
 
@@ -36,63 +78,95 @@ TEST_F(TraceFileTest, FormatRoundTrip)
     op.gap = 17;
     op.kind = TraceOp::Kind::Store;
     op.addr = 0xdeadbeef40;
-    TraceOp back;
-    ASSERT_TRUE(parseTraceOp(formatTraceOp(op), &back));
-    EXPECT_EQ(back.gap, op.gap);
-    EXPECT_EQ(static_cast<int>(back.kind),
-              static_cast<int>(op.kind));
-    EXPECT_EQ(back.addr, op.addr);
+    EXPECT_EQ(formatTraceOp(op), "17 S deadbeef40");
+    write(formatTraceOp(op) + "\n");
+    const auto back = decode();
+    ASSERT_EQ(back.size(), 1u);
+    EXPECT_EQ(back[0].gap, op.gap);
+    EXPECT_EQ(back[0].kind, op.kind);
+    EXPECT_EQ(back[0].addr, op.addr);
 }
 
 TEST_F(TraceFileTest, CommentsAndBlankLinesSkipped)
 {
-    TraceOp op;
-    EXPECT_FALSE(parseTraceOp("# comment", &op));
-    EXPECT_FALSE(parseTraceOp("", &op));
-    EXPECT_TRUE(parseTraceOp("3 P 1000", &op));
-    EXPECT_EQ(op.addr, 0x1000u);
-    EXPECT_EQ(static_cast<int>(op.kind),
-              static_cast<int>(TraceOp::Kind::Prefetch));
+    write("# comment\n\n  # indented comment\n3 P 1000\n");
+    const auto ops = decode();
+    ASSERT_EQ(ops.size(), 1u);
+    EXPECT_EQ(ops[0].addr, 0x1000u);
+    EXPECT_EQ(ops[0].kind, TraceOp::Kind::Prefetch);
 }
 
-TEST_F(TraceFileTest, MalformedLineIsFatal)
+TEST_F(TraceFileTest, CrlfAndWhitespaceLinesTolerated)
 {
-    TraceOp op;
-    EXPECT_DEATH(parseTraceOp("banana", &op), "malformed");
-    EXPECT_DEATH(parseTraceOp("1 X 40", &op), "unknown trace op");
+    write("\r\n  \t \n \t\r\n1 L 40\r\n  2\tS  0x80 \t\n7 P 0XaB");
+    const auto ops = decode();
+    ASSERT_EQ(ops.size(), 3u);
+    EXPECT_EQ(ops[0].addr, 0x40u);
+    EXPECT_EQ(ops[1].gap, 2u);
+    EXPECT_EQ(ops[1].addr, 0x80u);
+    EXPECT_EQ(ops[2].addr, 0xabu);
+}
+
+TEST_F(TraceFileTest, FieldLimitsAreInclusive)
+{
+    write("4294967295 L ffffffffffffffff\n0 S 0000000000000001\n");
+    const auto ops = decode();
+    ASSERT_EQ(ops.size(), 2u);
+    EXPECT_EQ(ops[0].gap, 4294967295u);
+    EXPECT_EQ(ops[0].addr, ~Addr{0});
+    EXPECT_EQ(ops[1].addr, 1u);
+}
+
+TEST_F(TraceFileTest, MalformedLinesAreFatalWithTheirLineNumber)
+{
+    expectBadLine("banana\n", 1);
+    expectBadLine("1 X 40\n", 1);
+    expectBadLine("# header\n1 L 40\nbogus line\n", 3);
+    expectBadLine("# a\n#b\n\n1 L 40\n2 S 80\n\t\nbanana", 7);
+    // Lines a lenient parser misreads: an overflowing gap, address
+    // digits past 16, text after the address, a missing separator.
+    expectBadLine("1 L 40\n99999999999 L 40\n", 2);
+    expectBadLine("4294967296 L 40\n", 1);
+    expectBadLine("1 L fffffffffffffffffff\n", 1);
+    expectBadLine("1 L 00000000000000040\n", 1);
+    expectBadLine("6 L 3 0\n", 1);
+    expectBadLine("6 L 30g\n", 1);
+    expectBadLine("6 L 3 # trailing comment\n", 1);
+    expectBadLine("6L30\n", 1);
+    expectBadLine("6 L30\n", 1);
+    expectBadLine("6 LS 30\n", 1);
+    expectBadLine("6 L 0x\n", 1);
+    expectBadLine("6 L\n", 1);
+    expectBadLine("-6 L 30\n", 1);
+    expectBadLine("1 L 40\r\r\n", 1);
 }
 
 TEST_F(TraceFileTest, RecordThenReplayIdentical)
 {
     SyntheticGenerator gen(benchProfile("equake"), 0, 5, true);
-    {
-        TraceRecorder rec(&gen, path);
-        for (int i = 0; i < 2000; ++i)
-            rec.next();
-        EXPECT_EQ(rec.recorded(), 2000u);
-    }
-
     SyntheticGenerator ref(benchProfile("equake"), 0, 5, true);
-    TraceFileGenerator replay(path);
-    EXPECT_EQ(replay.size(), 2000u);
+    {
+        TraceWriter w(path, TraceFormat::Text, false, "equake");
+        for (int i = 0; i < 2000; ++i)
+            w.append(gen.next());
+        EXPECT_EQ(w.written(), 2000u);
+    }
+    const auto ops = decode();
+    ASSERT_EQ(ops.size(), 2000u);
     for (int i = 0; i < 2000; ++i) {
         TraceOp a = ref.next();
-        TraceOp b = replay.next();
-        ASSERT_EQ(a.addr, b.addr) << "op " << i;
-        ASSERT_EQ(a.gap, b.gap);
-        ASSERT_EQ(static_cast<int>(a.kind),
-                  static_cast<int>(b.kind));
+        ASSERT_EQ(a.addr, ops[i].addr) << "op " << i;
+        ASSERT_EQ(a.gap, ops[i].gap);
+        ASSERT_EQ(a.kind, ops[i].kind);
     }
 }
 
 TEST_F(TraceFileTest, ReplayWrapsAtEof)
 {
-    {
-        std::ofstream out(path);
-        out << "1 L 40\n2 S 80\n";
-    }
-    TraceFileGenerator replay(path);
-    EXPECT_EQ(replay.size(), 2u);
+    write("1 L 40\n2 S 80\n");
+    TraceSpec spec;
+    spec.path = path;
+    StreamingTraceGenerator replay(spec);
     TraceOp first = replay.next();
     replay.next();
     TraceOp wrapped = replay.next();
@@ -102,73 +176,27 @@ TEST_F(TraceFileTest, ReplayWrapsAtEof)
 
 TEST_F(TraceFileTest, BaseAddressOffsetsReplay)
 {
-    {
-        std::ofstream out(path);
-        out << "0 L 40\n";
-    }
-    TraceFileGenerator replay(path, 1ull << 32);
+    write("0 L 40\n");
+    TraceSpec spec;
+    spec.path = path;
+    StreamingTraceGenerator replay(spec, 1ull << 32);
     EXPECT_EQ(replay.next().addr, (1ull << 32) + 0x40);
 }
 
 TEST_F(TraceFileTest, MissingFileIsFatal)
 {
-    EXPECT_DEATH(TraceFileGenerator g("/nonexistent/trace.txt"),
-                 "cannot open");
+    TraceSpec spec;
+    spec.path = "/nonexistent/trace.txt";
+    EXPECT_DEATH(TraceStream s(spec), "cannot open");
 }
 
 TEST_F(TraceFileTest, EmptyTraceIsFatal)
 {
-    {
-        std::ofstream out(path);
-        out << "# only a comment\n";
-    }
-    EXPECT_DEATH(TraceFileGenerator g(path), "no operations");
+    write("# only a comment\n");
+    EXPECT_DEATH(decode(), "no operations");
 }
 
-TEST_F(TraceFileTest, CrlfAndWhitespaceLinesTolerated)
-{
-    TraceOp op;
-    EXPECT_FALSE(parseTraceOp("\r", &op));
-    EXPECT_FALSE(parseTraceOp("  \t ", &op));
-    EXPECT_FALSE(parseTraceOp(" \t\r", &op));
-    ASSERT_TRUE(parseTraceOp("1 L 40\r", &op));
-    EXPECT_EQ(op.addr, 0x40u);
-    ASSERT_TRUE(parseTraceOp("  2 S 80", &op));
-    EXPECT_EQ(op.gap, 2u);
-}
-
-TEST_F(TraceFileTest, MalformedLineReportsLineNumber)
-{
-    TraceOp op;
-    EXPECT_DEATH(parseTraceOp("banana", &op, 7),
-                 "malformed trace line 7");
-    EXPECT_DEATH(parseTraceOp("1 X 40", &op, 9),
-                 "kind 'X' on line 9");
-}
-
-TEST_F(TraceFileTest, LoaderReportsLineNumberOfBadRecord)
-{
-    {
-        std::ofstream out(path);
-        out << "# header\n1 L 40\nbogus line\n";
-    }
-    EXPECT_DEATH(TraceFileGenerator g(path),
-                 "malformed trace line 3");
-}
-
-TEST_F(TraceFileTest, DosFormattedTraceReplays)
-{
-    {
-        std::ofstream out(path);
-        out << "1 L 40\r\n\r\n2 S 80\r\n";
-    }
-    TraceFileGenerator replay(path);
-    EXPECT_EQ(replay.size(), 2u);
-    EXPECT_EQ(replay.next().addr, 0x40u);
-    EXPECT_EQ(replay.next().addr, 0x80u);
-}
-
-TEST_F(TraceFileTest, RecorderDetectsWriteFailure)
+TEST_F(TraceFileTest, TextWriterDetectsWriteFailure)
 {
     // /dev/full accepts the open and fails every flushed write, the
     // classic disk-full simulation.
@@ -178,9 +206,10 @@ TEST_F(TraceFileTest, RecorderDetectsWriteFailure)
     EXPECT_DEATH(
         {
             SyntheticGenerator gen(benchProfile("swim"), 0, 1, true);
-            TraceRecorder rec(&gen, "/dev/full");
+            TraceWriter w("/dev/full", TraceFormat::Text, false, "swim");
             for (int i = 0; i < 100000; ++i)
-                rec.next();
+                w.append(gen.next());
+            w.close();
         },
         "disk full");
 }
@@ -224,12 +253,16 @@ class TraceStreamTest : public ::testing::Test
         return ops;
     }
 
-    /** Convert the text trace to its .fbt twin at the fbt path. */
+    /** Convert the text trace to @p out as .fbt, gzipped if @p gz,
+     *  with @p count as the header's op count (patched to the exact
+     *  count on close unless gzipped). */
     void
-    convertToFbt()
+    convertToFbt(const std::string &out = "", bool gz = false,
+                 std::uint64_t count = 0)
     {
         TracePassReader in(spec(textPath));
-        TraceWriter w(fbtPath, TraceFormat::Fbt, false, "equake");
+        TraceWriter w(out.empty() ? fbtPath : out, TraceFormat::Fbt, gz,
+                      "equake", count);
         TraceOp op;
         while (in.next(&op))
             w.append(op);
@@ -265,15 +298,12 @@ TEST_F(TraceStreamTest, SpecParsing)
 
     TraceSpec s = TraceSpec::parse("trace:/tmp/x.fbt");
     EXPECT_EQ(s.path, "/tmp/x.fbt");
-    EXPECT_TRUE(s.stream);
     EXPECT_EQ(s.chunkBytes, TraceSpec::defaultChunkBytes);
     EXPECT_EQ(static_cast<int>(s.format),
               static_cast<int>(TraceFormat::Auto));
     EXPECT_EQ(s.canonicalName(), "trace:/tmp/x.fbt");
 
-    s = TraceSpec::parse(
-        "trace:/a/b,stream=off,chunk=128k,format=fbt");
-    EXPECT_FALSE(s.stream);
+    s = TraceSpec::parse("trace:/a/b,chunk=128k,format=fbt");
     EXPECT_EQ(s.chunkBytes, 128u << 10);
     EXPECT_EQ(static_cast<int>(s.format),
               static_cast<int>(TraceFormat::Fbt));
@@ -286,8 +316,11 @@ TEST_F(TraceStreamTest, SpecParsing)
     EXPECT_DEATH(TraceSpec::parse("trace:"), "missing a path");
     EXPECT_DEATH(TraceSpec::parse("trace:/a,bogus=1"),
                  "unknown trace spec option");
-    EXPECT_DEATH(TraceSpec::parse("trace:/a,stream=maybe"),
-                 "bad value");
+    // Replay mode is the stream's own decision, not an option.
+    EXPECT_DEATH(TraceSpec::parse("trace:/a,stream=off"),
+                 "unknown trace spec option 'stream'");
+    EXPECT_DEATH(TraceSpec::parse("trace:/a,stream=on"),
+                 "unknown trace spec option 'stream'");
     EXPECT_DEATH(TraceSpec::parse("trace:/a,chunk=banana"),
                  "bad chunk size");
 }
@@ -401,17 +434,16 @@ TEST_F(TraceStreamTest, TinyChunksSplitRecordsAcrossReads)
     }
 }
 
-TEST_F(TraceStreamTest, WrapDigestsMatchInRamReplay)
+TEST_F(TraceStreamTest, WrapsMatchTheRecordedOps)
 {
-    record(700);
-    TraceFileGenerator ram(textPath, 1ull << 32);
+    const auto ops = record(700);
     StreamingTraceGenerator stream(spec(textPath, 256), 1ull << 32);
-    // 2.5 passes: wrap counters must agree after every op.
+    // 2.5 passes: the wrap counter must step at each pass boundary.
     for (std::uint64_t i = 0; i < 1750; ++i) {
-        TraceOp a = ram.next();
-        TraceOp b = stream.next();
-        expectSameOp(a, b, i);
-        ASSERT_EQ(ram.wraps(), stream.wraps()) << "op " << i;
+        TraceOp want = ops[i % ops.size()];
+        want.addr += 1ull << 32;
+        expectSameOp(stream.next(), want, i);
+        ASSERT_EQ(stream.wraps(), (i + 1) / ops.size()) << "op " << i;
     }
     EXPECT_EQ(stream.wraps(), 2u);
     EXPECT_EQ(stream.consumed(), 1750u);
@@ -419,16 +451,16 @@ TEST_F(TraceStreamTest, WrapDigestsMatchInRamReplay)
 
 TEST_F(TraceStreamTest, SharedStreamMultipleViews)
 {
-    record(400);
+    const auto ops = record(400);
     auto shared = std::make_shared<TraceStream>(spec(textPath, 512));
     StreamingTraceGenerator v0(shared, 0);
     StreamingTraceGenerator v1(shared, 1ull << 32);
-    TraceFileGenerator r0(textPath, 0);
-    TraceFileGenerator r1(textPath, 1ull << 32);
     // Interleave like the warm-up loop drives cores round-robin.
     for (std::uint64_t i = 0; i < 1000; ++i) {
-        expectSameOp(v0.next(), r0.next(), i);
-        expectSameOp(v1.next(), r1.next(), i);
+        TraceOp want = ops[i % ops.size()];
+        expectSameOp(v0.next(), want, i);
+        want.addr += 1ull << 32;
+        expectSameOp(v1.next(), want, i);
     }
     // Lock-step views share the window: a chunk or two resident,
     // never a whole pass.
@@ -467,27 +499,110 @@ TEST_F(TraceStreamTest, SingleViewFootprintIsBounded)
 
 TEST_F(TraceStreamTest, BackgroundAndSynchronousDecodeAgree)
 {
-    const auto ops = record(1200);
+    record(1200);
     StreamingTraceGenerator sync(spec(textPath, 256));
-    {
-        TraceSpec s = spec(textPath, 256);
-        auto str = std::make_shared<TraceStream>(s, false);
-        StreamingTraceGenerator nobg(str);
-        for (std::uint64_t i = 0; i < 2400; ++i)
-            expectSameOp(sync.next(), nobg.next(), i);
-    }
+    auto str = std::make_shared<TraceStream>(spec(textPath, 256), 0,
+                                             false);
+    StreamingTraceGenerator nobg(str);
+    for (std::uint64_t i = 0; i < 2400; ++i)
+        expectSameOp(sync.next(), nobg.next(), i);
 }
 
-TEST_F(TraceStreamTest, LoadOpsReadsBinary)
+TEST_F(TraceStreamTest, KeepsOnlyATraceKnownShorterThanTheWarmup)
 {
     const auto ops = record(300);
     convertToFbt();
-    // The in-RAM loader goes through the same decoder: .fbt loads
-    // transparently.
-    TraceFileGenerator ram(fbtPath);
-    EXPECT_EQ(ram.size(), ops.size());
-    for (std::uint64_t i = 0; i < ops.size(); ++i)
-        expectSameOp(ram.next(), ops[i], i);
+    auto keeps = [&](const std::string &p, std::uint64_t warm) {
+        return TraceStream(spec(p), warm).keeps();
+    };
+    // .fbt: the header's exact count decides.
+    EXPECT_TRUE(keeps(fbtPath, ops.size() + 1));
+    EXPECT_FALSE(keeps(fbtPath, ops.size()));
+    EXPECT_FALSE(keeps(fbtPath, 0));
+    // Text: at most one op per 6 bytes ("0 L 0\n").
+    const auto bytes = std::filesystem::file_size(textPath);
+    EXPECT_TRUE(keeps(textPath, (bytes + 1) / 6 + 1));
+    EXPECT_FALSE(keeps(textPath, (bytes + 1) / 6));
+    EXPECT_FALSE(keeps(textPath, ops.size() + 1));
+
+    if (!zlibAvailable())
+        GTEST_SKIP() << "built without zlib";
+    // Gzip with a header count is still known; without one it is not.
+    convertToFbt(gzPath, true, ops.size());
+    EXPECT_TRUE(keeps(gzPath, ops.size() + 1));
+    convertToFbt(gzPath, true, 0);
+    EXPECT_FALSE(keeps(gzPath, ~std::uint64_t{0}));
+}
+
+TEST_F(TraceStreamTest, KeptAndStreamedReplayAgree)
+{
+    // Two views over 3.5 passes, at a chunk budget that splits the
+    // pass in several chunks and at one that does not: the kept
+    // stream decodes the file once and replays the very ops a
+    // streamed one re-decodes.  Both decode ahead on their workers.
+    const auto ops = record(900);
+    for (std::size_t chunk : {std::size_t{256}, std::size_t{0}}) {
+        auto kept = std::make_shared<TraceStream>(spec(textPath, chunk),
+                                                  ~std::uint64_t{0});
+        auto streamed = std::make_shared<TraceStream>(
+            spec(textPath, chunk));
+        ASSERT_TRUE(kept->keeps());
+        ASSERT_FALSE(streamed->keeps());
+        StreamingTraceGenerator k0(kept, 0), k1(kept, 1ull << 32);
+        StreamingTraceGenerator s0(streamed, 0), s1(streamed, 1ull << 32);
+        for (std::uint64_t i = 0; i < 3150; ++i) {
+            TraceOp want = ops[i % ops.size()];
+            expectSameOp(k0.next(), want, i);
+            expectSameOp(s0.next(), want, i);
+            want.addr += 1ull << 32;
+            expectSameOp(k1.next(), want, i);
+            expectSameOp(s1.next(), want, i);
+            ASSERT_EQ(k0.wraps(), s0.wraps()) << "op " << i;
+        }
+        EXPECT_EQ(k1.wraps(), 3u);
+        EXPECT_EQ(kept->passes(), 0u);
+        EXPECT_GE(streamed->passes(), 3u);
+        EXPECT_EQ(kept->chunksDecoded(), kept->windowPeakChunks());
+        // The streamed worker decodes one chunk past the furthest
+        // view's: wait for it while it runs.
+        const std::uint64_t ahead =
+            std::max(s0.currentChunk()->seq, s1.currentChunk()->seq) + 2;
+        const auto t0 = std::chrono::steady_clock::now();
+        while (streamed->chunksDecoded() < ahead
+               && std::chrono::steady_clock::now() - t0
+                   < std::chrono::seconds(10))
+            std::this_thread::yield();
+        EXPECT_EQ(streamed->chunksDecoded(), ahead);
+    }
+}
+
+TEST_F(TraceStreamTest, SystemReplaysKeptAndStreamedAlike)
+{
+    // A trace shorter than the warm-up: plain text is kept, the same
+    // file gzipped is of unknown size and streams.
+    if (!zlibAvailable())
+        GTEST_SKIP() << "built without zlib";
+    record(20000, "swim");
+    convertToFbt(gzPath, true, 0);
+    SystemConfig cfg = SystemConfig::fbdAp();
+    cfg.warmupInsts = 2000;
+    cfg.measureInsts = 8000;
+    auto run = [&](const std::string &p, bool want_keep) {
+        cfg.benchmarks = {"trace:" + p, "trace:" + p};
+        System sys(cfg);
+        auto &g = dynamic_cast<StreamingTraceGenerator &>(
+            sys.generator(0));
+        EXPECT_EQ(g.stream().keeps(), want_keep) << p;
+        return sys.run();
+    };
+    const RunResult a = run(textPath, true);
+    const RunResult b = run(gzPath, false);
+    EXPECT_EQ(a.insts, b.insts);
+    EXPECT_EQ(a.measuredTicks, b.measuredTicks);
+    EXPECT_EQ(a.reads, b.reads);
+    EXPECT_EQ(a.writes, b.writes);
+    EXPECT_EQ(a.l2Misses, b.l2Misses);
+    EXPECT_EQ(a.avgReadLatencyNs, b.avgReadLatencyNs);
 }
 
 TEST_F(TraceStreamTest, EmptyAndCorruptFilesAreFatal)
@@ -496,13 +611,13 @@ TEST_F(TraceStreamTest, EmptyAndCorruptFilesAreFatal)
         TraceWriter w(fbtPath, TraceFormat::Fbt, false, "empty");
         w.close();
     }
-    EXPECT_DEATH(
-        {
-            TracePassReader in(spec(fbtPath));
-            TraceOp op;
-            in.next(&op);
-        },
-        "no operations");
+    auto drain = [&](const std::string &p) {
+        TracePassReader in(spec(p));
+        TraceOp op;
+        while (in.next(&op)) {
+        }
+    };
+    EXPECT_DEATH(drain(fbtPath), "no operations");
 
     // Truncated record tail.
     {
@@ -513,17 +628,54 @@ TEST_F(TraceStreamTest, EmptyAndCorruptFilesAreFatal)
         std::ofstream out(fbtPath, std::ios::app | std::ios::binary);
         out << "xyz";
     }
+    EXPECT_DEATH(drain(fbtPath), "truncated .*after fbt record 1");
+
+    // Truncated at a record boundary: the header's count no longer
+    // matches, and a stream that kept the trace on that count's word
+    // would replay something else.
+    record(10);
+    convertToFbt();
+    std::filesystem::resize_file(
+        fbtPath, std::filesystem::file_size(fbtPath) - fbtRecordBytes);
+    EXPECT_DEATH(drain(fbtPath),
+                 "holds 9 fbt records but its header claims 10");
+
+    // An unknown record kind names its record.
+    convertToFbt();
+    {
+        std::fstream f(fbtPath,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(static_cast<std::streamoff>(
+            std::filesystem::file_size(fbtPath) - 2 * fbtRecordBytes
+            + 4));
+        f.put('\x03');
+    }
+    EXPECT_DEATH(drain(fbtPath), "unknown trace op kind 3 in fbt "
+                                 "record 9 of");
+
+    // A header count below the records is fatal at the first record
+    // past it, though the reader stops long before the file ends: a
+    // stream that kept the trace on that count's word would otherwise
+    // grow with every op it replays.
+    record(100);
+    convertToFbt();
+    {
+        std::fstream f(fbtPath,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        f.seekp(8);
+        f.put('\x02');
+    }
     EXPECT_DEATH(
         {
-            TracePassReader in(spec(fbtPath));
-            TraceOp op;
-            while (in.next(&op)) {
-            }
+            StreamingTraceGenerator gen(
+                std::make_shared<TraceStream>(spec(fbtPath, 64),
+                                              ~std::uint64_t{0}));
+            for (int i = 0; i < 3; ++i)
+                gen.next();
         },
-        "truncated");
+        "has fbt record 3 but its header claims 2");
 
     // Forcing fbt on a text file trips the magic check.
-    record(10);
     {
         TraceSpec s = spec(textPath);
         s.format = TraceFormat::Fbt;
@@ -549,6 +701,20 @@ TEST_F(TraceStreamTest, WriterDetectsWriteFailure)
             w.close();
         },
         "disk full");
+}
+
+TEST_F(TraceStreamTest, GzipWriterHoldsItsHeaderCountToTheOps)
+{
+    // A gzip sink cannot patch its header, and readers trust it.
+    if (!zlibAvailable())
+        GTEST_SKIP() << "built without zlib";
+    EXPECT_DEATH(
+        {
+            TraceWriter w(gzPath, TraceFormat::Fbt, true, "x", 5);
+            w.append(TraceOp{});
+            w.close();
+        },
+        "promised 5 ops in its header but holds 1");
 }
 
 TEST_F(TraceStreamTest, GzipWithoutZlibIsFatal)

@@ -36,7 +36,6 @@
 #include "system/metrics.hh"
 #include "workload/generator.hh"
 #include "workload/profile.hh"
-#include "workload/trace_file.hh"
 #include "workload/trace_stream.hh"
 
 namespace {

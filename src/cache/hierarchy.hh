@@ -139,7 +139,6 @@ class CacheHierarchy
         return l1Pending.at(static_cast<size_t>(core));
     }
     size_t l2MshrOccupancy() const { return l2Mshr.occupancy(); }
-    unsigned l2MshrCapacity() const { return l2Mshr.capacity(); }
 
     void resetStats();
 

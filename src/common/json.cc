@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <cerrno>
 #include <cmath>
 #include <cstdio>
@@ -182,8 +181,6 @@ class Parser
     }
 
   private:
-    static constexpr int maxDepth = 256;
-
     const std::string &s;
     size_t pos = 0;
     int depth = 0;
@@ -364,40 +361,31 @@ class Parser
                   case 'r': out += '\r'; break;
                   case 't': out += '\t'; break;
                   case 'u': {
-                    if (pos + 4 > s.size()) {
-                        fail("truncated \\u escape");
+                    long cp = hex4(pos);
+                    if (cp < 0) {
+                        fail("bad \\u escape");
                         return false;
                     }
-                    unsigned cp = 0;
-                    for (int i = 0; i < 4; ++i) {
-                        const char h = s[pos + static_cast<size_t>(i)];
-                        cp <<= 4;
-                        if (h >= '0' && h <= '9')
-                            cp |= static_cast<unsigned>(h - '0');
-                        else if (h >= 'a' && h <= 'f')
-                            cp |= static_cast<unsigned>(h - 'a' + 10);
-                        else if (h >= 'A' && h <= 'F')
-                            cp |= static_cast<unsigned>(h - 'A' + 10);
-                        else {
-                            fail("bad \\u escape");
-                            return false;
-                        }
-                    }
                     pos += 4;
-                    // Encode the BMP code point as UTF-8; surrogate
-                    // pairs (rare in stats output) pass through as
-                    // two separately-encoded halves.
-                    if (cp < 0x80) {
-                        out += static_cast<char>(cp);
-                    } else if (cp < 0x800) {
-                        out += static_cast<char>(0xC0 | (cp >> 6));
-                        out += static_cast<char>(0x80 | (cp & 0x3F));
-                    } else {
-                        out += static_cast<char>(0xE0 | (cp >> 12));
-                        out += static_cast<char>(
-                            0x80 | ((cp >> 6) & 0x3F));
-                        out += static_cast<char>(0x80 | (cp & 0x3F));
+                    // An escaped surrogate pair is one code point
+                    // beyond the BMP; a lone surrogate passes through
+                    // as its own three-byte sequence.
+                    const long lo = s.compare(pos, 2, "\\u") == 0
+                        ? hex4(pos + 2) : -1;
+                    if (cp >= 0xD800 && cp < 0xDC00 && lo >= 0xDC00
+                        && lo < 0xE000) {
+                        cp = 0x10000 + ((cp - 0xD800) << 10)
+                            + (lo - 0xDC00);
+                        pos += 6;
                     }
+                    // UTF-8: a lead byte, then 6 bits per byte.
+                    const int n = cp < 0x80 ? 0 : cp < 0x800 ? 1
+                        : cp < 0x10000 ? 2 : 3;
+                    const long lead[] = {0, 0xC0, 0xE0, 0xF0};
+                    out += static_cast<char>(lead[n] | (cp >> (6 * n)));
+                    for (int k = n - 1; k >= 0; --k)
+                        out += static_cast<char>(
+                            0x80 | ((cp >> (6 * k)) & 0x3F));
                     break;
                   }
                   default:
@@ -433,47 +421,80 @@ class Parser
                 -std::numeric_limits<double>::infinity());
 
         const size_t start = pos;
-        bool integral = true;
-        if (pos < s.size() && s[pos] == '-')
+        while (pos < s.size() && s[pos]
+               && std::strchr("0123456789.eE+-", s[pos]))
             ++pos;
-        while (pos < s.size()
-               && (std::isdigit(static_cast<unsigned char>(s[pos]))
-                   || s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E'
-                   || s[pos] == '+' || s[pos] == '-')) {
-            if (!std::isdigit(static_cast<unsigned char>(s[pos])))
-                integral = false;
-            ++pos;
-        }
         if (pos == start)
             return fail("expected a value");
         const std::string tok = s.substr(start, pos - start);
-        char *end = nullptr;
+
+        // RFC 8259, -? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?,
+        // over the whole run: "01", "1." and "1-2" are malformed
+        // numbers, not a number followed by garbage.
+        const char *p = tok.c_str();
+        auto digits = [&p] {
+            const char *from = p;
+            while (*p >= '0' && *p <= '9')
+                ++p;
+            return p > from;
+        };
+        const bool neg = *p == '-';
+        p += neg;
+        bool ok = *p == '0' ? (++p, true) : digits();
+        if (ok && *p == '.')
+            ok = (++p, digits());
+        if (ok && (*p == 'e' || *p == 'E')) {
+            p += p[1] == '+' || p[1] == '-' ? 2 : 1;
+            ok = digits();
+        }
+        if (!ok || *p) {
+            pos = start;
+            return fail("malformed number '" + tok + "'");
+        }
 
         // Keep integer tokens exact when they fit 64 bits: counters
-        // beyond 2^53 must survive a round trip bit for bit.
-        if (integral) {
+        // beyond 2^53 must survive a round trip bit for bit.  "-0" is
+        // what encodeNumber() writes for a negative zero, so it reads
+        // back as one.
+        if (tok.find_first_of(".eE") == std::string::npos) {
             errno = 0;
-            if (tok[0] == '-') {
-                const long long v =
-                    std::strtoll(tok.c_str(), &end, 10);
-                if (errno == 0 && end && *end == '\0')
-                    return Value::makeInteger(v);
+            if (neg) {
+                const long long v = std::strtoll(tok.c_str(), nullptr, 10);
+                if (errno == 0)
+                    return v == 0 ? Value::makeNumber(-0.0)
+                                  : Value::makeInteger(v);
             } else {
                 const unsigned long long v =
-                    std::strtoull(tok.c_str(), &end, 10);
-                if (errno == 0 && end && *end == '\0')
+                    std::strtoull(tok.c_str(), nullptr, 10);
+                if (errno == 0)
                     return Value::makeUnsigned(v);
             }
             // Out of 64-bit range: fall through to the double path.
         }
 
-        end = nullptr;
-        const double d = std::strtod(tok.c_str(), &end);
-        if (end == tok.c_str() || *end != '\0') {
+        // The token is grammatical, so strtod reads all of it.  A
+        // finite token too large for a double is an error; one too
+        // small rounds to the nearest double (subnormal or zero).
+        const double d = std::strtod(tok.c_str(), nullptr);
+        if (std::isinf(d)) {
             pos = start;
-            return fail("malformed number '" + tok + "'");
+            return fail("number '" + tok + "' overflows a double");
         }
         return Value::makeNumber(d);
+    }
+
+    /** The four hex digits at @p at as one UTF-16 code unit, or -1
+     *  when they are missing or not hex. */
+    long
+    hex4(size_t at) const
+    {
+        if (at + 4 > s.size())
+            return -1;
+        const std::string h = s.substr(at, 4);
+        if (h.find_first_not_of("0123456789abcdefABCDEF")
+            != std::string::npos)
+            return -1;
+        return std::strtol(h.c_str(), nullptr, 16);
     }
 };
 

@@ -9,17 +9,29 @@
  * bool, null.  It is a strict parser — trailing garbage, unterminated
  * literals and bad escapes are errors — but it is not a validator
  * for pathological depth (the recursion guard simply rejects inputs
- * nested deeper than a generous fixed bound).
+ * nested deeper than a generous fixed bound, maxDepth).
  *
- * Numbers are lossless for the values the simulator emits.  Integer
- * tokens that fit in 64 bits keep their exact value (asInt64() /
- * asUint64()) alongside the double view, so a 64-bit event counter
- * survives a write/parse round trip bit for bit; and as a documented
- * extension beyond RFC 8259 the parser accepts the literals `NaN`,
- * `Infinity` and `-Infinity`, which encodeNumber() emits for
- * non-finite doubles — the cross-run ledger re-reads its own records
- * and must not silently turn a NaN metric into a parse error or a
- * null.
+ * Numbers follow RFC 8259's grammar exactly,
+ * `-? (0 | [1-9][0-9]*) (.[0-9]+)? ([eE][+-]?[0-9]+)?`, so `01`,
+ * `1.`, `.5` and `+1` are errors.  They are lossless for the values
+ * the simulator emits.  Integer tokens that fit in 64 bits keep their
+ * exact value (asInt64() / asUint64()) alongside the double view, so
+ * a 64-bit event counter survives a write/parse round trip bit for
+ * bit; `-0` reads as the double negative zero, which is what
+ * encodeNumber(-0.0) writes.  Other tokens read as the nearest
+ * double.  A finite token too large for a double (`1e400`) is an
+ * error; one too small for it underflows silently to the nearest
+ * subnormal or to zero of the same sign (`1e-400` reads as 0).  As a
+ * documented extension beyond RFC 8259 the parser accepts the
+ * literals `NaN`, `Infinity` and `-Infinity`, which encodeNumber()
+ * emits for non-finite doubles — the cross-run ledger re-reads its
+ * own records and must not silently turn a NaN metric into a parse
+ * error or a null.
+ *
+ * Strings decode every escape; an escaped surrogate pair becomes its
+ * one code point in UTF-8, and a lone escaped surrogate passes
+ * through as a three-byte sequence.  Other bytes are copied as they
+ * are (no UTF-8 validation); raw control characters are errors.
  */
 
 #ifndef FBDP_COMMON_JSON_HH
@@ -115,6 +127,10 @@ struct ParseResult
 
     bool ok() const { return value != nullptr; }
 };
+
+/** Deepest nesting parse() accepts: a top-level value is at depth 1
+ *  and each enclosing array or object adds one. */
+inline constexpr int maxDepth = 256;
 
 /** Parse one complete JSON document (trailing whitespace allowed). */
 ParseResult parse(const std::string &text);

@@ -5,7 +5,9 @@
  * in range, so "4x", "abc" and "-4" are rejected instead of being
  * read as 4, 0 or a huge unsigned value.  Counts are never negative,
  * so the text must start with a digit: "+4" and " 4" are rejected
- * too.
+ * too.  Fractions (tolerances, throttles) take the same care: a plain
+ * decimal such as "0.8", ".5" or "1e-1", never "nan", "0x1p-1",
+ * " 0.8" or "1e9x".
  */
 
 #ifndef FBDP_COMMON_PARSE_HH
@@ -13,6 +15,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <cstring>
 #include <optional>
 
 #include "common/logging.hh"
@@ -34,6 +37,23 @@ parseCount(const char *text, long long lo, long long hi)
     const long long v = std::strtoll(text, &end, 10);
     if (end == text || *end != '\0' || errno == ERANGE || v < lo ||
         v > hi)
+        return std::nullopt;
+    return v;
+}
+
+/** @p text as a whole-string plain decimal in [@p lo, @p hi] —
+ *  digits with an optional fraction, or a fraction alone, then an
+ *  optional exponent ("0.8", ".5", "5.", "1e-1") — or nothing. */
+inline std::optional<double>
+parseDecimal(const char *text, double lo, double hi)
+{
+    // strtod alone would also take blanks, signs, hex, "inf" and "nan".
+    if (!((*text >= '0' && *text <= '9') || *text == '.')
+        || std::strspn(text, "0123456789.eE+-") != std::strlen(text))
+        return std::nullopt;
+    char *end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (*end != '\0' || !(v >= lo && v <= hi))
         return std::nullopt;
     return v;
 }

@@ -5,9 +5,10 @@
  *
  * Design constraints, in order:
  *   - determinism at the call site: submit() returns a std::future, so
- *     the caller collects results in whatever order it likes (the
- *     Sweep engine collects in submission order, which is what makes
- *     parallel CSV output byte-identical to the serial run);
+ *     the caller collects results in whatever order it likes
+ *     (runCells(), the batch executor Sweep is built on, collects in
+ *     submission order, which is what makes parallel CSV output
+ *     byte-identical to the serial run);
  *   - exception propagation: a task that throws stores the exception
  *     in its future and the pool keeps running;
  *   - no global state: each pool owns its threads and queue, and

@@ -249,14 +249,6 @@ class MemController
     /** MC-buffer mirror when mcBufPrefetch is enabled. */
     const PrefetchTable *mcBuffer() const { return mcBuf.get(); }
 
-    /** Candidate policy of the AMB attachment point (nullptr unless
-     *  ambPrefetch is enabled). */
-    const PrefetchPolicy *ambPolicy() const { return apPol.get(); }
-
-    /** Candidate policy of the MC buffer (nullptr unless
-     *  mcBufPrefetch is enabled). */
-    const PrefetchPolicy *mcBufferPolicy() const { return mcPol.get(); }
-
     /** The active prefetch policy at either attachment point, or
      *  nullptr when no prefetching is configured. */
     const PrefetchPolicy *

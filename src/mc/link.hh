@@ -87,7 +87,6 @@ class CommandLink
      *  frames are then closed: touching one is a model error. */
     void retireBefore(Tick t);
 
-    Tick cyclePeriod() const { return period; }
     std::uint64_t framesWithData() const { return nDataFrames; }
     std::uint64_t commandsSent() const { return nCommands; }
 

@@ -81,7 +81,6 @@ class PowerModel
                        Tick base_window) const;
 
     double actPreToCasRatio() const { return actPreWeight; }
-    double staticPowerShare() const { return staticShare; }
 
   private:
     double actPreWeight;

@@ -22,8 +22,6 @@ DSPatchPolicy::reset()
     for (auto &t : tracker)
         t = TrackerEntry{};
     nextSeq = 0;
-    nCovMode = 0;
-    nAccMode = 0;
 }
 
 std::uint32_t
@@ -108,17 +106,11 @@ DSPatchPolicy::predict(const PrefetchAccess &access, CandidateList &out)
 
     std::uint16_t bits = 0;
     if (pe.trained && pe.sig == sig) {
-        const bool congested = access.linkUtil >= accuracyModeUtil;
-        bits = congested ? pe.accPattern : pe.covPattern;
-        if (congested)
-            ++nAccMode;
-        else
-            ++nCovMode;
-    } else {
+        bits = access.linkUtil >= accuracyModeUtil ? pe.accPattern
+                                                   : pe.covPattern;
+    } else if (demand_off + 1 < k) {
         // Untrained: next line inside the region.
-        if (demand_off + 1 < k)
-            bits = static_cast<std::uint16_t>(1u << (demand_off + 1));
-        ++nCovMode;
+        bits = static_cast<std::uint16_t>(1u << (demand_off + 1));
     }
 
     for (unsigned off = 0; off < k && off < 16; ++off) {

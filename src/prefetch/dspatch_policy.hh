@@ -39,10 +39,6 @@ class DSPatchPolicy : public PrefetchPolicy
     /** Link utilisation at which prediction switches CovP → AccP. */
     static constexpr double accuracyModeUtil = 0.60;
 
-    /** Predictions made in each mode (telemetry / tests). */
-    std::uint64_t coverageModePredictions() const { return nCovMode; }
-    std::uint64_t accuracyModePredictions() const { return nAccMode; }
-
   private:
     /** One learned signature: the dual patterns. */
     struct PatternEntry
@@ -74,8 +70,6 @@ class DSPatchPolicy : public PrefetchPolicy
     PatternEntry patterns[patternEntries];
     TrackerEntry tracker[trackerEntries];
     std::uint64_t nextSeq = 0;
-    std::uint64_t nCovMode = 0;
-    std::uint64_t nAccMode = 0;
 };
 
 } // namespace fbdp

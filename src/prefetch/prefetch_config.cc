@@ -1,8 +1,5 @@
 #include "prefetch/prefetch_config.hh"
 
-#include <cctype>
-#include <cstdlib>
-
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "prefetch/policy.hh"
@@ -68,19 +65,12 @@ PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
         } else if (key == "ways") {
             pc.ways = specCount(key, val, 0, spec);
         } else if (key == "throttle") {
-            // A plain decimal: strtod alone would also take blanks,
-            // signs, hex and "nan".
-            const bool plain = (std::isdigit(static_cast<unsigned char>(
-                                    val[0])) || val[0] == '.')
-                && val.find_first_not_of("0123456789.eE+-")
-                    == std::string::npos;
-            char *end = nullptr;
-            const double t = std::strtod(val.c_str(), &end);
-            if (!plain || *end != '\0' || !(t >= 0.0 && t <= 1.0))
+            const auto t = parseDecimal(val.c_str(), 0.0, 1.0);
+            if (!t)
                 fatal("prefetch spec key 'throttle' has value '%s' "
                       "outside [0,1] (a plain decimal such as 0.8; "
                       "spec '%s')", val.c_str(), spec.c_str());
-            pc.throttle = t;
+            pc.throttle = *t;
         } else {
             fatal("unknown prefetch spec key '%s' (spec '%s'; known: "
                   "degree, entries, ways, throttle)",

@@ -25,20 +25,6 @@
 
 namespace fbdp {
 
-/** First tick of the round containing @p t (frame length @p frame). */
-inline constexpr Tick
-frameFloor(Tick t, Tick frame)
-{
-    return (t / frame) * frame;
-}
-
-/** First frame boundary at or after @p t. */
-inline constexpr Tick
-frameCeil(Tick t, Tick frame)
-{
-    return ((t + frame - 1) / frame) * frame;
-}
-
 /**
  * Single-producer / single-consumer message channel between two shards,
  * double-buffered by round parity.

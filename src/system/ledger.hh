@@ -6,7 +6,7 @@
  * Every run (or sweep cell) can append one single-line JSON record —
  * its manifest plus the headline metrics — to a `runs.jsonl` file.
  * Records accumulate across sessions, branches and machines, which
- * turns three questions that used to need archaeology into one file
+ * turns two questions that used to need archaeology into one file
  * read:
  *
  *  - "did this exact configuration get slower since last week?"
@@ -14,9 +14,9 @@
  *    predecessors with the same config digest, under the rundiff
  *    tolerance machinery),
  *  - "what changed between those runs?" (each record embeds the full
- *    manifest: git SHA, build type, compiler, host),
- *  - "what does the fleet look like?" (`fbdp-dash` renders the ledger
- *    as a static HTML dashboard).
+ *    manifest: git SHA, build type, compiler, host).
+ *
+ * Every trend line is one `--history --digest <hex>` call away.
  *
  * Schema `fbdp-ledger-v1`: {"schema", "manifest": {...}, "config",
  * "mix", "seed", "metrics": {...}}, one object per line.  Counters

@@ -4,16 +4,15 @@
  *
  * A design-space sweep at production trace scale runs for hours; until
  * now it was a silent process that either eventually printed rows or
- * didn't.  This layer makes the fleet observable while it runs, in
- * two shapes:
+ * didn't.  This layer makes a sweep or a long run observable while it
+ * runs, in two shapes:
  *
  *  - ProgressSink: a callback interface the Sweep driver feeds with
  *    per-cell start / finish / fail events (plus sweep start/end), and
  *    a long single run feeds with periodic heartbeats.  Two bundled
  *    sinks render them as a self-overwriting terminal status line
  *    (TerminalProgress) and as machine-readable JSON-lines
- *    (JsonlProgress, the `--progress-out` stream that CI and
- *    fbdp-dash consume).
+ *    (JsonlProgress, the `--progress-out` stream that CI consumes).
  *
  *  - ProgressPulse: the heartbeat source for a single System run.  It
  *    self-schedules one event per sim-time period on the core shard —
@@ -27,9 +26,10 @@
  * seed code path.
  *
  * Progress events are completion-ordered, not row-ordered — that is
- * their point.  The Sweep serialises sink calls under a mutex, so
- * sinks need no locking of their own; sweep outputs (CSV/JSON rows)
- * stay row-ordered and byte-identical with or without a sink.
+ * their point.  runCells(), which runs the Sweep's cells, serialises
+ * sink calls under a mutex, so sinks need no locking of their own;
+ * sweep outputs (CSV/JSON rows) stay row-ordered and byte-identical
+ * with or without a sink.
  */
 
 #ifndef FBDP_SYSTEM_PROGRESS_HH

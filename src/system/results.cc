@@ -598,15 +598,6 @@ ResultSchema::jsonRow(const SweepRow &row) const
 }
 
 void
-ResultSchema::writeCsv(const std::vector<SweepRow> &rows,
-                       std::ostream &os) const
-{
-    os << csvHeader() << '\n';
-    for (const auto &r : rows)
-        os << csvRow(r) << '\n';
-}
-
-void
 ResultSchema::writeJson(const std::vector<SweepRow> &rows,
                         std::ostream &os,
                         const std::string &manifest_json) const

@@ -145,10 +145,6 @@ class ResultSchema
     /** One JSON object ({"config":"fbd",...}, no trailing newline). */
     std::string jsonRow(const SweepRow &row) const;
 
-    /** Header + one line per row. */
-    void writeCsv(const std::vector<SweepRow> &rows,
-                  std::ostream &os) const;
-
     /**
      * Whole result set as one JSON document:
      *   { "columns": [ {"name","unit","kind"}, ... ],

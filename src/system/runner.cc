@@ -1,6 +1,8 @@
 #include "system/runner.hh"
 
+#include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <future>
 
 #include "common/logging.hh"
@@ -57,42 +59,74 @@ jobsFromEnv()
     return static_cast<unsigned>(*v);
 }
 
-std::vector<RunResult>
-runCells(const std::vector<RunCell> &cells, unsigned jobs)
+unsigned
+resolveJobs(unsigned jobs, std::size_t cells)
 {
-    std::vector<SystemConfig> cfgs;
-    cfgs.reserve(cells.size());
-    for (const RunCell &cell : cells) {
-        cfgs.push_back(cell.cfg);
-        if (cell.mix)
-            cfgs.back().benchmarks = cell.mix->benches;
-    }
+    const unsigned n = jobs ? jobs : jobsFromEnv();
+    if (cells > 0 && n > cells)
+        return static_cast<unsigned>(cells);
+    return n ? n : 1;
+}
 
+std::vector<RunResult>
+runCells(const std::vector<RunCell> &cells, unsigned jobs,
+         const CellHooks &hooks)
+{
     std::vector<RunResult> results;
-    results.reserve(cfgs.size());
+    auto deliver = [&](std::size_t i, RunResult &&r) {
+        if (hooks.result)
+            hooks.result(i, std::move(r));
+        else
+            results.push_back(std::move(r));
+    };
 
-    unsigned n = jobs ? jobs : jobsFromEnv();
-    if (n > cfgs.size())
-        n = static_cast<unsigned>(cfgs.size());
-    if (n <= 1) {
-        for (const SystemConfig &cfg : cfgs) {
-            System sys(cfg);
-            results.push_back(sys.run());
+    // Progress notes fire in completion order from the thread that
+    // ran the cell; one mutex serialises them.
+    std::mutex noteMu;
+    auto note = [&noteMu](const auto &fn, auto... args) {
+        if (!fn)
+            return;
+        std::lock_guard<std::mutex> lock(noteMu);
+        fn(args...);
+    };
+    auto runCell = [&](std::size_t i) {
+        using Clock = std::chrono::steady_clock;
+        const RunCell &cell = cells[i];
+        note(hooks.started, i);
+        const auto t0 = Clock::now();
+        try {
+            RunResult r = cell.mix ? runMix(cell.cfg, *cell.mix)
+                                   : System(cell.cfg).run();
+            note(hooks.finished, i,
+                 std::chrono::duration<double>(Clock::now() - t0)
+                     .count());
+            return r;
+        } catch (const std::exception &e) {
+            note(hooks.failed, i, e.what());
+            throw;
         }
+    };
+
+    const unsigned n = resolveJobs(jobs, cells.size());
+    if (!hooks.result)
+        results.reserve(cells.size());
+    if (n <= 1) {
+        for (std::size_t i = 0; i < cells.size(); ++i)
+            deliver(i, runCell(i));
         return results;
     }
 
+    // Each cell is an isolated System built and run on a worker;
+    // collecting the futures in submission order keeps results, the
+    // result hook and any exception deterministic.
     ThreadPool pool(n);
     std::vector<std::future<RunResult>> pending;
-    pending.reserve(cfgs.size());
-    for (const SystemConfig &cfg : cfgs) {
-        pending.push_back(pool.submit([&cfg] {
-            System sys(cfg);
-            return sys.run();
-        }));
-    }
-    for (auto &f : pending)
-        results.push_back(f.get());
+    pending.reserve(cells.size());
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        pending.push_back(
+            pool.submit([&runCell, i] { return runCell(i); }));
+    for (std::size_t i = 0; i < cells.size(); ++i)
+        deliver(i, pending[i].get());
     return results;
 }
 

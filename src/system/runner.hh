@@ -9,6 +9,8 @@
 #ifndef FBDP_SYSTEM_RUNNER_HH
 #define FBDP_SYSTEM_RUNNER_HH
 
+#include <cstddef>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -31,13 +33,39 @@ struct RunCell
     const WorkloadMix *mix = nullptr;
 };
 
+/** Optional observers of one runCells() batch, which name cells by
+ *  their index in the batch. */
+struct CellHooks
+{
+    /** Takes each result on the calling thread, in index order, once
+     *  that cell and every earlier one have finished.  When set,
+     *  runCells() returns no results. */
+    std::function<void(std::size_t, RunResult &&)> result;
+
+    /** Progress notes in *completion* order, from whichever thread
+     *  ran the cell, serialised under one mutex so receivers need no
+     *  locking: start, finish (host wall seconds) and failure (the
+     *  exception's message). */
+    std::function<void(std::size_t)> started;
+    std::function<void(std::size_t, double)> finished;
+    std::function<void(std::size_t, const char *)> failed;
+};
+
 /**
  * Run every cell, each as an isolated System on a worker pool, and
  * return the results in input order (deterministic regardless of
- * completion order).  @p jobs 0 resolves via FBDP_JOBS, else serial.
+ * completion order).  @p jobs resolves through resolveJobs().  This
+ * is the one batch executor; Sweep runs its grid through it.  A cell
+ * that throws ends the batch: the cells before it are delivered, and
+ * its exception propagates once the workers have drained.
  */
 std::vector<RunResult> runCells(const std::vector<RunCell> &cells,
-                                unsigned jobs = 0);
+                                unsigned jobs = 0,
+                                const CellHooks &hooks = {});
+
+/** Workers a batch of @p cells runs on: @p jobs, or jobsFromEnv()
+ *  when @p jobs is 0, clamped to the number of cells. */
+unsigned resolveJobs(unsigned jobs, std::size_t cells);
 
 /**
  * Worker count requested by the FBDP_JOBS environment variable.

@@ -1,14 +1,9 @@
 #include "system/sweep.hh"
 
-#include <algorithm>
 #include <chrono>
-#include <future>
-#include <mutex>
-
 #include <cstdlib>
 
 #include "common/logging.hh"
-#include "common/thread_pool.hh"
 #include "system/ledger.hh"
 #include "system/progress.hh"
 #include "system/runner.hh"
@@ -17,22 +12,22 @@ namespace fbdp {
 
 namespace {
 
-/** One materialised cell of the grid, in row (config-major) order. */
-struct Cell
+/** The grid's cells in row (config-major) order, with the identity
+ *  each row and progress note carries. */
+struct Grid
 {
-    std::string config;
-    std::string mix;
-    std::uint64_t seed;
-    SystemConfig cfg;
+    std::vector<CellId> ids;
+    std::vector<RunCell> cells;
 };
 
-std::vector<Cell>
-materializeCells(
+Grid
+materializeGrid(
     const std::vector<std::pair<std::string, SystemConfig>> &configs,
     const std::vector<const WorkloadMix *> &mixes, unsigned n_repeats)
 {
-    std::vector<Cell> cells;
-    cells.reserve(configs.size() * mixes.size() * n_repeats);
+    Grid g;
+    g.ids.reserve(configs.size() * mixes.size() * n_repeats);
+    g.cells.reserve(g.ids.capacity());
     for (const auto &[name, cfg] : configs) {
         for (const WorkloadMix *mix : mixes) {
             for (unsigned r = 0; r < n_repeats; ++r) {
@@ -41,12 +36,12 @@ materializeCells(
                 // range, so sweeps can use disjoint seed ranges.
                 c.seed = cfg.seed + r;
                 c.benchmarks = mix->benches;
-                cells.push_back(
-                    {name, mix->name, c.seed, std::move(c)});
+                g.ids.push_back({name, mix->name, c.seed});
+                g.cells.push_back({std::move(c), nullptr});
             }
         }
     }
-    return cells;
+    return g;
 }
 
 } // namespace
@@ -141,12 +136,11 @@ Sweep::gridManifest() const
 {
     fbdp_assert(!configs.empty(), "sweep has no configurations");
     fbdp_assert(!mixes.empty(), "sweep has no workloads");
-    const std::vector<Cell> cells =
-        materializeCells(configs, mixes, nRepeats);
+    const Grid grid = materializeGrid(configs, mixes, nRepeats);
     std::string canon;
-    for (const Cell &cell : cells)
+    for (const RunCell &cell : grid.cells)
         canon += canonicalConfigString(cell.cfg);
-    RunManifest m = RunManifest::capture(cells.front().cfg);
+    RunManifest m = RunManifest::capture(grid.cells.front().cfg);
     m.configDigest = csprintf(
         "%016llx",
         static_cast<unsigned long long>(fnv1a64(canon)));
@@ -156,12 +150,7 @@ Sweep::gridManifest() const
 unsigned
 Sweep::effectiveJobs() const
 {
-    unsigned n = nJobs ? nJobs : jobsFromEnv();
-    const size_t total = cells();
-    if (total > 0)
-        n = static_cast<unsigned>(
-            std::min<size_t>(n, total));
-    return n ? n : 1;
+    return resolveJobs(nJobs, cells());
 }
 
 std::vector<SweepRow>
@@ -170,23 +159,23 @@ Sweep::run()
     fbdp_assert(!configs.empty(), "sweep has no configurations");
     fbdp_assert(!mixes.empty(), "sweep has no workloads");
 
-    // Materialise every cell up front, in config-major order; this
-    // order — not completion order — defines the row order.
-    std::vector<Cell> cellDefs =
-        materializeCells(configs, mixes, nRepeats);
+    // Every cell is materialised up front, in config-major order;
+    // this order — not completion order — defines the row order.
+    const Grid grid = materializeGrid(configs, mixes, nRepeats);
 
     std::vector<SweepRow> rows;
-    rows.reserve(cellDefs.size());
+    rows.reserve(grid.cells.size());
 
-    // Ledger appends happen in finish() — calling thread, row order —
-    // with each cell's own manifest, so records trend per cell.
+    // Rows, row callbacks and ledger appends happen in the result
+    // hook — calling thread, row order — with each cell's own
+    // manifest, so ledger records trend per cell.
     const std::string ledgerOut = ledgerFile();
-
-    auto finish = [&](Cell &cell, RunResult result) {
+    CellHooks hooks;
+    hooks.result = [&](std::size_t i, RunResult &&result) {
         SweepRow row;
-        row.config = std::move(cell.config);
-        row.mix = std::move(cell.mix);
-        row.seed = cell.seed;
+        row.config = grid.ids[i].config;
+        row.mix = grid.ids[i].mix;
+        row.seed = grid.ids[i].seed;
         row.result = std::move(result);
         if (rowCb)
             rowCb(row);
@@ -194,71 +183,34 @@ Sweep::run()
             std::string err;
             if (!appendLedgerRecord(
                     ledgerOut,
-                    ledgerRecordJson(RunManifest::capture(cell.cfg),
-                                     row),
+                    ledgerRecordJson(
+                        RunManifest::capture(grid.cells[i].cfg), row),
                     &err))
                 fatal("%s", err.c_str());
         }
         rows.push_back(std::move(row));
     };
-
-    // Progress events fire in completion order from whichever thread
-    // finished the cell; one mutex serialises them so sinks stay
-    // lock-free.  Rows and callbacks remain config-major either way.
-    using Clock = std::chrono::steady_clock;
-    std::mutex sinkMu;
-    auto note = [&](auto &&fn) {
-        if (!sink)
-            return;
-        std::lock_guard<std::mutex> lock(sinkMu);
-        fn();
-    };
-    auto cellId = [](const Cell &cell) {
-        return CellId{cell.config, cell.mix, cell.seed};
-    };
-    auto runCell = [&](std::size_t i) {
-        const Cell &cell = cellDefs[i];
-        note([&] { sink->cellStarted(i, cellId(cell)); });
-        const auto c0 = Clock::now();
-        try {
-            System sys(cell.cfg);
-            RunResult r = sys.run();
-            const double wall =
-                std::chrono::duration<double>(Clock::now() - c0)
-                    .count();
-            note([&] { sink->cellFinished(i, cellId(cell), wall); });
-            return r;
-        } catch (const std::exception &e) {
-            note([&] { sink->cellFailed(i, cellId(cell), e.what()); });
-            throw;
-        }
-    };
-
-    const unsigned n = effectiveJobs();
-    const auto t0 = Clock::now();
-    note([&] { sink->sweepStarted(cellDefs.size(), n); });
-
-    if (n <= 1) {
-        for (std::size_t i = 0; i < cellDefs.size(); ++i)
-            finish(cellDefs[i], runCell(i));
-    } else {
-        // Each cell is an isolated System constructed and run on a
-        // worker thread; collecting the futures in submission order
-        // keeps rows, callbacks and any exception deterministic.
-        ThreadPool pool(n);
-        std::vector<std::future<RunResult>> pending;
-        pending.reserve(cellDefs.size());
-        for (std::size_t i = 0; i < cellDefs.size(); ++i)
-            pending.push_back(
-                pool.submit([&runCell, i] { return runCell(i); }));
-        for (size_t i = 0; i < cellDefs.size(); ++i)
-            finish(cellDefs[i], pending[i].get());
+    if (sink) {
+        hooks.started = [&](std::size_t i) {
+            sink->cellStarted(i, grid.ids[i]);
+        };
+        hooks.finished = [&](std::size_t i, double wall) {
+            sink->cellFinished(i, grid.ids[i], wall);
+        };
+        hooks.failed = [&](std::size_t i, const char *what) {
+            sink->cellFailed(i, grid.ids[i], what);
+        };
     }
 
-    note([&] {
+    using Clock = std::chrono::steady_clock;
+    const unsigned n = effectiveJobs();
+    const auto t0 = Clock::now();
+    if (sink)
+        sink->sweepStarted(grid.cells.size(), n);
+    runCells(grid.cells, n, hooks);
+    if (sink)
         sink->sweepFinished(
             std::chrono::duration<double>(Clock::now() - t0).count());
-    });
     return rows;
 }
 

@@ -6,17 +6,17 @@
  * configurations crossed with a set of workloads, dumped as CSV or
  * JSON for a plotting pipeline.  Sweep collects named configurations
  * and mixes, runs the cross product (optionally with repeats over
- * seeds) on a worker pool, and delivers one row per run in
- * deterministic config-major order regardless of how many jobs ran
- * concurrently or which finished first.
+ * seeds) through runCells() (system/runner.hh), and delivers one row
+ * per run in deterministic config-major order regardless of how many
+ * jobs ran concurrently or which finished first.
  *
- * Parallelism: every cell is an independent System built and run on a
- * worker thread (System instances share no mutable state).  Rows are
- * collected — and the onRow() callback invoked — on the calling
- * thread, in cell-definition order, so callbacks need no locking and
- * streamed output is byte-identical for any job count.  The job count
- * comes from jobs(), or the FBDP_JOBS environment variable when
- * jobs() was given 0 (the default), falling back to a serial run.
+ * Parallelism is runCells()'s: every cell is an independent System
+ * built and run on a worker thread, and its result hook delivers
+ * rows — and invokes the onRow() callback — on the calling thread, in
+ * cell-definition order, so callbacks need no locking and streamed
+ * output is byte-identical for any job count.  The job count comes
+ * from jobs(), or the FBDP_JOBS environment variable when jobs() was
+ * given 0 (the default), falling back to a serial run.
  */
 
 #ifndef FBDP_SYSTEM_SWEEP_HH
@@ -121,8 +121,8 @@ class Sweep
         return configs.size() * mixes.size() * nRepeats;
     }
 
-    /** Worker count run() will actually use (resolves 0 via
-     *  FBDP_JOBS and clamps to the number of cells). */
+    /** Worker count run() will actually use: resolveJobs() over
+     *  jobs() and the number of cells. */
     unsigned effectiveJobs() const;
 
     /** Resolved manifest() / FBDP_MANIFEST decision. */

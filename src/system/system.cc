@@ -496,15 +496,6 @@ System::mailboxMessagesPosted() const
     return n;
 }
 
-std::uint64_t
-System::kernelEventsDispatched() const
-{
-    std::uint64_t n = 0;
-    for (const auto &q : queues)
-        n += q->dispatched();
-    return n;
-}
-
 Tick
 System::alignClocks()
 {

@@ -323,8 +323,6 @@ class System : private CompletionSink
     double kernelDrainSeconds() const;
     /** Cross-shard mailbox messages posted so far (both directions). */
     std::uint64_t mailboxMessagesPosted() const;
-    /** Event callbacks dispatched so far, all shards. */
-    std::uint64_t kernelEventsDispatched() const;
 
     // Component access for tests and custom experiments.
     /** The core/cache shard's queue — the clock observers live by. */

@@ -104,34 +104,40 @@ smallSweep()
 
 TEST(ProgressSinkTest, SweepEmitsCompleteEventStream)
 {
-    Sweep s = smallSweep();
-    RecordingSink sink;
-    s.progress(&sink);
-    const auto rows = s.run();
+    // Serially, and with notes sent from four worker threads: calls
+    // must stay serialised (TSan) and the stream complete.
+    for (unsigned jobs : {0u, 4u}) {
+        SCOPED_TRACE(jobs);
+        Sweep s = smallSweep();
+        s.jobs(jobs);
+        RecordingSink sink;
+        s.progress(&sink);
+        const auto rows = s.run();
 
-    ASSERT_EQ(rows.size(), 4u);
-    EXPECT_EQ(sink.sweepStarts, 1u);
-    EXPECT_EQ(sink.sweepEnds, 1u);
-    EXPECT_EQ(sink.announcedCells, 4u);
-    EXPECT_EQ(sink.started, 4u);
-    EXPECT_EQ(sink.finished, 4u);
-    EXPECT_EQ(sink.failed, 0u);
-    EXPECT_GE(sink.lastWall, 0.0);
+        ASSERT_EQ(rows.size(), 4u);
+        EXPECT_EQ(sink.sweepStarts, 1u);
+        EXPECT_EQ(sink.sweepEnds, 1u);
+        EXPECT_EQ(sink.announcedCells, 4u);
+        EXPECT_EQ(sink.started, 4u);
+        EXPECT_EQ(sink.finished, 4u);
+        EXPECT_EQ(sink.failed, 0u);
+        EXPECT_GE(sink.lastWall, 0.0);
 
-    // Every cell index appears exactly once in each stream.
-    std::vector<std::size_t> sorted = sink.finishOrder;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, (std::vector<std::size_t>{0, 1, 2, 3}));
-    sorted = sink.startOrder;
-    std::sort(sorted.begin(), sorted.end());
-    EXPECT_EQ(sorted, (std::vector<std::size_t>{0, 1, 2, 3}));
+        // Every cell index appears exactly once in each stream.
+        std::vector<std::size_t> sorted = sink.finishOrder;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, (std::vector<std::size_t>{0, 1, 2, 3}));
+        sorted = sink.startOrder;
+        std::sort(sorted.begin(), sorted.end());
+        EXPECT_EQ(sorted, (std::vector<std::size_t>{0, 1, 2, 3}));
 
-    // Cell identity matches the row the same index produced.
-    for (std::size_t k = 0; k < sink.finishOrder.size(); ++k) {
-        const std::size_t idx = sink.finishOrder[k];
-        EXPECT_EQ(sink.finishedIds[k].config, rows[idx].config);
-        EXPECT_EQ(sink.finishedIds[k].mix, rows[idx].mix);
-        EXPECT_EQ(sink.finishedIds[k].seed, rows[idx].seed);
+        // Cell identity matches the row the same index produced.
+        for (std::size_t k = 0; k < sink.finishOrder.size(); ++k) {
+            const std::size_t idx = sink.finishOrder[k];
+            EXPECT_EQ(sink.finishedIds[k].config, rows[idx].config);
+            EXPECT_EQ(sink.finishedIds[k].mix, rows[idx].mix);
+            EXPECT_EQ(sink.finishedIds[k].seed, rows[idx].seed);
+        }
     }
 }
 
@@ -140,14 +146,19 @@ TEST(ProgressSinkTest, SinkDoesNotPerturbRowsOrBytes)
     std::ostringstream plain;
     smallSweep().runCsv(plain);
 
-    RecordingSink sink;
-    std::ostringstream observed;
-    Sweep s = smallSweep();
-    s.progress(&sink);
-    s.runCsv(observed);
+    // The sink fed serially, then from four worker threads.
+    for (unsigned jobs : {0u, 4u}) {
+        SCOPED_TRACE(jobs);
+        RecordingSink sink;
+        std::ostringstream observed;
+        Sweep s = smallSweep();
+        s.jobs(jobs);
+        s.progress(&sink);
+        s.runCsv(observed);
 
-    EXPECT_EQ(plain.str(), observed.str());
-    EXPECT_EQ(sink.finished, 4u);
+        EXPECT_EQ(plain.str(), observed.str());
+        EXPECT_EQ(sink.finished, 4u);
+    }
 }
 
 TEST(ProgressSinkTest, JsonlStreamIsParseableObjects)

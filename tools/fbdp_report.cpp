@@ -48,16 +48,19 @@
  *
  * Exit status: 0 no regression, 1 regression found, 2 usage or IO
  * error — so CI can tell "the metric got worse" apart from "the
- * comparison never happened".  An --only filter that matches nothing
+ * comparison never happened".  A numeric flag whose value is not a
+ * whole plain number (`--tol nan`, `--tol 1e9x`, `--last abc`) is a
+ * usage error too.  An --only filter that matches nothing
  * also exits 2: a filter typo must not read as a clean pass.
  */
 
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "common/json.hh"
+#include "common/parse.hh"
 #include "system/ledger.hh"
 #include "system/manifest.hh"
 #include "system/rundiff.hh"
@@ -114,8 +117,20 @@ main(int argc, char **argv)
             }
             return argv[++i];
         };
+        // A numeric flag takes a whole plain number or exits 2:
+        // strtod would read "nan", "1e9x" and "abc" as something.
+        auto fraction = [&](const char *flag, const char *text) {
+            const auto v = parseDecimal(
+                text, 0.0, std::numeric_limits<double>::max());
+            if (!v) {
+                std::cerr << flag << ": bad value '" << text
+                          << "' (expected a plain decimal >= 0)\n";
+                std::exit(usage(argv[0]));
+            }
+            return *v;
+        };
         if (arg == "--tol") {
-            opt.tolerance = std::strtod(need("--tol"), nullptr);
+            opt.tolerance = fraction("--tol", need("--tol"));
         } else if (arg == "--key-tol") {
             const std::string kv = need("--key-tol");
             const auto eq = kv.rfind('=');
@@ -125,7 +140,7 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
             opt.keyTolerances[kv.substr(0, eq)] =
-                std::strtod(kv.c_str() + eq + 1, nullptr);
+                fraction("--key-tol", kv.c_str() + eq + 1);
         } else if (arg == "--only") {
             opt.only.push_back(need("--only"));
         } else if (arg == "--ignore") {
@@ -153,8 +168,15 @@ main(int argc, char **argv)
         } else if (arg == "--digest") {
             digest = need("--digest");
         } else if (arg == "--last") {
-            lastN = static_cast<std::size_t>(
-                std::strtoull(need("--last"), nullptr, 10));
+            const char *text = need("--last");
+            const auto v = parseCount(
+                text, 0, std::numeric_limits<long long>::max());
+            if (!v) {
+                std::cerr << "--last: bad value '" << text
+                          << "' (expected a decimal count)\n";
+                return usage(argv[0]);
+            }
+            lastN = static_cast<std::size_t>(*v);
         } else if (arg == "--version") {
             std::cout << RunManifest::buildInfo() << "\n";
             return 0;

@@ -317,6 +317,12 @@ BENCHMARK(BM_MallocTransactionChurn);
 // second; the events_per_sec counter is dispatch throughput.        //
 // ---------------------------------------------------------------- //
 
+/** Minimum time of every row that runs a whole System per iteration
+ *  (45-90 ms each): at a 0.1 s minimum such a row gets only 2-3
+ *  iterations and a wide run-to-run spread; one second gives it at
+ *  least ten. */
+constexpr double fullRunMinTime = 1.0;
+
 void
 BM_FullSystemSimRate(benchmark::State &state)
 {
@@ -339,7 +345,9 @@ BM_FullSystemSimRate(benchmark::State &state)
             ? static_cast<double>(events) / event_seconds
             : 0.0);
 }
-BENCHMARK(BM_FullSystemSimRate)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullSystemSimRate)
+    ->MinTime(fullRunMinTime)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // Cost of the always-compiled trace points.  SimRateTraceDisabled   //
@@ -370,6 +378,7 @@ BM_FullSystemSimRateTraceDisabled(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
 BENCHMARK(BM_FullSystemSimRateTraceDisabled)
+    ->MinTime(fullRunMinTime)
     ->Unit(benchmark::kMillisecond);
 
 void
@@ -397,7 +406,9 @@ BM_FullSystemSimRateTraced(benchmark::State &state)
                 / static_cast<double>(state.iterations())
             : 0.0);
 }
-BENCHMARK(BM_FullSystemSimRateTraced)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_FullSystemSimRateTraced)
+    ->MinTime(fullRunMinTime)
+    ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // Trace-ingest throughput: ops parsed per host second over one      //
@@ -509,6 +520,7 @@ BM_TraceReplaySimRate(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(insts));
 }
 BENCHMARK(BM_TraceReplaySimRate)
+    ->MinTime(fullRunMinTime)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

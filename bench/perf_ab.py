@@ -30,6 +30,7 @@ its bound, 1 a row regressed, 2 usage or build error.
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
@@ -46,7 +47,7 @@ BENCHES = [
 ]
 BOUND = 0.10
 RUNS = 5          # runs per side
-MIN_TIME = "0.1"  # --benchmark_min_time per row
+MIN_TIME = "0.1"  # --benchmark_min_time of rows without their own
 
 
 def die(msg):
@@ -92,7 +93,10 @@ def speeds(build_dir, binary, filt, out):
         stdout=subprocess.DEVNULL)
     with open(out) as f:
         rows = json.load(f)["benchmarks"]
-    return {b["name"]: b.get("items_per_second") or 1.0 / b["real_time"]
+    # A row with its own MinTime() carries "/min_time:X" in its name;
+    # dropping it pairs the row across a change of that minimum.
+    return {re.sub(r"/min_time:[0-9.]+", "", b["name"]):
+            b.get("items_per_second") or 1.0 / b["real_time"]
             for b in rows if b.get("run_type", "iteration") == "iteration"}
 
 

@@ -40,11 +40,6 @@
  *   --apfl            AMB prefetch with full latency (Fig. 9 mode)
  *   --profile         append an event-kernel profile (events/sec,
  *                     simulated-insts/sec, queue + pool counters)
- *   --profile-kernel  time the sharded kernel itself: a per-shard
- *                     table (busy / mailbox-drain host time, mailbox
- *                     traffic) plus the channel imbalance summary.
- *                     Implies the counters of --profile.  Results are
- *                     bit-identical with it on or off.
  *
  * Every run is serial; run independent configurations in parallel
  * with the sweep engine instead (FBDP_JOBS, see README.md).  Numeric
@@ -129,7 +124,7 @@ main(int argc, char **argv)
     std::uint64_t warmup = 0;
     bool vrl = false, no_sp = false, no_refresh = false,
          apfl = false, verbose = false, profile = false,
-         profile_kernel = false, attribution = false,
+         attribution = false,
          manifest_on = false, progress_term = false;
     unsigned channels = 2, dimms = 4, rate = 667, k = 4,
              entries = 64, ways = 0, trace_cores = 1;
@@ -210,8 +205,6 @@ main(int argc, char **argv)
             verbose = true;
         else if (!std::strcmp(a, "--profile"))
             profile = true;
-        else if (!std::strcmp(a, "--profile-kernel"))
-            profile_kernel = true;
         else if (!std::strcmp(a, "--trace-out"))
             trace_out = need(i);
         else if (!std::strcmp(a, "--trace-filter"))
@@ -297,7 +290,6 @@ main(int argc, char **argv)
     cfg.warmupInsts = warmup ? warmup : insts / 4;
     cfg.seed = seed;
     cfg.attribution = attribution;
-    cfg.profileKernel = profile_kernel;
     applyInstsFromEnv(cfg);
 
     // A trace spec replaces the named mix: N cores (--cores) replay
@@ -581,7 +573,7 @@ main(int argc, char **argv)
                   << " dropped -> " << trace_out << "\n";
     }
 
-    if (profile || profile_kernel) {
+    if (profile) {
         const KernelProfile &k = r.kernel;
         std::cout << "\n";
         TextTable p({"kernel profile", "value"});
@@ -607,27 +599,6 @@ main(int argc, char **argv)
                   std::to_string(k.poolHighWater)});
         p.addRow({"pool capacity", std::to_string(k.poolCapacity)});
         p.print(std::cout);
-    }
-
-    if (profile_kernel && r.kernel.profiled) {
-        const KernelProfile &k = r.kernel;
-        const auto ms = [](double s) { return fmtD(s * 1e3, 2); };
-
-        // Top-down per-shard view: where the dispatch work lives.
-        std::cout << "\n";
-        TextTable sh({"shard", "events", "peak depth", "mbox in",
-                      "mbox out", "busy (ms)", "drain (ms)"});
-        for (const ShardProfile &s : k.shards) {
-            sh.addRow({s.name, std::to_string(s.events),
-                       std::to_string(s.peakQueueDepth),
-                       std::to_string(s.mailboxIn),
-                       std::to_string(s.mailboxOut),
-                       ms(s.busySeconds), ms(s.drainSeconds)});
-        }
-        sh.print(std::cout);
-        std::cout << "channel imbalance: "
-                  << fmtD(k.eventImbalance(), 3)
-                  << " (events, max/mean)\n";
     }
 
     if (!stats_json.empty() || !ledger_out.empty()) {

@@ -946,10 +946,10 @@ MemController::completionFire()
             latHistWrite.sample(lat_ns);
         }
         if (cSink) {
-            // Sharded operation: record the phase profile here (the
+            // Staged hand-off: record the phase profile here (the
             // accumulator is channel state) but leave callback
-            // invocation and hub publishing to the sink's owner — the
-            // core shard, at its next frame drain.
+            // invocation and hub publishing to the sink's owner, at
+            // its next frame start.
             PhaseDurations pd{};
             const bool has_profile = att != nullptr;
             if (att)

@@ -83,11 +83,11 @@ struct ControllerConfig
 };
 
 /**
- * Receiver of finished transactions when the controller runs as a
- * channel shard: instead of invoking the completion callback inline
- * (which would touch core/cache state owned by another shard), the
+ * Receiver of finished transactions when the controller runs inside a
+ * System: instead of invoking the completion callback inline, the
  * controller hands the transaction — with its recorded phase profile —
- * to the sink, which stages it for the core shard's next round.
+ * to the sink, which stages it for delivery to the core one
+ * memory-cycle frame later.
  */
 class CompletionSink
 {
@@ -117,10 +117,10 @@ class MemController
 
     /**
      * Hand a transaction that was *sent* at tick @p sent_at (possibly
-     * in the previous memory-cycle frame, when the sender is another
-     * shard and the message crossed a round boundary).  Arrival
-     * timestamps and the first wake are derived from @p sent_at so
-     * latency accounting is independent of when the mailbox drained.
+     * in the previous memory-cycle frame, when the sender staged it
+     * across a frame boundary).  Arrival timestamps and the first wake
+     * are derived from @p sent_at so latency accounting is independent
+     * of when the staging was handed over.
      */
     void pushAt(TransPtr t, Tick sent_at);
 
@@ -483,7 +483,7 @@ class MemController
     std::unique_ptr<ChannelAttribution> att;
     AttributionHub *attHub = nullptr;
 
-    /** Cross-shard completion hand-off; null == deliver inline. */
+    /** Staged completion hand-off; null == deliver inline. */
     CompletionSink *cSink = nullptr;
     unsigned cSinkChannel = 0;
 

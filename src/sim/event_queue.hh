@@ -145,10 +145,9 @@ class EventQueue
     void run(Tick limit = maxTick);
 
     /**
-     * Advance now() to @p t without dispatching anything.  Used by the
-     * sharded round engine to align every shard's clock at frame
-     * boundaries.  No pending event may be due before @p t; a no-op if
-     * t <= now().
+     * Advance now() to @p t without dispatching anything.  Used by
+     * System to start each memory-cycle frame on its boundary.  No
+     * pending event may be due before @p t; a no-op if t <= now().
      */
     void advanceTo(Tick t);
 

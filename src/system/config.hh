@@ -90,17 +90,6 @@ struct SystemConfig
      */
     bool attribution = false;
 
-    /**
-     * Kernel self-profiling: time every shard round (busy vs mailbox
-     * drain) and count the cross-shard mailbox traffic, into
-     * KernelProfile::shards.  Observer-only — simulation results are
-     * bit-identical with it on or off; the cost is a few clock reads
-     * per active shard per round.  Surfaced
-     * by `fbdpsim --profile-kernel`, the --stats-json "kernel" block
-     * and the kernel.* telemetry gauges.
-     */
-    bool profileKernel = false;
-
     /** Unread (every run is serial); perfbench/ still assigns it. */
     unsigned threads = 1;
 

@@ -21,9 +21,9 @@
  * observability CI job gates.
  *
  * The digest covers only fields that change simulation results.
- * Observer knobs (attribution, profileKernel) are excluded on
- * purpose: results are bit-identical across them, so runs differing
- * only there belong to the same trend line.
+ * The observer knob (attribution) is excluded on purpose: results are
+ * bit-identical across it, so runs differing only there belong to the
+ * same trend line.
  */
 
 #ifndef FBDP_SYSTEM_MANIFEST_HH

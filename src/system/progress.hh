@@ -15,11 +15,11 @@
  *    (JsonlProgress, the `--progress-out` stream that CI consumes).
  *
  *  - ProgressPulse: the heartbeat source for a single System run.  It
- *    self-schedules one event per sim-time period on the core shard —
- *    exactly the TelemetrySampler pattern, so attaching it cannot
- *    change simulation results — and reports instructions retired,
- *    the percent of the run target, and the host-side sim rate.  It
- *    reads only core-shard state.
+ *    self-schedules one event per sim-time period on the System's
+ *    queue — exactly the TelemetrySampler pattern, so attaching it
+ *    cannot change simulation results — and reports instructions
+ *    retired, the percent of the run target, and the host-side sim
+ *    rate.  It reads only core state.
  *
  * Everything here is opt-in and zero-overhead when absent: a Sweep
  * without a sink and a System without a pulse execute exactly the
@@ -194,8 +194,7 @@ class ProgressMux : public ProgressSink
  * instruction counters (guarded against the mid-run resetStats()
  * between warm-up and measurement) and reports a HeartbeatSample.
  * Observer-only: results are bit-identical with a pulse attached or
- * not; everything it reads lives on the core shard the pulse event
- * runs on.
+ * not.
  */
 class ProgressPulse
 {

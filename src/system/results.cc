@@ -234,7 +234,7 @@ ResultSchema::kernelStats()
                         return r.result.kernel.deschedules;
                     }));
         s.add(count("peak_queue_depth", "events",
-                    "max simultaneous scheduled events",
+                    "max simultaneous live events in the run's queue",
                     [](const SweepRow &r) {
                         return r.result.kernel.peakQueueDepth;
                     }));

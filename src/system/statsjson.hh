@@ -9,12 +9,7 @@
  *               sweep output directly;
  *   "latency"   per-class latency percentiles (latencyPercentiles);
  *   "kernel"    event-kernel profile (kernelStats) — host-time rates
- *               live only here, so a diff can ignore the section.
- *               When the run was profiled (--profile-kernel) the
- *               section additionally carries "shards": [...]
- *               (name-keyed, so fbdp-report flattens it as
- *               kernel.shards.ch0.events etc.) plus the event
- *               imbalance summary;
+ *               live only here, so a diff can ignore the section;
  *   "power"     DRAM op counts and the PowerModel's dynamic
  *               energy/power over the window (powerStats);
  *   "prefetch"  the prefetch-policy quality block (prefetchStats);

@@ -14,33 +14,6 @@
 
 namespace fbdp {
 
-namespace {
-
-/** Host seconds between two steady-clock reads. */
-inline double
-secsBetween(std::chrono::steady_clock::time_point a,
-            std::chrono::steady_clock::time_point b)
-{
-    return std::chrono::duration<double>(b - a).count();
-}
-
-} // namespace
-
-double
-KernelProfile::eventImbalance() const
-{
-    // Max/mean over the channel shards (shard 0 is the core shard).
-    double sum = 0.0, mx = 0.0;
-    for (std::size_t i = 1; i < shards.size(); ++i) {
-        const double v = static_cast<double>(shards[i].events);
-        sum += v;
-        mx = mx > v ? mx : v;
-    }
-    if (shards.size() < 3 || sum <= 0.0)
-        return 0.0;
-    return mx * static_cast<double>(shards.size() - 1) / sum;
-}
-
 double
 RunResult::ipcSum() const
 {
@@ -59,10 +32,9 @@ RunResult::totalInsts() const
     return s;
 }
 
-MemorySystem::MemorySystem(
-    EventQueue *event_queue, const AddressMap *address_map,
-    std::vector<std::unique_ptr<MemController>> *ctrls)
-    : eq(event_queue), map(address_map), controllers(ctrls)
+MemorySystem::MemorySystem(EventQueue *event_queue,
+                           const AddressMap *address_map, System *owner)
+    : eq(event_queue), map(address_map), sys(owner)
 {
 }
 
@@ -79,10 +51,7 @@ MemorySystem::read(Addr line_addr, int core_id, bool sw_prefetch,
     t->coord = map->map(t->lineAddr);
     t->onComplete = std::move(done);
     const unsigned ch = t->coord.channel;
-    if (router)
-        router->routePush(ch, std::move(t));
-    else
-        (*controllers)[ch]->push(std::move(t));
+    sys->stagePush(ch, std::move(t));
 }
 
 void
@@ -95,10 +64,7 @@ MemorySystem::write(Addr line_addr, int core_id)
     t->created = eq->now();
     t->coord = map->map(t->lineAddr);
     const unsigned ch = t->coord.channel;
-    if (router)
-        router->routePush(ch, std::move(t));
-    else
-        (*controllers)[ch]->push(std::move(t));
+    sys->stagePush(ch, std::move(t));
 }
 
 void
@@ -127,24 +93,17 @@ System::System(const SystemConfig &config)
 
     map = std::make_unique<AddressMap>(cfg.addressMapConfig());
 
-    // Queue 0 drives the cores and caches; each logic channel gets its
-    // own shard, reached only through the frame mailboxes.
-    queues.push_back(std::make_unique<EventQueue>());
-    shards.resize(cfg.logicChannels);
+    // Controllers reach the cores, and the cores the controllers, only
+    // through the per-channel staging.
+    staged.resize(cfg.logicChannels);
     for (unsigned ch = 0; ch < cfg.logicChannels; ++ch) {
-        queues.push_back(std::make_unique<EventQueue>());
         controllers.push_back(std::make_unique<MemController>(
-            csprintf("mc%u", ch), queues.back().get(), cc));
+            csprintf("mc%u", ch), &eq, cc));
         controllers.back()->setCompletionSink(this, ch);
     }
-    EventQueue *coreQ = queues.front().get();
-    shardAcc.resize(1 + cfg.logicChannels);
-    profiling = cfg.profileKernel;
 
-    memSys = std::make_unique<MemorySystem>(coreQ, map.get(),
-                                            &controllers);
-    memSys->setRouter(this);
-    hier = std::make_unique<CacheHierarchy>(coreQ, cfg.nCores(),
+    memSys = std::make_unique<MemorySystem>(&eq, map.get(), this);
+    hier = std::make_unique<CacheHierarchy>(&eq, cfg.nCores(),
                                             cfg.hier, memSys.get());
 
     // Each core owns a disjoint 4 GB slice of the physical space; the
@@ -183,7 +142,7 @@ System::System(const SystemConfig &config)
         cp.sq = cfg.sq;
         cores.push_back(std::make_unique<Core>(
             csprintf("cpu%u.%s", i, prof.name.c_str()),
-            static_cast<int>(i), coreQ, hier.get(), gens[i].get(),
+            static_cast<int>(i), &eq, hier.get(), gens[i].get(),
             cp));
     }
 
@@ -200,25 +159,12 @@ System::~System() = default;
 void
 System::attachTracer(trace::Tracer *t)
 {
-    tracer = t;
     for (unsigned ch = 0; ch < controllers.size(); ++ch)
         controllers[ch]->bindTracer(t, ch);
     hier->bindTracer(t);
     for (auto &c : cores)
         c->bindTracer(t);
 
-    // Kernel shard tracks: with the self-profiler on, a traced run also
-    // gets one track per shard (frame slices + per-round event counts)
-    // and a cross-shard traffic counter track, so the timeline shows
-    // where each frame's work ran alongside the transaction lifecycle.
-    kernelTracks.clear();
-    if (t && cfg.profileKernel) {
-        kernelTracks.push_back(t->track("kernel.core"));
-        for (unsigned ch = 0; ch < cfg.logicChannels; ++ch)
-            kernelTracks.push_back(t->track(csprintf("kernel.ch%u",
-                                                     ch)));
-        mailboxTrack = t->track("kernel.mailbox");
-    }
 }
 
 void
@@ -264,7 +210,7 @@ System::run()
     const auto host0 = std::chrono::steady_clock::now();
 
     // Phase 1: warm up until the first core has executed warmupInsts.
-    // Each phase runs whole rounds and stops at the end of the round
+    // Each phase runs whole frames and stops at the end of the frame
     // in which the notify fired, so both window edges are
     // frame-aligned.
     phaseDone = false;
@@ -272,12 +218,12 @@ System::run()
         c->setNotify(cfg.warmupInsts, [this] { phaseDone = true; });
         c->start();
     }
-    runRounds();
+    runFrames();
     fbdp_assert(phaseDone, "simulation drained during warm-up");
-    alignClocks();
+    alignClock();
 
     resetAllStats();
-    const Tick t0 = queues.front()->now();
+    const Tick t0 = eq.now();
 
     // Phase 2: measure until the first core adds measureInsts more.
     phaseDone = false;
@@ -285,9 +231,9 @@ System::run()
         c->setNotify(c->insts() + cfg.measureInsts,
                      [this] { phaseDone = true; });
     }
-    runRounds();
+    runFrames();
     fbdp_assert(phaseDone, "simulation drained during measurement");
-    const Tick t1 = alignClocks();
+    const Tick t1 = alignClock();
 
     hostEventSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - host0).count();
@@ -297,156 +243,77 @@ System::run()
 }
 
 void
-System::runRounds()
+System::runFrames()
 {
-    do {
-        runRound();
-    } while (!endOfRound());
+    for (;;) {
+        runFrame();
+        ++curFrame;
+        if (phaseDone)
+            return;
+        // Termination backstop: a drained simulation (no event, no
+        // staged hand-off, nothing pending delivery) can never reach
+        // the notify, so stop and let run() report it.
+        bool active = !eq.empty() || !pendingDone.empty();
+        for (const Staged &st : staged)
+            active = active || !st.pushes.empty() || !st.dones.empty();
+        if (!active)
+            return;
+    }
 }
 
 void
-System::runRound()
+System::runFrame()
 {
-    using clk = std::chrono::steady_clock;
-    const Tick start = static_cast<Tick>(curRound) * frame;
-    const Tick limit = start + frame - 1;
-    std::uint64_t roundMsgs = 0;
+    const Tick start = static_cast<Tick>(curFrame) * frame;
+    eq.advanceTo(start);
 
-    {
-        // The core/cache shard: deliver last round's completions.
-        EventQueue &q = *queues.front();
-        q.advanceTo(start);
-        clk::time_point d0;
-        if (profiling)
-            d0 = clk::now();
-        std::uint64_t got = 0;
-        for (auto &sh : shards) {
-            auto &in = sh.doneBox.inbox(curRound);
-            got += in.size();
-            for (CompleteMsg &m : in) {
-                // One frame of hand-off latency, preserving the
-                // completions' relative spacing and FIFO order.
-                pendingDone.push_back(PendingDone{
-                    m.t->completedAt + frame, nextDoneSeq++,
-                    std::move(m.t), m.pd, m.hasProfile});
-                std::push_heap(pendingDone.begin(), pendingDone.end(),
-                               PendingAfter{});
-            }
-            in.clear();
+    // (a) Hand over everything the previous frame staged, before any
+    // event of this one.  Completions first, in channel order and then
+    // staging order, each one frame after it finished; that keeps the
+    // completions' relative spacing and FIFO order.
+    for (Staged &st : staged) {
+        for (CompleteMsg &m : st.dones) {
+            pendingDone.push_back(PendingDone{
+                m.t->completedAt + frame, nextDoneSeq++,
+                std::move(m.t), m.pd, m.hasProfile});
+            std::push_heap(pendingDone.begin(), pendingDone.end(),
+                           PendingAfter{});
         }
-        shardAcc[0].drained += got;
-        roundMsgs += got;
-        if (!pendingDone.empty()
-            && (!deliverEvent.scheduled()
-                || deliverEvent.when()
-                       > pendingDone.front().deliverAt)) {
-            q.schedule(&deliverEvent, pendingDone.front().deliverAt);
-        }
-        if (!profiling) {
-            q.run(limit);
-        } else {
-            const auto b0 = clk::now();
-            const std::uint64_t before = q.dispatched();
-            q.run(limit);
-            const auto b1 = clk::now();
-            shardAcc[0].drainSeconds += secsBetween(d0, b0);
-            shardAcc[0].busySeconds += secsBetween(b0, b1);
-            traceShardRound(0, start, q.dispatched() - before);
-        }
+        st.dones.clear();
     }
-
-    for (unsigned ch = 0; ch < shards.size(); ++ch) {
-        EventQueue &q = *queues[1 + ch];
-        q.advanceTo(start);
-        auto &in = shards[ch].pushBox.inbox(curRound);
-        // An idle shard (nothing staged, nothing scheduled) can
-        // dispatch nothing this round; skipping it costs no events
-        // and keeps the profiler's clock reads off the quiet
-        // channels.  Its clock re-aligns at the next advanceTo.
-        if (in.empty() && q.empty())
-            continue;
-        ShardAccum &sa = shardAcc[1 + ch];
-        sa.drained += in.size();
-        roundMsgs += in.size();
-        if (!profiling) {
-            for (PushMsg &m : in)
-                controllers[ch]->pushAt(std::move(m.t), m.sentAt);
-            in.clear();
-            q.run(limit);
-            continue;
-        }
-        const auto d0 = clk::now();
-        for (PushMsg &m : in)
+    if (!pendingDone.empty()
+        && (!deliverEvent.scheduled()
+            || deliverEvent.when() > pendingDone.front().deliverAt)) {
+        eq.schedule(&deliverEvent, pendingDone.front().deliverAt);
+    }
+    for (unsigned ch = 0; ch < staged.size(); ++ch) {
+        for (PushMsg &m : staged[ch].pushes)
             controllers[ch]->pushAt(std::move(m.t), m.sentAt);
-        in.clear();
-        const auto b0 = clk::now();
-        const std::uint64_t before = q.dispatched();
-        q.run(limit);
-        const auto b1 = clk::now();
-        sa.drainSeconds += secsBetween(d0, b0);
-        sa.busySeconds += secsBetween(b0, b1);
-        traceShardRound(1 + ch, start, q.dispatched() - before);
+        staged[ch].pushes.clear();
     }
 
-    if (profiling && tracer && !kernelTracks.empty() && roundMsgs)
-        tracer->counter(mailboxTrack, "cross_shard_msgs", start,
-                        roundMsgs);
+    // (b) Dispatch the frame.
+    eq.run(start + frame - 1);
 }
 
 void
-System::traceShardRound(unsigned shard, Tick start,
-                        std::uint64_t events)
+System::stagePush(unsigned channel, TransPtr t)
 {
-    if (!tracer || kernelTracks.empty() || events == 0)
-        return;
-    // One frame slice per active shard per round, plus the round's
-    // dispatch count as a counter series.  exportJson's stable sort
-    // keeps the end of one slice ahead of the next slice's begin at
-    // the same tick.
-    const std::uint32_t trk = kernelTracks[shard];
-    tracer->begin(trk, "frame", start);
-    tracer->counter(trk, "events", start, events);
-    tracer->end(trk, "frame", start + frame);
-}
-
-bool
-System::endOfRound()
-{
-    ++curRound;
-    if (phaseDone)
-        return true;
-    // Termination backstop: a drained simulation (every shard idle,
-    // every mailbox empty, nothing pending delivery) can never reach
-    // the notify, so stop and let run() report it.
-    bool active = !pendingDone.empty();
-    for (const auto &q : queues)
-        active = active || !q->empty();
-    for (const auto &sh : shards)
-        active = active || !sh.pushBox.bothEmpty()
-            || !sh.doneBox.bothEmpty();
-    return !active;
-}
-
-void
-System::routePush(unsigned channel, TransPtr t)
-{
-    shards[channel].pushBox.post(
-        curRound, PushMsg{std::move(t), queues.front()->now()});
+    staged[channel].pushes.push_back(PushMsg{std::move(t), eq.now()});
 }
 
 void
 System::complete(unsigned channel, TransPtr t,
                  const PhaseDurations &pd, bool has_profile)
 {
-    shards[channel].doneBox.post(
-        curRound, CompleteMsg{std::move(t), pd, has_profile});
+    staged[channel].dones.push_back(
+        CompleteMsg{std::move(t), pd, has_profile});
 }
 
 void
 System::deliverFire()
 {
-    EventQueue &q = *queues.front();
-    const Tick now = q.now();
+    const Tick now = eq.now();
     while (!pendingDone.empty()
            && pendingDone.front().deliverAt <= now) {
         std::pop_heap(pendingDone.begin(), pendingDone.end(),
@@ -466,42 +333,14 @@ System::deliverFire()
         d.t.reset();
     }
     if (!pendingDone.empty())
-        q.schedule(&deliverEvent, pendingDone.front().deliverAt);
-}
-
-double
-System::kernelBusySeconds() const
-{
-    double s = 0.0;
-    for (const ShardAccum &sa : shardAcc)
-        s += sa.busySeconds;
-    return s;
-}
-
-double
-System::kernelDrainSeconds() const
-{
-    double s = 0.0;
-    for (const ShardAccum &sa : shardAcc)
-        s += sa.drainSeconds;
-    return s;
-}
-
-std::uint64_t
-System::mailboxMessagesPosted() const
-{
-    std::uint64_t n = 0;
-    for (const ChannelShard &sh : shards)
-        n += sh.pushBox.posted() + sh.doneBox.posted();
-    return n;
+        eq.schedule(&deliverEvent, pendingDone.front().deliverAt);
 }
 
 Tick
-System::alignClocks()
+System::alignClock()
 {
-    const Tick boundary = static_cast<Tick>(curRound) * frame;
-    for (auto &q : queues)
-        q->advanceTo(boundary);
+    const Tick boundary = static_cast<Tick>(curFrame) * frame;
+    eq.advanceTo(boundary);
     return boundary;
 }
 
@@ -796,43 +635,12 @@ System::collect(Tick window_ticks) const
     for (const auto &c : cores)
         r.runInsts += c->insts();
 
-    // Sum the shard queues' counters in queue order (peak depth too:
-    // an upper bound on simultaneous live events across all shards,
-    // and — unlike a max — it degrades visibly if one shard bloats).
-    for (const auto &q : queues) {
-        const EventQueue::Counters &qc = q->counters();
-        r.kernel.eventsDispatched += qc.dispatched;
-        r.kernel.schedules += qc.schedules;
-        r.kernel.reschedules += qc.reschedules;
-        r.kernel.deschedules += qc.deschedules;
-        r.kernel.peakQueueDepth += qc.peakDepth;
-    }
-    r.kernel.profiled = profiling;
-    if (profiling) {
-        for (std::size_t i = 0; i < queues.size(); ++i) {
-            const EventQueue::Counters &qc = queues[i]->counters();
-            ShardProfile sp;
-            sp.name = i == 0
-                ? "core"
-                : csprintf("ch%zu", i - 1);
-            sp.events = qc.dispatched;
-            sp.schedules = qc.schedules;
-            sp.reschedules = qc.reschedules;
-            sp.deschedules = qc.deschedules;
-            sp.peakQueueDepth = qc.peakDepth;
-            sp.mailboxIn = shardAcc[i].drained;
-            if (i == 0) {
-                // The core shard posts requests into every pushBox.
-                for (const ChannelShard &sh : shards)
-                    sp.mailboxOut += sh.pushBox.posted();
-            } else {
-                sp.mailboxOut = shards[i - 1].doneBox.posted();
-            }
-            sp.busySeconds = shardAcc[i].busySeconds;
-            sp.drainSeconds = shardAcc[i].drainSeconds;
-            r.kernel.shards.push_back(std::move(sp));
-        }
-    }
+    const EventQueue::Counters &qc = eq.counters();
+    r.kernel.eventsDispatched = qc.dispatched;
+    r.kernel.schedules = qc.schedules;
+    r.kernel.reschedules = qc.reschedules;
+    r.kernel.deschedules = qc.deschedules;
+    r.kernel.peakQueueDepth = qc.peakDepth;
     // The pool is thread-local and shared by every System this thread
     // has run, so the counters are cumulative across runs; high water
     // and capacity are still per-thread facts worth reporting.

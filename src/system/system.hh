@@ -22,7 +22,6 @@
 #include "mc/attribution.hh"
 #include "mc/controller.hh"
 #include "sim/event_queue.hh"
-#include "sim/shards.hh"
 #include "system/config.hh"
 #include "workload/generator.hh"
 
@@ -31,42 +30,12 @@ namespace fbdp {
 class System;
 
 /**
- * Kernel profile of one event-queue shard: its queue counters, the
- * mailbox traffic it drained and posted, and — when
- * SystemConfig::profileKernel timed the run — the host time it spent
- * dispatching vs draining.  Shard 0 is the core/cache shard ("core"),
- * shard 1+ch drives logic channel ch ("chN").  The count fields are
- * deterministic; only the *Seconds fields are host facts.
- */
-struct ShardProfile
-{
-    std::string name;           ///< "core" or "chN"
-
-    std::uint64_t events = 0;         ///< callbacks dispatched
-    std::uint64_t schedules = 0;
-    std::uint64_t reschedules = 0;
-    std::uint64_t deschedules = 0;
-    std::uint64_t peakQueueDepth = 0;
-
-    std::uint64_t mailboxIn = 0;   ///< messages drained by this shard
-    std::uint64_t mailboxOut = 0;  ///< messages it posted cross-shard
-
-    double busySeconds = 0.0;   ///< host time dispatching events
-    double drainSeconds = 0.0;  ///< host time draining mailboxes
-};
-
-/**
  * Event-kernel activity of one simulation: queue counters, transaction
  * pool occupancy and the host time spent inside the event-driven
  * phases (timed warm-up + measurement; construction and the functional
  * cache warm-up are excluded, they run no events).  Collected on every
  * run — the counters are maintained on the hot path anyway — and
  * reported by `fbdpsim --profile` and ResultSchema::kernelStats().
- *
- * The per-shard vector is filled only when
- * SystemConfig::profileKernel asked for the timed self-profile
- * (`fbdpsim --profile-kernel`); the aggregate counters are always
- * collected.
  */
 struct KernelProfile
 {
@@ -88,19 +57,6 @@ struct KernelProfile
      *  instead of computed.  A host fact like the seconds above:
      *  whether runs overlap depends on scheduling. */
     bool warmupCopied = false;
-
-    /** True when the run was timed per shard (the vector below is
-     *  filled). */
-    bool profiled = false;
-    std::vector<ShardProfile> shards; ///< [0]=core, [1+ch]=channel ch
-
-    /**
-     * Max/mean dispatched events over the *channel* shards: 1.0 is a
-     * perfectly balanced channel load, 2.0 means the hottest channel
-     * dispatches twice the average.  Deterministic, so reports can
-     * compare it at tolerance 0.  0 when unprofiled or single-channel.
-     */
-    double eventImbalance() const;
 
     /** Dispatch throughput over the event-driven phases. */
     double eventsPerSec() const
@@ -211,30 +167,24 @@ struct RunResult
 };
 
 /**
- * Routes cache-hierarchy traffic to the per-channel controllers.
- * Under the sharded kernel the hand-off goes through the owning
- * System's frame mailboxes (setRouter) instead of calling into the
- * controller — which lives on another shard — directly.
+ * Routes cache-hierarchy traffic to the per-channel controllers: each
+ * request is staged in the owning System (System::stagePush) and
+ * reaches its controller at the start of the next memory-cycle frame.
  */
 class MemorySystem : public MemoryIface
 {
   public:
     MemorySystem(EventQueue *event_queue, const AddressMap *map,
-                 std::vector<std::unique_ptr<MemController>> *ctrls);
+                 System *owner);
 
     void read(Addr line_addr, int core_id, bool sw_prefetch,
               TickCallback done) override;
     void write(Addr line_addr, int core_id) override;
 
-    /** Stage requests in @p r's mailboxes instead of pushing inline
-     *  (nullptr restores the direct path). */
-    void setRouter(System *r) { router = r; }
-
   private:
     EventQueue *eq;
     const AddressMap *map;
-    std::vector<std::unique_ptr<MemController>> *controllers;
-    System *router = nullptr;
+    System *sys;
 };
 
 /** Physical address space each core owns: core i's slice starts at
@@ -245,14 +195,11 @@ constexpr Addr coreSliceBytes = 1ull << 32;
 void requireFitsCoreSlice(const BenchProfile &prof);
 
 /**
- * One simulated machine, built on the sharded event kernel: a
- * core/cache event-queue shard (queue 0) plus one shard per logic
- * channel.  Simulated time advances in rounds of one memory-cycle
- * frame, run on the calling thread: each round dispatches the core
- * shard, then every channel shard in order.  Every cross-shard
- * hand-off (request, completion) is staged in a FrameMailbox during
- * one round and drained by the receiving shard at the start of the
- * next, costing exactly one frame of model latency.
+ * One simulated machine on one event queue.  Simulated time advances
+ * in frames of one memory cycle, run on the calling thread.  Requests
+ * (core to controller) and completions (controller to core) are staged
+ * during one frame and handed over at the start of the next, so every
+ * hand-off costs exactly one frame of model latency.
  */
 class System : private CompletionSink
 {
@@ -308,25 +255,14 @@ class System : private CompletionSink
     buildStatGroups(bool include_histograms = false) const;
 
     /**
-     * Stage a core-side request for channel @p channel's next round.
-     * Called by MemorySystem on the core shard; public only for that
-     * hand-off.
+     * Stage a core-side request for channel @p channel's next frame.
+     * Called by MemorySystem; public only for that hand-off.
      */
-    void routePush(unsigned channel, TransPtr t);
-
-    // Live kernel-profile reads for the telemetry sampler.  The
-    // seconds accessors return 0 unless cfg.profileKernel timed the
-    // run; the message/event counts are always maintained.
-    /** Host seconds spent dispatching, all shards so far. */
-    double kernelBusySeconds() const;
-    /** Host seconds spent draining mailboxes, all shards so far. */
-    double kernelDrainSeconds() const;
-    /** Cross-shard mailbox messages posted so far (both directions). */
-    std::uint64_t mailboxMessagesPosted() const;
+    void stagePush(unsigned channel, TransPtr t);
 
     // Component access for tests and custom experiments.
-    /** The core/cache shard's queue — the clock observers live by. */
-    EventQueue &eventQueue() { return *queues.front(); }
+    /** The one event queue every component schedules on. */
+    EventQueue &eventQueue() { return eq; }
     MemController &controller(unsigned i) { return *controllers.at(i); }
     unsigned numControllers() const
     {
@@ -354,14 +290,14 @@ class System : private CompletionSink
     const SystemConfig &config() const { return cfg; }
 
   private:
-    /** Core→channel request staged across a round boundary. */
+    /** Core→channel request staged across a frame boundary. */
     struct PushMsg
     {
         TransPtr t;
         Tick sentAt;
     };
 
-    /** Channel→core completion staged across a round boundary. */
+    /** Channel→core completion staged across a frame boundary. */
     struct CompleteMsg
     {
         TransPtr t;
@@ -369,19 +305,19 @@ class System : private CompletionSink
         bool hasProfile;
     };
 
-    /** Mailbox pair of one channel shard. */
-    struct ChannelShard
+    /** One channel's hand-offs staged in the current frame. */
+    struct Staged
     {
-        FrameMailbox<PushMsg> pushBox;    ///< core -> channel
-        FrameMailbox<CompleteMsg> doneBox; ///< channel -> core
+        std::vector<PushMsg> pushes;    ///< core -> channel
+        std::vector<CompleteMsg> dones; ///< channel -> core
     };
 
-    /** A drained completion waiting for its core-shard delivery tick
+    /** A handed-over completion waiting for its delivery tick
      *  (completedAt plus one frame). */
     struct PendingDone
     {
         Tick deliverAt;
-        std::uint64_t seq;  ///< drain order, FIFO within a tick
+        std::uint64_t seq;  ///< hand-over order, FIFO within a tick
         TransPtr t;
         PhaseDurations pd;
         bool hasProfile;
@@ -399,76 +335,44 @@ class System : private CompletionSink
         }
     };
 
-    // CompletionSink: called by a controller on its channel shard.
+    // CompletionSink: called by a controller from one of its events.
     void complete(unsigned channel, TransPtr t,
                   const PhaseDurations &pd, bool has_profile) override;
 
     void resetAllStats();
     RunResult collect(Tick window_ticks) const;
 
-    /** Execute rounds until the end of one sees phaseDone (or the
-     *  queues drain); on return every shard has finished the same
-     *  round. */
-    void runRounds();
+    /** Run frames until the end of one sees phaseDone (or nothing is
+     *  left to run); on return now() is that frame's last tick. */
+    void runFrames();
 
-    /** Round curRound: on every shard in order, advance the clock,
-     *  drain the mailboxes and dispatch one frame. */
-    void runRound();
+    /** Frame curFrame: hand over what the previous frame staged, then
+     *  dispatch the frame's events. */
+    void runFrame();
 
-    /** Emit one shard's frame slice + event counter for this round
-     *  (no-op unless a tracer is attached with profiling on). */
-    void traceShardRound(unsigned shard, Tick start,
-                         std::uint64_t events);
-
-    /** Advance the round counter; @return true when the phase is
-     *  done (or the simulation drained) and rounds should stop. */
-    bool endOfRound();
-
-    /** Pop pending completions due at the core shard's clock. */
+    /** Pop pending completions due now. */
     void deliverFire();
 
-    /** Align every shard's clock to the current frame boundary (the
-     *  phase edge, so windows span whole frames). */
-    Tick alignClocks();
+    /** Advance the clock to the current frame boundary (the phase
+     *  edge, so windows span whole frames). */
+    Tick alignClock();
 
     SystemConfig cfg;
 
-    /** queues[0] is the core/cache shard; queues[1 + ch] drives
-     *  logic channel ch. */
-    std::vector<std::unique_ptr<EventQueue>> queues;
-    std::vector<ChannelShard> shards;
+    EventQueue eq;
 
-    /** Frame length: one memory cycle, the round quantum. */
+    /** staged[ch]: hand-offs of logic channel ch. */
+    std::vector<Staged> staged;
+
+    /** Frame length: one memory cycle, the hand-off quantum. */
     Tick frame = 0;
-    /** Rounds completed since construction; never reset (mailbox
-     *  parity and in-flight hand-offs carry across phase edges). */
-    std::size_t curRound = 0;
+    /** Frames completed since construction; never reset (staged
+     *  hand-offs carry across phase edges). */
+    std::size_t curFrame = 0;
 
     std::vector<PendingDone> pendingDone;
     std::uint64_t nextDoneSeq = 0;
     Event deliverEvent;
-
-    // --- kernel self-profiling (SystemConfig::profileKernel) ---
-    /** Host-time and traffic accumulators of one shard. */
-    struct ShardAccum
-    {
-        std::uint64_t drained = 0;  ///< mailbox messages drained
-        double busySeconds = 0.0;
-        double drainSeconds = 0.0;
-    };
-    /** shardAcc[0] = core shard, shardAcc[1+ch] = channel ch.  The
-     *  drained counts are always maintained (one add per drain); the
-     *  seconds only when profiling. */
-    std::vector<ShardAccum> shardAcc;
-    /** cfg.profileKernel, cached for the hot round loop. */
-    bool profiling = false;
-
-    /** Per-round trace emission for the kernel shards (tracer
-     *  attached + profiling on): one interned track per shard plus a
-     *  cross-shard traffic counter track. */
-    std::vector<std::uint32_t> kernelTracks;
-    std::uint32_t mailboxTrack = 0;
-    trace::Tracer *tracer = nullptr;
 
     /** Completion hand-off between controllers and cores when
      *  attribution is enabled (see mc/attribution.hh). */

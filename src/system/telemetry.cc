@@ -158,22 +158,6 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
                          + pwScr.dRdCas + pwScr.dWrCas) / epochSecs;
              });
 
-    // Kernel self-profile gauges.  The fractions relate the profiler's
-    // per-shard host seconds to the host wall-clock time between two
-    // samples; they read 0 unless the run was started with
-    // --profile-kernel.  Mailbox traffic is counted unconditionally.
-    addGauge("kernel.busy_frac",
-             "fraction of host wall time spent dispatching events "
-             "since the last sample (0 unless --profile-kernel)",
-             [this] {
-                 return krnScr.dWall > 0.0
-                     ? (krnScr.dBusy + krnScr.dDrain) / krnScr.dWall
-                     : 0.0;
-             });
-    addGauge("kernel.mailbox_msgs",
-             "cross-shard mailbox messages posted this epoch",
-             [this] { return krnScr.dPosted; });
-
     for (size_t i = 0; i < coreScr.size(); ++i) {
         const CoreScratch *scr = &coreScr[i];
         const std::string pfx = csprintf("cpu%zu.", i);
@@ -308,22 +292,6 @@ TelemetrySampler::takeSample(Tick at)
         pwScr.dWrCas = guardedDelta(ops.wrCas, pwScr.prevWrCas);
         pwScr.dRefresh = guardedDelta(ops.refresh, pwScr.prevRefresh);
     }
-    {
-        krnScr.dBusy =
-            guardedDelta(sys.kernelBusySeconds(), krnScr.prevBusy);
-        krnScr.dDrain =
-            guardedDelta(sys.kernelDrainSeconds(), krnScr.prevDrain);
-        krnScr.dPosted = guardedDelta(sys.mailboxMessagesPosted(),
-                                      krnScr.prevPosted);
-        const auto wall = std::chrono::steady_clock::now();
-        krnScr.dWall = krnScr.wallValid
-            ? std::chrono::duration<double>(wall - krnScr.prevWall)
-                  .count()
-            : 0.0;
-        krnScr.prevWall = wall;
-        krnScr.wallValid = true;
-    }
-
     const double tNs =
         static_cast<double>(at) / static_cast<double>(ticksPerNs);
 

@@ -19,7 +19,6 @@
 #ifndef FBDP_SYSTEM_TELEMETRY_HH
 #define FBDP_SYSTEM_TELEMETRY_HH
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -152,26 +151,6 @@ class TelemetrySampler
         double dRefresh = 0.0;
     };
 
-    /** Delta baselines / per-epoch values of the kernel.* gauges.
-     *  The busy fraction divides the kernel profiler's accumulated
-     *  host seconds by the host wall-clock time between two samples,
-     *  so it reads 0 unless the run was started with
-     *  SystemConfig::profileKernel (the mailbox counter is always
-     *  maintained). */
-    struct KernelScratch
-    {
-        double prevBusy = 0.0;
-        double prevDrain = 0.0;
-        std::uint64_t prevPosted = 0;
-        std::chrono::steady_clock::time_point prevWall{};
-        bool wallValid = false;
-
-        double dBusy = 0.0;
-        double dDrain = 0.0;
-        double dWall = 0.0;
-        double dPosted = 0.0;
-    };
-
     void fire();
     void takeSample(Tick at);
     void addGauge(const std::string &gauge_name,
@@ -195,7 +174,6 @@ class TelemetrySampler
     std::vector<CoreScratch> coreScr;
     PrefetchScratch pfScr;
     PowerScratch pwScr;
-    KernelScratch krnScr;
 
     stats::StatGroup group{"telemetry"};
     std::vector<std::unique_ptr<stats::Formula>> formulas;

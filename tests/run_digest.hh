@@ -1,10 +1,13 @@
 /**
  * @file
- * One digest string over every deterministic field of a RunResult
- * (counters, exact doubles via hexfloat, per-channel attribution,
- * kernel counters), for tests that assert two runs are bit-identical.
- * Host-time fields (KernelProfile::hostEventSeconds, warmupCopied and
- * rates derived from them) are left out, since they legitimately vary.
+ * Digest strings over every deterministic field of a RunResult, for
+ * tests that assert two runs are bit-identical.  simDigest() covers
+ * the simulated fields (counters, exact doubles via hexfloat,
+ * per-channel attribution); kernelLine() the event kernel's counters,
+ * which describe how the run was executed rather than what it
+ * simulated; digest() is both.  Host-time fields
+ * (KernelProfile::hostEventSeconds, warmupCopied and rates derived
+ * from them) are left out, since they legitimately vary.
  */
 
 #ifndef FBDP_TESTS_RUN_DIGEST_HH
@@ -28,9 +31,9 @@ digestBreakdown(std::ostringstream &os, const ChannelBreakdown &b)
     }
 }
 
-/** Every deterministic field of @p r, one token stream. */
+/** Every simulated field of @p r, one token stream. */
 inline std::string
-digest(const RunResult &r)
+simDigest(const RunResult &r)
 {
     std::ostringstream os;
     os << std::hexfloat; // doubles bit-exact, not rounded
@@ -67,16 +70,31 @@ digest(const RunResult &r)
             os << " r" << core.stall[i];
     }
     os << "\nruninsts " << r.runInsts << "\n";
-    // Kernel counters are part of the contract too: the sharded
-    // drains must schedule exactly what the serial rounds schedule.
-    // Pool acquire/reuse counters are deliberately absent — the
-    // transaction pool is per-thread and process-cumulative, so a
-    // second System in the same process reports running totals.
+    return os.str();
+}
+
+/**
+ * The event kernel's counters of @p r as one line.  Pool acquire/reuse
+ * counters are deliberately absent — the transaction pool is
+ * per-thread and process-cumulative, so a second System in the same
+ * process reports running totals.
+ */
+inline std::string
+kernelLine(const RunResult &r)
+{
+    std::ostringstream os;
     os << "kernel " << r.kernel.eventsDispatched << ' '
        << r.kernel.schedules << ' ' << r.kernel.reschedules << ' '
        << r.kernel.deschedules << ' ' << r.kernel.peakQueueDepth << ' '
        << r.kernel.poolHighWater << "\n";
     return os.str();
+}
+
+/** simDigest() then kernelLine(): every deterministic field. */
+inline std::string
+digest(const RunResult &r)
+{
+    return simDigest(r) + kernelLine(r);
 }
 
 } // namespace fbdp

@@ -1,12 +1,17 @@
 /**
  * @file
- * Pins the event kernel's output.  Two fixed runs are folded into the
- * run_digest.hh digest (every deterministic RunResult field, doubles
- * bit-exact) and hashed with fnv1a64; the hashes must equal constants
- * recorded before the kernel's intra-run thread lanes and its batched
- * same-tick dispatch were removed, so they also prove the removal
- * changed no simulated bit.  The tests/golden/ tables cover only
- * two-channel machines; the first run here has eight channels.
+ * Pins the event kernel's output.  Two fixed runs are folded into
+ * run_digest.hh's simDigest() (every simulated RunResult field,
+ * doubles bit-exact) and hashed with fnv1a64; the hashes must equal
+ * constants recorded before the kernel's intra-run thread lanes, its
+ * batched same-tick dispatch and its per-channel queues were removed,
+ * so they also prove those removals changed no simulated bit.  The
+ * tests/golden/ tables cover only two-channel machines; the first run
+ * here has eight channels.
+ *
+ * The kernel counters (kernelLine()) are pinned separately: a change
+ * to how the kernel executes a run may move them while every
+ * simulated bit stays put.
  *
  * A change that is meant to move simulated results (a documented
  * model fix) re-records the constants from the failure message.
@@ -38,18 +43,18 @@ pinnedMachine(unsigned channels)
     return c;
 }
 
-/** fbdp::digest of one run of @p c, on a fresh thread: the
- *  transaction pool behind poolHighWater is per thread, so this keeps
- *  the digest independent of whatever ran earlier in the process. */
-std::string
-freshDigest(const SystemConfig &c)
+/** One run of @p c, on a fresh thread: the transaction pool behind
+ *  poolHighWater is per thread, so this keeps the kernel line
+ *  independent of whatever ran earlier in the process. */
+RunResult
+freshRun(const SystemConfig &c)
 {
-    std::string text;
-    std::thread([&c, &text] {
+    RunResult r;
+    std::thread([&c, &r] {
         System sys(c);
-        text = digest(sys.run());
+        r = sys.run();
     }).join();
-    return text;
+    return r;
 }
 
 } // namespace
@@ -58,14 +63,18 @@ TEST(KernelDigest, EightChannelFbdApWithAttribution)
 {
     SystemConfig c = pinnedMachine(8);
     c.attribution = true;
-    const std::string d = freshDigest(c);
-    EXPECT_EQ(fnv1a64(d), 0xc8090f1feb5e236bull) << d;
+    const RunResult r = freshRun(c);
+    const std::string d = simDigest(r);
+    EXPECT_EQ(fnv1a64(d), 0x7b2f7d3291416ddeull) << d;
+    EXPECT_EQ(kernelLine(r), "kernel 12075 12087 16 0 19 25\n");
 }
 
 TEST(KernelDigest, TwoChannelDefaultMachine)
 {
-    const std::string d = freshDigest(pinnedMachine(2));
-    EXPECT_EQ(fnv1a64(d), 0x840d12ddfc6c4720ull) << d;
+    const RunResult r = freshRun(pinnedMachine(2));
+    const std::string d = simDigest(r);
+    EXPECT_EQ(fnv1a64(d), 0x6d1e172c6af0f8f9ull) << d;
+    EXPECT_EQ(kernelLine(r), "kernel 8226 8231 9 0 9 28\n");
 }
 
 } // namespace fbdp

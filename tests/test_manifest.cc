@@ -76,10 +76,6 @@ TEST(ManifestTest, DigestIgnoresObserverAndExecutionKnobs)
     EXPECT_EQ(RunManifest::capture(c).configDigest, ref);
 
     c = base();
-    c.profileKernel = true;
-    EXPECT_EQ(RunManifest::capture(c).configDigest, ref);
-
-    c = base();
     c.threads = 4;
     EXPECT_EQ(RunManifest::capture(c).configDigest, ref);
 }

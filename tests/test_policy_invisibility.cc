@@ -3,8 +3,9 @@
  * Invisibility test of the policy refactor: routing the paper's
  * region-group prefetch through the PrefetchPolicy interface must
  * leave simulation results bit-for-bit identical.  The golden numbers
- * below pin the staged sharded kernel (cross-shard hand-offs cost one
- * memory-cycle frame; measurement windows are frame-aligned);
+ * below pin the one-queue kernel with its staged hand-offs (requests
+ * and completions cost one memory-cycle frame between core and
+ * controller; measurement windows are frame-aligned);
  * RegionPolicy behind the plug-in interface must reproduce every one
  * of them exactly — including the doubles, compared with EXPECT_EQ on
  * purpose.

@@ -96,8 +96,6 @@ TEST(WarmKey, MemorySideFieldsLeaveTheKeyAlone)
              }},
             {"threads", [](SystemConfig &c) { c.threads = 4; }},
             {"attribution", [](SystemConfig &c) { c.attribution = true; }},
-            {"profileKernel",
-             [](SystemConfig &c) { c.profileKernel = true; }},
             {"window",
              [](SystemConfig &c) {
                  c.warmupInsts = 1;

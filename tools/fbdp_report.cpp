@@ -21,12 +21,6 @@
  *   --lower-better        only a rise beyond tolerance is a regression
  *   --strict              keys present on one side only also fail
  *   --verbose             list every changed key and missing key
- *   --profile             kernel-profile preset: compare only the
- *                         per-shard counters and the channel event
- *                         imbalance (kernel.shards.*, deterministic),
- *                         skipping host seconds and rates — the shape
- *                         for gating two --profile-kernel dumps
- *                         against each other
  *
  * History mode — trend a cross-run ledger instead of diffing two
  * files (see system/ledger.hh; records come from `fbdpsim --ledger`
@@ -82,10 +76,6 @@ usage(const char *argv0)
         << "  --lower-better       only rises are regressions\n"
         << "  --strict             one-sided keys also fail\n"
         << "  --verbose            list all changes and missing keys\n"
-        << "  --profile            preset: only the deterministic\n"
-        << "                       kernel.shards counters + event\n"
-        << "                       imbalance (skips host time and\n"
-        << "                       rates)\n"
         << "or trend a cross-run ledger:\n"
         << "       " << argv0 << " --history <runs.jsonl> [options]\n"
         << "  --digest <hex>       config digest to trend (default:\n"
@@ -151,15 +141,6 @@ main(int argc, char **argv)
             opt.direction = DiffDirection::LowerBetter;
         } else if (arg == "--strict") {
             opt.strict = true;
-        } else if (arg == "--profile") {
-            // The kernel self-profile's deterministic slice: per-shard
-            // event/queue/mailbox counters and the channel imbalance
-            // summary compare exactly; host seconds and derived rates
-            // are host facts and are skipped.
-            opt.only.push_back("kernel.shards.");
-            opt.only.push_back("kernel.event_imbalance");
-            opt.ignore.push_back("_seconds");
-            opt.ignore.push_back("per_sec");
         } else if (arg == "--verbose") {
             verbose = true;
         } else if (arg == "--history") {

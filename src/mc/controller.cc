@@ -175,13 +175,7 @@ MemController::chainDelay(unsigned d) const
 void
 MemController::push(TransPtr t)
 {
-    pushAt(std::move(t), eq->now());
-}
-
-void
-MemController::pushAt(TransPtr t, Tick sent_at)
-{
-    const Tick now = sent_at;
+    const Tick now = eq->now();
     t->arrivedAtMc = now;
     t->earliestIssue = now + cfg.ctrlOverhead;
     t->retryAt = t->earliestIssue;
@@ -944,19 +938,6 @@ MemController::completionFire()
                 .sample(lat_ns);
         } else {
             latHistWrite.sample(lat_ns);
-        }
-        if (cSink) {
-            // Staged hand-off: record the phase profile here (the
-            // accumulator is channel state) but leave callback
-            // invocation and hub publishing to the sink's owner, at
-            // its next frame start.
-            PhaseDurations pd{};
-            const bool has_profile = att != nullptr;
-            if (att)
-                pd = att->record(*t);
-            cSink->complete(cSinkChannel, std::move(t), pd,
-                            has_profile);
-            continue;
         }
         if (att) {
             // Publish the phase profile for the duration of the

@@ -82,29 +82,6 @@ struct ControllerConfig
     PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
 };
 
-/**
- * Receiver of finished transactions when the controller runs inside a
- * System: instead of invoking the completion callback inline, the
- * controller hands the transaction — with its recorded phase profile —
- * to the sink, which stages it for delivery to the core one
- * memory-cycle frame later.
- */
-class CompletionSink
-{
-  public:
-    virtual ~CompletionSink() = default;
-
-    /**
-     * @p channel     the completing controller's logic-channel index
-     * @p t           the finished transaction (ownership transfers)
-     * @p pd          its phase profile (zeros unless @p has_profile)
-     * @p has_profile attribution was enabled on the channel
-     */
-    virtual void complete(unsigned channel, TransPtr t,
-                          const PhaseDurations &pd,
-                          bool has_profile) = 0;
-};
-
 /** One logic-channel memory controller with its DRAM devices. */
 class MemController
 {
@@ -112,31 +89,12 @@ class MemController
     MemController(std::string name, EventQueue *event_queue,
                   const ControllerConfig &cfg);
 
-    /** Hand a transaction to the controller at the current tick. */
+    /**
+     * Hand a transaction to the controller at the current tick.  Its
+     * completion callback runs from the controller's completion event
+     * at completedAt.
+     */
     void push(TransPtr t);
-
-    /**
-     * Hand a transaction that was *sent* at tick @p sent_at (possibly
-     * in the previous memory-cycle frame, when the sender staged it
-     * across a frame boundary).  Arrival timestamps and the first wake
-     * are derived from @p sent_at so latency accounting is independent
-     * of when the staging was handed over.
-     */
-    void pushAt(TransPtr t, Tick sent_at);
-
-    /**
-     * Route finished transactions to @p sink (labelled with
-     * @p channel) instead of invoking their completion callbacks
-     * inline.  nullptr restores inline delivery.  Channel-side
-     * statistics and attribution recording are unaffected; only the
-     * callback/publish half moves to the sink's owner.
-     */
-    void
-    setCompletionSink(CompletionSink *sink, unsigned channel)
-    {
-        cSink = sink;
-        cSinkChannel = channel;
-    }
 
     /**
      * Bind (or unbind with nullptr) the lifecycle tracer.  @p channel
@@ -482,10 +440,6 @@ class MemController
      *  per stamp site, same pattern as the tracer binding). */
     std::unique_ptr<ChannelAttribution> att;
     AttributionHub *attHub = nullptr;
-
-    /** Staged completion hand-off; null == deliver inline. */
-    CompletionSink *cSink = nullptr;
-    unsigned cSinkChannel = 0;
 
     trace::Kind traceKind(const Transaction *t) const
     {

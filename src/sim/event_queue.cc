@@ -136,16 +136,4 @@ EventQueue::run(Tick limit)
         curTick = limit;
 }
 
-void
-EventQueue::advanceTo(Tick t)
-{
-    if (t <= curTick)
-        return;
-    fbdp_assert(heap.empty() || heap[0].when >= t,
-                "advanceTo(%llu) would skip an event due at %llu",
-                static_cast<unsigned long long>(t),
-                static_cast<unsigned long long>(heap[0].when));
-    curTick = t;
-}
-
 } // namespace fbdp

@@ -144,13 +144,6 @@ class EventQueue
      */
     void run(Tick limit = maxTick);
 
-    /**
-     * Advance now() to @p t without dispatching anything.  Used by
-     * System to start each memory-cycle frame on its boundary.  No
-     * pending event may be due before @p t; a no-op if t <= now().
-     */
-    void advanceTo(Tick t);
-
     /** Dispatch exactly one event. @return false if the queue is empty. */
     bool step();
 

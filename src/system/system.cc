@@ -1,6 +1,5 @@
 #include "system/system.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <map>
 #include <ostream>
@@ -33,8 +32,9 @@ RunResult::totalInsts() const
 }
 
 MemorySystem::MemorySystem(EventQueue *event_queue,
-                           const AddressMap *address_map, System *owner)
-    : eq(event_queue), map(address_map), sys(owner)
+                           const AddressMap *address_map,
+                           std::vector<MemController *> mcs)
+    : eq(event_queue), map(address_map), controllers(std::move(mcs))
 {
 }
 
@@ -50,8 +50,7 @@ MemorySystem::read(Addr line_addr, int core_id, bool sw_prefetch,
     t->created = eq->now();
     t->coord = map->map(t->lineAddr);
     t->onComplete = std::move(done);
-    const unsigned ch = t->coord.channel;
-    sys->stagePush(ch, std::move(t));
+    controllers[t->coord.channel]->push(std::move(t));
 }
 
 void
@@ -63,8 +62,7 @@ MemorySystem::write(Addr line_addr, int core_id)
     t->coreId = core_id;
     t->created = eq->now();
     t->coord = map->map(t->lineAddr);
-    const unsigned ch = t->coord.channel;
-    sys->stagePush(ch, std::move(t));
+    controllers[t->coord.channel]->push(std::move(t));
 }
 
 void
@@ -80,8 +78,7 @@ requireFitsCoreSlice(const BenchProfile &prof)
 }
 
 System::System(const SystemConfig &config)
-    : cfg(config),
-      deliverEvent([this] { deliverFire(); }, Event::prioData)
+    : cfg(config)
 {
     fbdp_assert(!cfg.benchmarks.empty(),
                 "system configured with no workload");
@@ -89,20 +86,18 @@ System::System(const SystemConfig &config)
     // Validates the user-reachable configuration before any
     // component asserts on it.
     const ControllerConfig cc = cfg.controllerConfig();
-    frame = cc.timing.memCycle;
 
     map = std::make_unique<AddressMap>(cfg.addressMapConfig());
 
-    // Controllers reach the cores, and the cores the controllers, only
-    // through the per-channel staging.
-    staged.resize(cfg.logicChannels);
+    std::vector<MemController *> mcs;
     for (unsigned ch = 0; ch < cfg.logicChannels; ++ch) {
         controllers.push_back(std::make_unique<MemController>(
             csprintf("mc%u", ch), &eq, cc));
-        controllers.back()->setCompletionSink(this, ch);
+        mcs.push_back(controllers.back().get());
     }
 
-    memSys = std::make_unique<MemorySystem>(&eq, map.get(), this);
+    memSys = std::make_unique<MemorySystem>(&eq, map.get(),
+                                            std::move(mcs));
     hier = std::make_unique<CacheHierarchy>(&eq, cfg.nCores(),
                                             cfg.hier, memSys.get());
 
@@ -210,17 +205,16 @@ System::run()
     const auto host0 = std::chrono::steady_clock::now();
 
     // Phase 1: warm up until the first core has executed warmupInsts.
-    // Each phase runs whole frames and stops at the end of the frame
-    // in which the notify fired, so both window edges are
-    // frame-aligned.
+    // Each phase stops at the tick of the notify; events left at that
+    // tick run in the next phase.
     phaseDone = false;
     for (auto &c : cores) {
         c->setNotify(cfg.warmupInsts, [this] { phaseDone = true; });
         c->start();
     }
-    runFrames();
+    while (!phaseDone && eq.step()) {
+    }
     fbdp_assert(phaseDone, "simulation drained during warm-up");
-    alignClock();
 
     resetAllStats();
     const Tick t0 = eq.now();
@@ -231,117 +225,16 @@ System::run()
         c->setNotify(c->insts() + cfg.measureInsts,
                      [this] { phaseDone = true; });
     }
-    runFrames();
+    while (!phaseDone && eq.step()) {
+    }
     fbdp_assert(phaseDone, "simulation drained during measurement");
-    const Tick t1 = alignClock();
+    const Tick t1 = eq.now();
 
     hostEventSeconds = std::chrono::duration<double>(
         std::chrono::steady_clock::now() - host0).count();
     RunResult r = collect(t1 - t0);
     r.kernel.warmupCopied = warm_copied;
     return r;
-}
-
-void
-System::runFrames()
-{
-    for (;;) {
-        runFrame();
-        ++curFrame;
-        if (phaseDone)
-            return;
-        // Termination backstop: a drained simulation (no event, no
-        // staged hand-off, nothing pending delivery) can never reach
-        // the notify, so stop and let run() report it.
-        bool active = !eq.empty() || !pendingDone.empty();
-        for (const Staged &st : staged)
-            active = active || !st.pushes.empty() || !st.dones.empty();
-        if (!active)
-            return;
-    }
-}
-
-void
-System::runFrame()
-{
-    const Tick start = static_cast<Tick>(curFrame) * frame;
-    eq.advanceTo(start);
-
-    // (a) Hand over everything the previous frame staged, before any
-    // event of this one.  Completions first, in channel order and then
-    // staging order, each one frame after it finished; that keeps the
-    // completions' relative spacing and FIFO order.
-    for (Staged &st : staged) {
-        for (CompleteMsg &m : st.dones) {
-            pendingDone.push_back(PendingDone{
-                m.t->completedAt + frame, nextDoneSeq++,
-                std::move(m.t), m.pd, m.hasProfile});
-            std::push_heap(pendingDone.begin(), pendingDone.end(),
-                           PendingAfter{});
-        }
-        st.dones.clear();
-    }
-    if (!pendingDone.empty()
-        && (!deliverEvent.scheduled()
-            || deliverEvent.when() > pendingDone.front().deliverAt)) {
-        eq.schedule(&deliverEvent, pendingDone.front().deliverAt);
-    }
-    for (unsigned ch = 0; ch < staged.size(); ++ch) {
-        for (PushMsg &m : staged[ch].pushes)
-            controllers[ch]->pushAt(std::move(m.t), m.sentAt);
-        staged[ch].pushes.clear();
-    }
-
-    // (b) Dispatch the frame.
-    eq.run(start + frame - 1);
-}
-
-void
-System::stagePush(unsigned channel, TransPtr t)
-{
-    staged[channel].pushes.push_back(PushMsg{std::move(t), eq.now()});
-}
-
-void
-System::complete(unsigned channel, TransPtr t,
-                 const PhaseDurations &pd, bool has_profile)
-{
-    staged[channel].dones.push_back(
-        CompleteMsg{std::move(t), pd, has_profile});
-}
-
-void
-System::deliverFire()
-{
-    const Tick now = eq.now();
-    while (!pendingDone.empty()
-           && pendingDone.front().deliverAt <= now) {
-        std::pop_heap(pendingDone.begin(), pendingDone.end(),
-                      PendingAfter{});
-        PendingDone d = std::move(pendingDone.back());
-        pendingDone.pop_back();
-        if (d.hasProfile) {
-            // Publish the phase profile for the duration of the
-            // completion callback so a core whose stall ends inside
-            // it can attribute the stalled cycles to these phases.
-            attHub.publish(d.pd);
-        }
-        if (d.t->onComplete)
-            d.t->onComplete(d.t->completedAt);
-        if (d.hasProfile)
-            attHub.clear();
-        d.t.reset();
-    }
-    if (!pendingDone.empty())
-        eq.schedule(&deliverEvent, pendingDone.front().deliverAt);
-}
-
-Tick
-System::alignClock()
-{
-    const Tick boundary = static_cast<Tick>(curFrame) * frame;
-    eq.advanceTo(boundary);
-    return boundary;
 }
 
 void

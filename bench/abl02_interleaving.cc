@@ -7,34 +7,25 @@
  * (the two schemes Figure 2 describes for AP).
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+abl02(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
     auto prep = [&](SystemConfig c, Interleave s) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
+        c = p.prep(c);
         c.scheme = s;
-        applyInstsFromEnv(c);
         return c;
     };
 
-    std::cout << "== Ablation A2: DRAM interleaving schemes ==\n"
-              << "throughput (sum of IPCs), group averages\n\n";
+    os << "== Ablation A2: DRAM interleaving schemes ==\n"
+       << "throughput (sum of IPCs), group averages\n\n";
 
     TextTable t({"cores", "FBD line", "FBD multi-line", "FBD page",
                  "AP multi-line", "AP page"});
@@ -42,24 +33,23 @@ main(int argc, char **argv)
         double line = 0, multi = 0, page = 0, apm = 0, app = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            line += runMix(prep(SystemConfig::fbdBase(),
-                                Interleave::Cacheline), mix).ipcSum();
-            multi += runMix(prep(SystemConfig::fbdBase(),
-                                 Interleave::MultiCacheline),
-                            mix).ipcSum();
-            page += runMix(prep(SystemConfig::fbdBase(),
-                                Interleave::Page), mix).ipcSum();
-            apm += runMix(prep(SystemConfig::fbdAp(),
-                               Interleave::MultiCacheline),
-                          mix).ipcSum();
-            app += runMix(prep(SystemConfig::fbdAp(),
+            line += p.run(prep(SystemConfig::fbdBase(),
+                               Interleave::Cacheline), mix).ipcSum();
+            multi += p.run(prep(SystemConfig::fbdBase(),
+                                Interleave::MultiCacheline),
+                           mix).ipcSum();
+            page += p.run(prep(SystemConfig::fbdBase(),
                                Interleave::Page), mix).ipcSum();
+            apm += p.run(prep(SystemConfig::fbdAp(),
+                              Interleave::MultiCacheline),
+                         mix).ipcSum();
+            app += p.run(prep(SystemConfig::fbdAp(),
+                              Interleave::Page), mix).ipcSum();
             ++n;
         }
         t.addRow({std::to_string(cores), fmtD(line / n),
                   fmtD(multi / n), fmtD(page / n), fmtD(apm / n),
                   fmtD(app / n)});
     }
-    t.print(std::cout);
-    return 0;
+    t.print(os);
 }

@@ -6,70 +6,41 @@
  * write requests is above a certain threshold") and reports FB-DIMM
  * throughput and latency per group.
  *
- * Built on the Sweep batch engine: the four thresholds become four
- * named configurations crossed with the core-count's mix group, so
- * the whole grid runs on the worker pool (FBDP_JOBS).
+ * Each threshold is one FB-DIMM configuration run on every mix of the
+ * core-count group; fbdp-paper runs those cells with the rest of the
+ * suite's on its worker pool (FBDP_JOBS).
  */
 
-#include <cstring>
-#include <iostream>
-#include <map>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
-#include "system/sweep.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+abl03(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    std::cout << "== Ablation A3: write-drain threshold sweep ==\n\n";
-
-    const std::vector<unsigned> highs{8, 16, 32, 48};
+    os << "== Ablation A3: write-drain threshold sweep ==\n\n";
 
     TextTable t({"cores", "drain@8", "drain@16", "drain@32",
                  "drain@48"});
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
-        Sweep s;
-        for (unsigned high : highs) {
-            SystemConfig c = prep(SystemConfig::fbdBase());
+        std::vector<std::string> line{std::to_string(cores)};
+        for (unsigned high : {8u, 16u, 32u, 48u}) {
+            SystemConfig c = p.prep(SystemConfig::fbdBase());
             c.writeDrainHigh = high;
             c.writeDrainLow = high / 4;
-            s.addConfig("drain@" + std::to_string(high), c);
-        }
-        s.addMixGroup(cores);
-
-        // Config-major row order: accumulate sum/count per config.
-        std::map<std::string, std::pair<double, unsigned>> acc;
-        for (const auto &row : s.run()) {
-            auto &[sum, n] = acc[row.config];
-            sum += row.result.ipcSum();
-            ++n;
-        }
-
-        std::vector<std::string> line{std::to_string(cores)};
-        for (unsigned high : highs) {
-            const auto &[sum, n] =
-                acc.at("drain@" + std::to_string(high));
+            double sum = 0.0;
+            unsigned n = 0;
+            for (const auto &mix : mixesFor(cores)) {
+                sum += p.run(c, mix).ipcSum();
+                ++n;
+            }
             line.push_back(fmtD(sum / n));
         }
         t.addRow(line);
     }
-    t.print(std::cout);
-    return 0;
+    t.print(os);
 }

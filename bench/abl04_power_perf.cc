@@ -8,40 +8,27 @@
  * DRAM energy so the Pareto frontier is visible; flags the paper's
  * recommended point.
  *
- * The 36-variant x mix-group grid runs as batches of RunCells on the
- * worker pool (FBDP_JOBS), with results in input order.
+ * The 36 variants run on every mix of the 1- and 4-core groups, next
+ * to one FB-DIMM baseline per mix: 666 cells, which fbdp-paper runs
+ * with the rest of the suite's on its worker pool (FBDP_JOBS).
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "power/power_model.hh"
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+abl04(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
     PowerModel pm;
 
-    std::cout << "== Ablation A4: power/performance balance "
-                 "(paper Section 5.5 future work) ==\n\n";
+    os << "== Ablation A4: power/performance balance "
+          "(paper Section 5.5 future work) ==\n\n";
 
     struct Variant
     {
@@ -58,35 +45,23 @@ main(int argc, char **argv)
         const unsigned nMixes = static_cast<unsigned>(group.size());
 
         // Baselines per group, one cell per mix.
-        std::vector<RunCell> baseCells;
-        for (const auto &mix : group)
-            baseCells.push_back(
-                {prep(SystemConfig::fbdBase()), &mix});
-        const std::vector<RunResult> bases = runCells(baseCells);
+        std::vector<RunResult> bases;
         double base_perf = 0.0;
-        for (const RunResult &r : bases)
-            base_perf += r.ipcSum();
-
-        // The full variant x mix grid as one batch.
-        std::vector<RunCell> cells;
-        for (const Variant &v : variants) {
-            for (const auto &mix : group) {
-                SystemConfig c = prep(SystemConfig::fbdAp());
-                c.regionLines = v.k;
-                c.ambPrefetch.entries = v.entries;
-                c.ambPrefetch.ways = v.ways;
-                cells.push_back({std::move(c), &mix});
-            }
+        for (const auto &mix : group) {
+            bases.push_back(p.run(p.prep(SystemConfig::fbdBase()), mix));
+            base_perf += bases.back().ipcSum();
         }
-        const std::vector<RunResult> results = runCells(cells);
 
         TextTable t({"K", "entries", "ways", "speedup",
                      "rel. energy", "note"});
-        for (size_t vi = 0; vi < variants.size(); ++vi) {
-            const Variant &v = variants[vi];
+        for (const Variant &v : variants) {
             double perf = 0.0, energy = 0.0;
             for (unsigned i = 0; i < nMixes; ++i) {
-                const RunResult &r = results[vi * nMixes + i];
+                SystemConfig c = p.prep(SystemConfig::fbdAp());
+                c.regionLines = v.k;
+                c.ambPrefetch.entries = v.entries;
+                c.ambPrefetch.ways = v.ways;
+                const RunResult r = p.run(c, group[i]);
                 perf += r.ipcSum();
                 energy += pm.relativeDynamicEnergy(
                     r.ops, r.totalInsts(), bases[i].ops,
@@ -101,9 +76,8 @@ main(int argc, char **argv)
                       fmtD(energy / nMixes),
                       recommended ? "<- paper pick" : ""});
         }
-        std::cout << cores << "-core average\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core average\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

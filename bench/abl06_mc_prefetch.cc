@@ -14,40 +14,26 @@
  * channel saturates.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+abl06(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
-
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
 
     auto mcp = [&] {
         SystemConfig c = SystemConfig::fbdBase();
         c.scheme = Interleave::MultiCacheline;
         c.mcBufPrefetch.policy = "region";
-        return prep(c);
+        return p.prep(c);
     };
 
-    std::cout << "== Ablation A6: prefetch destination — AMB cache "
-                 "vs memory controller ==\n\n";
+    os << "== Ablation A6: prefetch destination — AMB cache "
+          "vs memory controller ==\n\n";
 
     TextTable t({"cores", "FBD", "FBD-MCP", "FBD-AP", "MCP GB/s",
                  "AP GB/s", "MCP cover", "AP cover"});
@@ -56,9 +42,9 @@ main(int argc, char **argv)
         double m_bw = 0, a_bw = 0, m_cov = 0, a_cov = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            f += runMix(prep(SystemConfig::fbdBase()), mix).ipcSum();
-            RunResult rm = runMix(mcp(), mix);
-            RunResult ra = runMix(prep(SystemConfig::fbdAp()), mix);
+            f += p.run(p.prep(SystemConfig::fbdBase()), mix).ipcSum();
+            RunResult rm = p.run(mcp(), mix);
+            RunResult ra = p.run(p.prep(SystemConfig::fbdAp()), mix);
             m += rm.ipcSum();
             a += ra.ipcSum();
             m_bw += rm.bandwidthGBs;
@@ -71,8 +57,7 @@ main(int argc, char **argv)
                   fmtD(a / n), fmtD(m_bw / n, 1), fmtD(a_bw / n, 1),
                   fmtPct(m_cov / n), fmtPct(a_cov / n)});
     }
-    t.print(std::cout);
-    std::cout << "\nMCP bandwidth includes its prefetch transfers; AP "
-                 "keeps them behind the AMBs.\n";
-    return 0;
+    t.print(os);
+    os << "\nMCP bandwidth includes its prefetch transfers; AP "
+          "keeps them behind the AMBs.\n";
 }

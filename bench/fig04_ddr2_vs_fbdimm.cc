@@ -10,44 +10,28 @@
  * (+1.1 % / +6.0 %).
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig04(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 30'000 : 75'000;
-        c.measureInsts = quick ? 120'000 : 300'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    ReferenceSet refs(prep(SystemConfig::ddr2()));
-
-    std::cout << "== Figure 4: SMT speedup, DDR2 vs FB-DIMM ==\n\n";
+    os << "== Figure 4: SMT speedup, DDR2 vs FB-DIMM ==\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"workload", "DDR2", "FBD", "FBD vs DDR2"});
         double sum_d = 0.0, sum_f = 0.0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            RunResult d = runMix(prep(SystemConfig::ddr2()), mix);
-            RunResult f = runMix(prep(SystemConfig::fbdBase()), mix);
-            const double sd = smtSpeedup(d, mix, refs);
-            const double sf = smtSpeedup(f, mix, refs);
+            RunResult d = p.run(p.prep(SystemConfig::ddr2()), mix);
+            RunResult f = p.run(p.prep(SystemConfig::fbdBase()), mix);
+            const double sd = p.smt(d, mix);
+            const double sf = p.smt(f, mix);
             sum_d += sd;
             sum_f += sf;
             ++n;
@@ -56,9 +40,8 @@ main(int argc, char **argv)
         }
         t.addRow({"average", fmtD(sum_d / n), fmtD(sum_f / n),
                   fmtPct(sum_f / sum_d - 1.0)});
-        std::cout << cores << "-core workloads\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core workloads\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

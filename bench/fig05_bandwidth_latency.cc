@@ -6,33 +6,19 @@
  * eight cores FB-DIMM sustains more bandwidth at lower latency.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig05(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 30'000 : 75'000;
-        c.measureInsts = quick ? 120'000 : 300'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    std::cout << "== Figure 5: utilized bandwidth vs average latency, "
-                 "DDR2 vs FB-DIMM ==\n\n";
+    os << "== Figure 5: utilized bandwidth vs average latency, "
+          "DDR2 vs FB-DIMM ==\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"workload", "DDR2 GB/s", "DDR2 lat ns",
@@ -40,8 +26,8 @@ main(int argc, char **argv)
         double bw_d = 0, lat_d = 0, bw_f = 0, lat_f = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            RunResult d = runMix(prep(SystemConfig::ddr2()), mix);
-            RunResult f = runMix(prep(SystemConfig::fbdBase()), mix);
+            RunResult d = p.run(p.prep(SystemConfig::ddr2()), mix);
+            RunResult f = p.run(p.prep(SystemConfig::fbdBase()), mix);
             bw_d += d.bandwidthGBs;
             lat_d += d.avgReadLatencyNs;
             bw_f += f.bandwidthGBs;
@@ -54,9 +40,8 @@ main(int argc, char **argv)
         }
         t.addRow({"average", fmtD(bw_d / n, 2), fmtD(lat_d / n, 1),
                   fmtD(bw_f / n, 2), fmtD(lat_f / n, 1)});
-        std::cout << cores << "-core workloads\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core workloads\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

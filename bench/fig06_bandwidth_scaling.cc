@@ -11,48 +11,32 @@
  * two to four, vs +8.8 % / +5.1 % for single-core).
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig06(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
-
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    ReferenceSet refs(prep(SystemConfig::ddr2()));
 
     auto group_avg = [&](const SystemConfig &cfg, unsigned cores) {
         double sum = 0.0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            RunResult r = runMix(cfg, mix);
-            sum += smtSpeedup(r, mix, refs);
+            RunResult r = p.run(cfg, mix);
+            sum += p.smt(r, mix);
             ++n;
         }
         return sum / n;
     };
 
-    std::cout << "== Figure 6: bandwidth impact on performance ==\n"
-              << "average SMT speedup per group\n\n";
+    os << "== Figure 6: bandwidth impact on performance ==\n"
+       << "average SMT speedup per group\n\n";
 
-    std::cout << "-- data-rate sweep (2 logic channels) --\n";
+    os << "-- data-rate sweep (2 logic channels) --\n";
     {
         TextTable t({"cores", "DDR2-533", "DDR2-667", "DDR2-800",
                      "FBD-533", "FBD-667", "FBD-800"});
@@ -60,18 +44,18 @@ main(int argc, char **argv)
             std::vector<std::string> row{std::to_string(cores)};
             for (bool fbd : {false, true}) {
                 for (unsigned rate : {533u, 667u, 800u}) {
-                    SystemConfig c = prep(fbd ? SystemConfig::fbdBase()
-                                              : SystemConfig::ddr2());
+                    SystemConfig c = p.prep(fbd ? SystemConfig::fbdBase()
+                                                : SystemConfig::ddr2());
                     c.dataRate = rate;
                     row.push_back(fmtD(group_avg(c, cores)));
                 }
             }
             t.addRow(row);
         }
-        t.print(std::cout);
+        t.print(os);
     }
 
-    std::cout << "\n-- channel-count sweep (667 MT/s) --\n";
+    os << "\n-- channel-count sweep (667 MT/s) --\n";
     {
         TextTable t({"cores", "DDR2-1ch", "DDR2-2ch", "DDR2-4ch",
                      "FBD-1ch", "FBD-2ch", "FBD-4ch"});
@@ -79,15 +63,14 @@ main(int argc, char **argv)
             std::vector<std::string> row{std::to_string(cores)};
             for (bool fbd : {false, true}) {
                 for (unsigned ch : {1u, 2u, 4u}) {
-                    SystemConfig c = prep(fbd ? SystemConfig::fbdBase()
-                                              : SystemConfig::ddr2());
+                    SystemConfig c = p.prep(fbd ? SystemConfig::fbdBase()
+                                                : SystemConfig::ddr2());
                     c.logicChannels = ch;
                     row.push_back(fmtD(group_avg(c, cores)));
                 }
             }
             t.addRow(row);
         }
-        t.print(std::cout);
+        t.print(os);
     }
-    return 0;
 }

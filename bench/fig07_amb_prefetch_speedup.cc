@@ -4,52 +4,33 @@
  * per workload, for 1-, 2-, 4- and 8-core machines.  Reference points
  * are the single-program runs on single-core two-channel DDR2, as in
  * the paper.
- *
- * Flags: --quick (shorter runs); env FBDP_MEASURE_INSTS overrides.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig07(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 30'000 : 75'000;
-        c.measureInsts = quick ? 120'000 : 300'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    const SystemConfig ref_cfg = prep(SystemConfig::ddr2());
-    ReferenceSet refs(ref_cfg);
-
-    std::cout << "== Figure 7: performance of AMB prefetching "
-                 "(FBD vs FBD-AP) ==\n"
-              << "SMT speedup relative to single-core DDR2 "
-                 "references\n\n";
+    os << "== Figure 7: performance of AMB prefetching "
+          "(FBD vs FBD-AP) ==\n"
+       << "SMT speedup relative to single-core DDR2 "
+          "references\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"workload", "FBD", "FBD-AP", "gain"});
         double sum_fbd = 0.0, sum_ap = 0.0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            RunResult fbd = runMix(prep(SystemConfig::fbdBase()), mix);
-            RunResult ap = runMix(prep(SystemConfig::fbdAp()), mix);
-            const double s_fbd = smtSpeedup(fbd, mix, refs);
-            const double s_ap = smtSpeedup(ap, mix, refs);
+            RunResult fbd = p.run(p.prep(SystemConfig::fbdBase()), mix);
+            RunResult ap = p.run(p.prep(SystemConfig::fbdAp()), mix);
+            const double s_fbd = p.smt(fbd, mix);
+            const double s_ap = p.smt(ap, mix);
             sum_fbd += s_fbd;
             sum_ap += s_ap;
             ++n;
@@ -58,9 +39,8 @@ main(int argc, char **argv)
         }
         t.addRow({"average", fmtD(sum_fbd / n), fmtD(sum_ap / n),
                   fmtPct(sum_ap / sum_fbd - 1.0)});
-        std::cout << cores << "-core workloads\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core workloads\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

@@ -12,30 +12,16 @@
  * help both.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig08(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
-
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
 
     struct Variant {
         const char *name;
@@ -55,7 +41,7 @@ main(int argc, char **argv)
         {"Set=Full", 4, 64, 0},
     };
 
-    std::cout << "== Figure 8: prefetch coverage and efficiency ==\n\n";
+    os << "== Figure 8: prefetch coverage and efficiency ==\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"variant", "coverage", "efficiency"});
@@ -63,20 +49,19 @@ main(int argc, char **argv)
             double cov = 0.0, eff = 0.0;
             unsigned n = 0;
             for (const auto &mix : mixesFor(cores)) {
-                SystemConfig c = prep(SystemConfig::fbdAp());
+                SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
                 c.ambPrefetch.entries = v.entries;
                 c.ambPrefetch.ways = v.ways;
-                RunResult r = runMix(c, mix);
+                RunResult r = p.run(c, mix);
                 cov += r.coverage;
                 eff += r.efficiency;
                 ++n;
             }
             t.addRow({v.name, fmtPct(cov / n), fmtPct(eff / n)});
         }
-        std::cout << cores << "-core average\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core average\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

@@ -16,35 +16,19 @@
  * at eight cores the bandwidth share exceeds the latency share.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig09(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    ReferenceSet refs(prep(SystemConfig::ddr2()));
-
-    std::cout << "== Figure 9: decomposition of the performance gain "
-                 "==\n\n";
+    os << "== Figure 9: decomposition of the performance gain "
+          "==\n\n";
 
     TextTable t({"cores", "FBD", "FBD-APFL", "FBD-AP",
                  "bandwidth gain", "latency gain"});
@@ -52,13 +36,13 @@ main(int argc, char **argv)
         double s_fbd = 0.0, s_fl = 0.0, s_ap = 0.0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            s_fbd += smtSpeedup(runMix(prep(SystemConfig::fbdBase()),
-                                       mix), mix, refs);
-            SystemConfig fl = prep(SystemConfig::fbdAp());
+            s_fbd += p.smt(p.run(p.prep(SystemConfig::fbdBase()), mix),
+                           mix);
+            SystemConfig fl = p.prep(SystemConfig::fbdAp());
             fl.apFullLatency = true;
-            s_fl += smtSpeedup(runMix(fl, mix), mix, refs);
-            s_ap += smtSpeedup(runMix(prep(SystemConfig::fbdAp()),
-                                      mix), mix, refs);
+            s_fl += p.smt(p.run(fl, mix), mix);
+            s_ap += p.smt(p.run(p.prep(SystemConfig::fbdAp()), mix),
+                          mix);
             ++n;
         }
         s_fbd /= n;
@@ -68,6 +52,5 @@ main(int argc, char **argv)
                   fmtD(s_ap), fmtPct(s_fl / s_fbd - 1.0),
                   fmtPct(s_ap / s_fl - 1.0)});
     }
-    t.print(std::cout);
-    return 0;
+    t.print(os);
 }

@@ -9,33 +9,19 @@
  * critical path and serves hits 30 ns sooner.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig10(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
-
-    std::cout << "== Figure 10: bandwidth vs latency, FBD vs FBD-AP "
-                 "==\n\n";
+    os << "== Figure 10: bandwidth vs latency, FBD vs FBD-AP "
+          "==\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"workload", "FBD GB/s", "FBD lat ns",
@@ -43,8 +29,8 @@ main(int argc, char **argv)
         double bw_f = 0, lat_f = 0, bw_a = 0, lat_a = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            RunResult f = runMix(prep(SystemConfig::fbdBase()), mix);
-            RunResult a = runMix(prep(SystemConfig::fbdAp()), mix);
+            RunResult f = p.run(p.prep(SystemConfig::fbdBase()), mix);
+            RunResult a = p.run(p.prep(SystemConfig::fbdAp()), mix);
             bw_f += f.bandwidthGBs;
             lat_f += f.avgReadLatencyNs;
             bw_a += a.bandwidthGBs;
@@ -57,9 +43,8 @@ main(int argc, char **argv)
         }
         t.addRow({"average", fmtD(bw_f / n, 2), fmtD(lat_f / n, 1),
                   fmtD(bw_a / n, 2), fmtD(lat_a / n, 1)});
-        std::cout << cores << "-core workloads\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core workloads\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

@@ -10,30 +10,16 @@
  * >= 98 % of fully associative; direct-mapped drops to ~87-95 %.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig11(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
-
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
 
     struct Variant {
         const char *name;
@@ -52,16 +38,16 @@ main(int argc, char **argv)
         {"full (default)", 4, 64, 0},
     };
 
-    std::cout << "== Figure 11: sensitivity to AP configuration ==\n"
-              << "throughput (sum of IPCs) normalised to the default "
-                 "setting\n\n";
+    os << "== Figure 11: sensitivity to AP configuration ==\n"
+       << "throughput (sum of IPCs) normalised to the default "
+          "setting\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         // Default baseline per group.
         double base = 0.0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            base += runMix(prep(SystemConfig::fbdAp()), mix).ipcSum();
+            base += p.run(p.prep(SystemConfig::fbdAp()), mix).ipcSum();
             ++n;
         }
         base /= n;
@@ -70,18 +56,17 @@ main(int argc, char **argv)
         for (const auto &v : variants) {
             double s = 0.0;
             for (const auto &mix : mixesFor(cores)) {
-                SystemConfig c = prep(SystemConfig::fbdAp());
+                SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
                 c.ambPrefetch.entries = v.entries;
                 c.ambPrefetch.ways = v.ways;
-                s += runMix(c, mix).ipcSum();
+                s += p.run(c, mix).ipcSum();
             }
             s /= n;
             t.addRow({v.name, fmtD(s / base)});
         }
-        std::cout << cores << "-core average\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core average\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

@@ -11,39 +11,30 @@
  * are complementary, not overlapping).
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig12(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
 
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
     auto prep = [&](SystemConfig c, bool sp, bool ap) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
+        c = p.prep(c);
         c.swPrefetch = sp;
         if (!ap) {
             c.ambPrefetch.policy = "none";
             c.scheme = Interleave::Cacheline;
         }
-        applyInstsFromEnv(c);
         return c;
     };
 
-    std::cout << "== Figure 12: AMB prefetching vs software prefetching "
-                 "==\nSMT speedup relative to FB-DIMM with no "
-                 "prefetching at all\n\n";
+    os << "== Figure 12: AMB prefetching vs software prefetching "
+          "==\nSMT speedup relative to FB-DIMM with no "
+          "prefetching at all\n\n";
 
     TextTable t({"cores", "NONE", "AP", "SP", "AP+SP", "AP+SP vs "
                  "sum"});
@@ -51,14 +42,14 @@ main(int argc, char **argv)
         double none = 0, ap = 0, sp = 0, both = 0;
         unsigned n = 0;
         for (const auto &mix : mixesFor(cores)) {
-            none += runMix(prep(SystemConfig::fbdBase(), false, false),
-                           mix).ipcSum();
-            ap += runMix(prep(SystemConfig::fbdAp(), false, true),
-                         mix).ipcSum();
-            sp += runMix(prep(SystemConfig::fbdBase(), true, false),
-                         mix).ipcSum();
-            both += runMix(prep(SystemConfig::fbdAp(), true, true),
-                           mix).ipcSum();
+            none += p.run(prep(SystemConfig::fbdBase(), false, false),
+                          mix).ipcSum();
+            ap += p.run(prep(SystemConfig::fbdAp(), false, true),
+                        mix).ipcSum();
+            sp += p.run(prep(SystemConfig::fbdBase(), true, false),
+                        mix).ipcSum();
+            both += p.run(prep(SystemConfig::fbdAp(), true, true),
+                          mix).ipcSum();
             ++n;
         }
         const double r_ap = ap / none;
@@ -69,6 +60,5 @@ main(int argc, char **argv)
                   fmtD(r_sp), fmtD(r_both),
                   fmtPct(r_both / sum - 1.0)});
     }
-    t.print(std::cout);
-    return 0;
+    t.print(os);
 }

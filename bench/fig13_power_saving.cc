@@ -15,31 +15,17 @@
  * the saved activations.
  */
 
-#include <cstring>
-#include <iostream>
+#include <ostream>
 
 #include "power/power_model.hh"
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
 
-int
-main(int argc, char **argv)
+void
+fig13(fbdp::PaperRun &p, std::ostream &os)
 {
     using namespace fbdp;
-
-    bool quick = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--quick"))
-            quick = true;
-    }
-
-    auto prep = [&](SystemConfig c) {
-        c.warmupInsts = quick ? 20'000 : 50'000;
-        c.measureInsts = quick ? 80'000 : 200'000;
-        applyInstsFromEnv(c);
-        return c;
-    };
 
     struct Variant {
         const char *name;
@@ -56,9 +42,9 @@ main(int argc, char **argv)
 
     PowerModel pm;
 
-    std::cout << "== Figure 13: normalised DRAM dynamic power of AMB "
-                 "prefetching ==\n(relative to FB-DIMM without "
-                 "prefetching; < 1.0 is a saving)\n\n";
+    os << "== Figure 13: normalised DRAM dynamic power of AMB "
+          "prefetching ==\n(relative to FB-DIMM without "
+          "prefetching; < 1.0 is a saving)\n\n";
 
     for (unsigned cores : {1u, 2u, 4u, 8u}) {
         TextTable t({"variant", "rel. dynamic energy", "ACT/PRE",
@@ -69,12 +55,12 @@ main(int argc, char **argv)
             unsigned n = 0;
             for (const auto &mix : mixesFor(cores)) {
                 RunResult base =
-                    runMix(prep(SystemConfig::fbdBase()), mix);
-                SystemConfig c = prep(SystemConfig::fbdAp());
+                    p.run(p.prep(SystemConfig::fbdBase()), mix);
+                SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
                 c.ambPrefetch.entries = v.entries;
                 c.ambPrefetch.ways = v.ways;
-                RunResult ap = runMix(c, mix);
+                RunResult ap = p.run(c, mix);
                 rel += pm.relativeDynamicEnergy(
                     ap.ops, ap.totalInsts(), base.ops,
                     base.totalInsts());
@@ -93,9 +79,8 @@ main(int argc, char **argv)
             t.addRow({v.name, fmtD(rel / n), fmtD(d_act / n),
                       fmtD(d_cas / n), fmtD(rel_tot / n)});
         }
-        std::cout << cores << "-core average\n";
-        t.print(std::cout);
-        std::cout << "\n";
+        os << cores << "-core average\n";
+        t.print(os);
+        os << "\n";
     }
-    return 0;
 }

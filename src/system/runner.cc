@@ -4,10 +4,12 @@
 #include <cstdlib>
 #include <exception>
 #include <future>
+#include <ostream>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
 #include "common/thread_pool.hh"
+#include "system/manifest.hh"
 
 namespace fbdp {
 
@@ -143,10 +145,7 @@ ReferenceSet::ipcOf(const std::string &bench)
     if (it != cache.end())
         return it->second;
 
-    SystemConfig cfg = base;
-    cfg.benchmarks = {bench};
-    System sys(cfg);
-    RunResult r = sys.run();
+    const RunResult r = runMix(base, {bench, {bench}});
     fbdp_assert(!r.ipc.empty() && r.ipc[0] > 0.0,
                 "reference run for '%s' produced no IPC",
                 bench.c_str());
@@ -156,13 +155,13 @@ ReferenceSet::ipcOf(const std::string &bench)
 
 double
 smtSpeedup(const RunResult &r, const WorkloadMix &mix,
-           ReferenceSet &refs)
+           const std::function<double(const std::string &)> &ref_ipc)
 {
     fbdp_assert(r.ipc.size() == mix.benches.size(),
                 "result/mix core-count mismatch");
     double s = 0.0;
     for (size_t i = 0; i < mix.benches.size(); ++i)
-        s += r.ipc[i] / refs.ipcOf(mix.benches[i]);
+        s += r.ipc[i] / ref_ipc(mix.benches[i]);
     return s;
 }
 
@@ -171,6 +170,70 @@ applyInstsFromEnv(SystemConfig &cfg)
 {
     applyInstsVar("FBDP_MEASURE_INSTS", cfg.measureInsts);
     applyInstsVar("FBDP_WARMUP_INSTS", cfg.warmupInsts);
+}
+
+SystemConfig
+PaperRun::prep(SystemConfig c) const
+{
+    const bool lng = window == Window::Long;
+    c.warmupInsts = quick ? (lng ? 30'000 : 20'000)
+                          : (lng ? 75'000 : 50'000);
+    c.measureInsts = 4 * c.warmupInsts;
+    applyInstsFromEnv(c);
+    return c;
+}
+
+RunResult
+PaperRun::run(const SystemConfig &cfg, const WorkloadMix &mix)
+{
+    SystemConfig c = cfg;
+    c.benchmarks = mix.benches;
+    const std::string key = canonicalConfigString(c);
+    if (!replaying) {
+        RunResult placeholder;
+        placeholder.ipc.assign(c.benchmarks.size(), 0.0);
+        const auto [it, fresh] = index.try_emplace(key, cells.size());
+        if (fresh)
+            cells.push_back({std::move(c), nullptr});
+        asked.push_back(it->second);
+        return placeholder;
+    }
+    const auto it = index.find(key);
+    if (next >= asked.size() || it == index.end() ||
+        it->second != asked[next])
+        fatal("paper replay: request %zu (config digest %016llx) "
+              "differs from the recorded one", next,
+              static_cast<unsigned long long>(fnv1a64(key)));
+    ++next;
+    return results[it->second];
+}
+
+double
+PaperRun::smt(const RunResult &r, const WorkloadMix &mix)
+{
+    const SystemConfig ref = prep(SystemConfig::ddr2());
+    return smtSpeedup(r, mix, [&](const std::string &bench) {
+        const double ipc = run(ref, {bench, {bench}}).ipc[0];
+        fbdp_assert(!replaying || ipc > 0.0,
+                    "reference run for '%s' produced no IPC",
+                    bench.c_str());
+        return ipc;
+    });
+}
+
+void
+PaperRun::play(const Draw &draw, std::ostream &os, unsigned jobs,
+               const CellHooks &hooks)
+{
+    fbdp_assert(!replaying && asked.empty(), "a PaperRun plays once");
+    std::ostream discard(nullptr);
+    draw(*this, discard);
+    results = runCells(cells, jobs, hooks);
+    replaying = true;
+    draw(*this, os);
+    if (next != asked.size())
+        fatal("paper replay asked for %zu of the %zu recorded cells",
+              next, asked.size());
 }
 
 } // namespace fbdp

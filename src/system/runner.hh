@@ -2,8 +2,9 @@
  * @file
  * Experiment helpers shared by the benches, examples and tests:
  * running a workload mix on a configuration (serially or as a batch
- * on a worker pool), caching the single-core DDR2 reference IPCs, and
- * computing the paper's SMT-speedup metric.
+ * on a worker pool), caching the single-core DDR2 reference IPCs,
+ * computing the paper's SMT-speedup metric, and fbdp-paper's plan
+ * that runs each distinct cell of the figures once (PaperRun).
  */
 
 #ifndef FBDP_SYSTEM_RUNNER_HH
@@ -11,9 +12,11 @@
 
 #include <cstddef>
 #include <functional>
+#include <iosfwd>
 #include <map>
 #include <mutex>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "system/config.hh"
@@ -93,6 +96,9 @@ class ReferenceSet
     /** Reference IPC of @p bench (simulating on first use). */
     double ipcOf(const std::string &bench);
 
+    /** ipcOf(), so std::ref(refs) is smtSpeedup()'s lookup. */
+    double operator()(const std::string &bench) { return ipcOf(bench); }
+
   private:
     SystemConfig base;
     std::mutex mtx;
@@ -102,10 +108,11 @@ class ReferenceSet
 /**
  * SMT speedup (Section 4.2):
  *   sum_i IPC_cmp[i] / IPC_single[i]
- * where IPC_single comes from @p refs.
+ * where IPC_single is @p ref_ipc of the program's name.
  */
-double smtSpeedup(const RunResult &r, const WorkloadMix &mix,
-                  ReferenceSet &refs);
+double smtSpeedup(
+    const RunResult &r, const WorkloadMix &mix,
+    const std::function<double(const std::string &)> &ref_ipc);
 
 /**
  * Scale per-run instruction counts from the environment.
@@ -116,6 +123,56 @@ double smtSpeedup(const RunResult &r, const WorkloadMix &mix,
  * and leaves the count as it was.  Unset or empty is ignored.
  */
 void applyInstsFromEnv(SystemConfig &cfg);
+
+/** The paper figures' run windows: 20k/80k warm-up/measured insts
+ *  (Short) or 30k/120k (Long: Figs. 4, 5, 7) with --quick, else
+ *  50k/200k or 75k/300k. */
+enum class Window { Short, Long };
+
+/**
+ * The cells of a set of figures, each run once.  play() draws the
+ * figures in a record pass (output discarded) that collects the cells
+ * run() and smt() ask for, runs the distinct ones (by
+ * canonicalConfigString) in first-request order in one runCells()
+ * call, then draws the figures again from the results.  The replay
+ * must ask for exactly the recorded cells, or it is fatal: a figure's
+ * cells may not depend on results.
+ */
+class PaperRun
+{
+  public:
+    using Draw = std::function<void(PaperRun &, std::ostream &)>;
+
+    explicit PaperRun(bool quick) : quick(quick) {}
+
+    /** The window prep() and smt() use from now on. */
+    void setWindow(Window w) { window = w; }
+
+    /** @p c in the current window, then applyInstsFromEnv(). */
+    SystemConfig prep(SystemConfig c) const;
+
+    /** @p mix on @p cfg; while recording, one zero IPC per core. */
+    RunResult run(const SystemConfig &cfg, const WorkloadMix &mix);
+
+    /** smtSpeedup() against each program alone on
+     *  prep(SystemConfig::ddr2()): one more cell per program. */
+    double smt(const RunResult &r, const WorkloadMix &mix);
+
+    /** Record @p draw, run its cells through runCells(@p jobs,
+     *  @p hooks), replay it into @p os.  Once per PaperRun. */
+    void play(const Draw &draw, std::ostream &os, unsigned jobs = 0,
+              const CellHooks &hooks = {});
+
+  private:
+    bool quick;
+    Window window = Window::Short;
+    bool replaying = false;
+    std::vector<RunCell> cells;     ///< distinct, first-request order
+    std::unordered_map<std::string, std::size_t> index; ///< into cells
+    std::vector<std::size_t> asked; ///< every request, as cells index
+    std::size_t next = 0;           ///< replay position in asked
+    std::vector<RunResult> results; ///< by cells index
+};
 
 } // namespace fbdp
 

@@ -1,10 +1,10 @@
 /**
  * @file
  * The paper's shape claims as executable gates, over the `--quick`
- * cells of bench/fig04_ddr2_vs_fbdimm and bench/fig07_amb_prefetch_
- * speedup at seed 1: every Table 3 mix on DDR2, FBD and FBD-AP (the
- * two figures' 108 cells, 81 of them distinct), run through runCells,
- * with SMT speedups against a ReferenceSet of single-core DDR2 runs.
+ * cells of fbdp-paper's fig04 and fig07 at seed 1: every Table 3 mix
+ * on DDR2, FBD and FBD-AP (the two figures' 108 cells, 81 of them
+ * distinct), each run once through PaperRun, with SMT speedups against
+ * the single-core DDR2 cells.
  * Averages are formed as the benches form them: the mean SMT speedup
  * of one machine over the mean of the other.
  *
@@ -16,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <map>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,16 +30,6 @@ namespace fbdp {
 namespace {
 
 constexpr unsigned coreCounts[] = {1, 2, 4, 8};
-
-/** A machine with the benches' `--quick` run lengths at seed 1. */
-SystemConfig
-quick(SystemConfig c)
-{
-    c.warmupInsts = 30'000;
-    c.measureInsts = 120'000;
-    c.seed = 1;
-    return c;
-}
 
 /** Summed SMT speedups of one core count, per machine. */
 struct Sums
@@ -62,33 +54,33 @@ const Figures &
 figures()
 {
     static const Figures figs = [] {
-        std::vector<RunCell> cells;
-        std::vector<const WorkloadMix *> order;
-        for (unsigned n : coreCounts) {
-            for (const WorkloadMix &mix : mixesFor(n)) {
-                order.push_back(&mix);
-                cells.push_back({quick(SystemConfig::ddr2()), &mix});
-                cells.push_back({quick(SystemConfig::fbdBase()), &mix});
-                cells.push_back({quick(SystemConfig::fbdAp()), &mix});
-            }
-        }
-        const unsigned jobs =
-            std::clamp(std::thread::hardware_concurrency(), 1u, 4u);
-        const std::vector<RunResult> rs = runCells(cells, jobs);
-
-        ReferenceSet refs(quick(SystemConfig::ddr2()));
+        // The benches' --quick window exactly: no run-length overrides.
+        unsetenv("FBDP_MEASURE_INSTS");
+        unsetenv("FBDP_WARMUP_INSTS");
+        PaperRun p(true);
+        p.setWindow(Window::Long);
         Figures f;
-        for (std::size_t i = 0; i < order.size(); ++i) {
-            const WorkloadMix &mix = *order[i];
-            const double d = smtSpeedup(rs[3 * i], mix, refs);
-            const double b = smtSpeedup(rs[3 * i + 1], mix, refs);
-            const double a = smtSpeedup(rs[3 * i + 2], mix, refs);
-            Sums &s = f.sums[static_cast<unsigned>(mix.benches.size())];
-            s.ddr2 += d;
-            s.fbd += b;
-            s.ap += a;
-            f.mixes.push_back({mix.name, b, a});
-        }
+        std::ostringstream discard;
+        p.play(
+            [&f](PaperRun &run, std::ostream &) {
+                f = {};
+                for (unsigned n : coreCounts) {
+                    for (const WorkloadMix &mix : mixesFor(n)) {
+                        auto smt = [&](const SystemConfig &c) {
+                            return run.smt(run.run(run.prep(c), mix), mix);
+                        };
+                        const double d = smt(SystemConfig::ddr2());
+                        const double b = smt(SystemConfig::fbdBase());
+                        const double a = smt(SystemConfig::fbdAp());
+                        Sums &s = f.sums[n];
+                        s.ddr2 += d;
+                        s.fbd += b;
+                        s.ap += a;
+                        f.mixes.push_back({mix.name, b, a});
+                    }
+                }
+            },
+            discard, std::clamp(std::thread::hardware_concurrency(), 1u, 4u));
         return f;
     }();
     return figs;

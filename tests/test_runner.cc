@@ -1,15 +1,19 @@
 /**
  * @file
  * Experiment-runner tests: reference caching, the SMT-speedup metric,
- * environment overrides.
+ * environment overrides, and the record/run/replay plan of PaperRun.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
+#include <set>
+#include <sstream>
 #include <thread>
 #include <vector>
 
+#include "run_digest.hh"
 #include "system/runner.hh"
 
 namespace fbdp {
@@ -56,7 +60,7 @@ TEST(RunnerTest, SmtSpeedupOfReferenceMachineIsCoreCount)
     ReferenceSet refs(quickRef());
     const WorkloadMix &mix = mixByName("1C-gap");
     RunResult r = runMix(quickRef(), mix);
-    const double s = smtSpeedup(r, mix, refs);
+    const double s = smtSpeedup(r, mix, std::ref(refs));
     EXPECT_NEAR(s, 1.0, 0.05);
 }
 
@@ -64,7 +68,7 @@ TEST(RunnerTest, SmtSpeedupRejectsMismatchedMix)
 {
     ReferenceSet refs(quickRef());
     RunResult r = runMix(quickRef(), mixByName("1C-gap"));
-    EXPECT_DEATH(smtSpeedup(r, mixByName("2C-1"), refs),
+    EXPECT_DEATH(smtSpeedup(r, mixByName("2C-1"), std::ref(refs)),
                  "mismatch");
 }
 
@@ -188,6 +192,60 @@ TEST(RunnerTest, TotalInstsSumsCores)
     EXPECT_DOUBLE_EQ(r.totalInsts(), 600.0);
     r.ipc = {1.0, 2.0, 0.5};
     EXPECT_DOUBLE_EQ(r.ipcSum(), 3.5);
+}
+
+TEST(PaperRunTest, RunsEachDistinctCellOnceAndReplaysIt)
+{
+    // A toy figure: the same FB-DIMM cell twice, then one SMT speedup,
+    // whose references are one more cell per program.
+    const WorkloadMix &mix = mixByName("2C-3");
+    PaperRun p(true);
+    RunResult first, second;
+    double smt = 0.0;
+    std::multiset<std::size_t> started;
+    CellHooks hooks;
+    hooks.started = [&](std::size_t i) { started.insert(i); };
+    std::ostringstream out;
+    p.play(
+        [&](PaperRun &run, std::ostream &os) {
+            first = run.run(run.prep(SystemConfig::fbdBase()), mix);
+            second = run.run(run.prep(SystemConfig::fbdBase()), mix);
+            smt = run.smt(first, mix);
+            os << "replayed";
+        },
+        out, 2, hooks);
+    EXPECT_EQ(started, (std::multiset<std::size_t>{0, 1, 2}));
+
+    const RunResult lone = runMix(p.prep(SystemConfig::fbdBase()), mix);
+    EXPECT_EQ(simDigest(first), simDigest(lone));
+    EXPECT_EQ(simDigest(second), simDigest(lone));
+    ReferenceSet refs(p.prep(SystemConfig::ddr2()));
+    EXPECT_EQ(smt, smtSpeedup(lone, mix, std::ref(refs)));
+    EXPECT_EQ(out.str(), "replayed"); // the record pass prints nowhere
+}
+
+TEST(PaperRunDeathTest, ReplayMustAskForTheRecordedCells)
+{
+    // A figure whose cells depend on the pass: it records 667 and 800
+    // MT/s machines, then replays with the rates in @p replay.
+    auto playSwitching = [](std::vector<unsigned> replay) {
+        PaperRun p(true);
+        std::vector<unsigned> rates{667, 800};
+        std::ostringstream out;
+        p.play(
+            [&](PaperRun &run, std::ostream &) {
+                for (unsigned rate : rates) {
+                    SystemConfig c = run.prep(SystemConfig::fbdBase());
+                    c.dataRate = rate;
+                    run.run(c, mixByName("1C-gap"));
+                }
+                rates = replay;
+            },
+            out, 1);
+    };
+    EXPECT_DEATH(playSwitching({667, 533}), "differs from the recorded");
+    EXPECT_DEATH(playSwitching({800, 667}), "differs from the recorded");
+    EXPECT_DEATH(playSwitching({667}), "asked for 1 of the 2 recorded");
 }
 
 } // namespace

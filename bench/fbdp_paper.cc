@@ -3,7 +3,8 @@
  * fbdp-paper [--quick] [NAME...]: print the paper's figures fig04 ...
  * fig13 and ablations abl01 ... abl06 (all sixteen, in that order, if
  * no NAME is given), running each distinct cell once (PaperRun) on
- * FBDP_JOBS workers.  Bad arguments exit 2.
+ * FBDP_JOBS workers (default: one per host CPU).  Bad arguments exit
+ * 2.
  */
 
 #include <algorithm>

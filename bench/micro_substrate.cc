@@ -146,24 +146,24 @@ BM_AmbCacheGroupFetch(benchmark::State &state)
 BENCHMARK(BM_AmbCacheGroupFetch)->Arg(64)->Arg(128);
 
 /**
- * One FB-DIMM controller with AMB prefetching kept saturated: before
- * every memory cycle the benchmark tops the controller up to 96
- * queued requests (a full 64-entry window plus overflow) of random
+ * One FB-DIMM controller with region prefetching kept saturated:
+ * before every memory cycle the benchmark tops the controller up to
+ * 96 queued requests (a full 64-entry window plus overflow) of random
  * streaming and scattered reads and writes, then runs the cycle.  The
  * time covers the cycle's scheduling (issueCycle), command issue and
  * completions, plus the top-up's pushes.  One item is one memory
- * cycle.
+ * cycle.  The prefetch buffer sits behind the AMBs
+ * (BM_ControllerIssueCycle) or at the controller
+ * (BM_ControllerIssueCycleMcBuf).
  */
 void
-BM_ControllerIssueCycle(benchmark::State &state)
+controllerIssueCycle(benchmark::State &state, const ControllerConfig &cfg)
 {
     EventQueue eq;
     AddressMapConfig map_cfg;
     map_cfg.channels = 1;
     map_cfg.scheme = Interleave::MultiCacheline;
     AddressMap map(map_cfg);
-    ControllerConfig cfg;
-    cfg.ambPrefetch.policy = "region";
     MemController mc("mc", &eq, cfg);
 
     Rng rng(11);
@@ -197,7 +197,24 @@ BM_ControllerIssueCycle(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
+
+void
+BM_ControllerIssueCycle(benchmark::State &state)
+{
+    ControllerConfig cfg;
+    cfg.ambPrefetch.policy = "region";
+    controllerIssueCycle(state, cfg);
+}
 BENCHMARK(BM_ControllerIssueCycle);
+
+void
+BM_ControllerIssueCycleMcBuf(benchmark::State &state)
+{
+    ControllerConfig cfg;
+    cfg.mcBufPrefetch.policy = "region";
+    controllerIssueCycle(state, cfg);
+}
+BENCHMARK(BM_ControllerIssueCycleMcBuf);
 
 void
 BM_AddressMap(benchmark::State &state)

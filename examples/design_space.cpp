@@ -8,8 +8,9 @@
  *       [--progress] [--progress-out F] [--manifest] [--ledger F]
  *       > results.csv
  *
- * Parallelism comes from FBDP_JOBS (e.g. FBDP_JOBS=8); row order and
- * bytes are identical whatever the job count.  --progress draws a
+ * Parallelism comes from FBDP_JOBS (e.g. FBDP_JOBS=8; unset, one
+ * worker per host CPU); row order and bytes are identical whatever
+ * the job count.  --progress draws a
  * live per-cell status line with an ETA on stderr; --progress-out
  * streams the same events as JSONL for machines.  --manifest embeds
  * the grid manifest in the CSV/JSON output (FBDP_MANIFEST=1 works

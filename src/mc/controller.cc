@@ -28,29 +28,23 @@ MemController::MemController(std::string name, EventQueue *event_queue,
         dimmBus.resize(cfg.nDimms);
     const PrefetchConfig &ap = cfg.ambPrefetch;
     const PrefetchConfig &mp = cfg.mcBufPrefetch;
-    if (ap.enabled()) {
+    if (ap.enabled())
         fbdp_assert(cfg.fbd, "AMB prefetching requires FB-DIMM");
-        table = std::make_unique<PrefetchTable>(cfg.nDimms, ap.entries,
-                                                ap.ways);
-        PolicyParams pp;
-        pp.regionLines = cfg.regionLines;
-        pp.degree = ap.degree;
-        pp.nDimms = cfg.nDimms;
-        pp.throttle = ap.throttle;
-        apPol = PolicyRegistry::instance().make(ap.policy, pp);
-    }
-    if (mp.enabled()) {
+    if (mp.enabled())
         fbdp_assert(!ap.enabled(),
                     "mcBufPrefetch and ambPrefetch are exclusive");
-        // One pseudo-DIMM: the buffer sits at the controller.
-        mcBuf = std::make_unique<PrefetchTable>(1, mp.entries, mp.ways);
+    bufAtMc = mp.enabled();
+    const PrefetchConfig &pc = bufAtMc ? mp : ap;
+    if (pc.enabled()) {
+        // One AMB cache per DIMM, or one table at the controller.
+        table = std::make_unique<PrefetchTable>(
+            bufAtMc ? 1u : cfg.nDimms, pc.entries, pc.ways);
         PolicyParams pp;
         pp.regionLines = cfg.regionLines;
-        pp.degree = mp.degree;
-        pp.nDimms = cfg.nDimms;  // a DIMM-aware policy still sees
-                                 // the real topology
-        pp.throttle = mp.throttle;
-        mcPol = PolicyRegistry::instance().make(mp.policy, pp);
+        pp.degree = pc.degree;
+        pp.nDimms = cfg.nDimms;  // the real topology at either place
+        pp.throttle = pc.throttle;
+        pol = PolicyRegistry::instance().make(pc.policy, pp);
     }
     if (cfg.refreshEnable) {
         refreshPending.assign(cfg.nDimms, false);
@@ -82,14 +76,12 @@ MemController::bindTracer(trace::Tracer *t, unsigned channel)
             trc.bank[d * cfg.banksPerDimm + b] =
                 t->track(dn + ".bank" + std::to_string(b));
     }
-    if (table) {
-        trc.amb.resize(cfg.nDimms);
+    if (table && bufAtMc) {
+        trc.amb.push_back(t->track(ch + ".mcbuf"));
+    } else if (table) {
         for (unsigned d = 0; d < cfg.nDimms; ++d)
-            trc.amb[d] = t->track(ch + ".dimm" + std::to_string(d)
-                                  + ".amb");
-    } else if (mcBuf) {
-        trc.amb.resize(1);
-        trc.amb[0] = t->track(ch + ".mcbuf");
+            trc.amb.push_back(t->track(ch + ".dimm" + std::to_string(d)
+                                       + ".amb"));
     }
 }
 
@@ -187,58 +179,33 @@ MemController::push(TransPtr t)
         ++nWrites;
     }
 
+    t->phase = TransPhase::NeedActivate;
     if (table) {
-        const unsigned d = t->coord.dimm;
+        const unsigned b = bufSlot(t.get());
         if (t->isRead()) {
             table->countRead();
-            if (table->peek(d, t->lineAddr)) {
-                t->phase = TransPhase::AmbHit;
-                apPol->onHit(policyAccess(t.get(), now));
+            if (table->peek(b, t->lineAddr)) {
+                t->phase = TransPhase::PrefetchHit;
+                pol->onHit(policyAccess(t.get(), now));
             } else {
                 // Ask the policy what should ride this fetch; the
                 // accepted candidates become visible in the tag
                 // mirror immediately so later reads to the same
                 // lines coalesce onto this fetch.
-                t->phase = TransPhase::NeedActivate;
                 emitCandidates(t.get(), /*convert=*/false);
             }
         } else {
             // Writes invalidate any stale prefetched copy.
             bool was_used = false;
-            if (table->invalidate(d, t->lineAddr, &was_used)) {
-                apPol->onEvict(d, t->lineAddr, was_used);
+            if (table->invalidate(b, t->lineAddr, &was_used)) {
+                pol->onEvict(b, t->lineAddr, was_used);
                 if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.amb[d], "inval", now,
+                    trc.tr->instant(trc.amb[b], "inval", now,
                                     trace::Kind::Write, t->coreId,
                                     t->lineAddr);
                 }
             }
-            t->phase = TransPhase::NeedActivate;
         }
-    } else if (mcBuf) {
-        if (t->isRead()) {
-            mcBuf->countRead();
-            if (mcBuf->peek(0, t->lineAddr)) {
-                t->phase = TransPhase::McHit;
-                mcPol->onHit(policyAccess(t.get(), now));
-            } else {
-                t->phase = TransPhase::NeedActivate;
-                emitCandidates(t.get(), /*convert=*/false);
-            }
-        } else {
-            bool was_used = false;
-            if (mcBuf->invalidate(0, t->lineAddr, &was_used)) {
-                mcPol->onEvict(0, t->lineAddr, was_used);
-                if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.amb[0], "inval", now,
-                                    trace::Kind::Write, t->coreId,
-                                    t->lineAddr);
-                }
-            }
-            t->phase = TransPhase::NeedActivate;
-        }
-    } else {
-        t->phase = TransPhase::NeedActivate;
     }
 
     if (trc.tr)
@@ -278,8 +245,7 @@ MemController::classKey(const Transaction *t)
 {
     std::uint8_t k;
     switch (t->phase) {
-      case TransPhase::AmbHit:
-      case TransPhase::McHit:
+      case TransPhase::PrefetchHit:
         k = 0;
         break;
       case TransPhase::NeedCas:
@@ -372,17 +338,13 @@ bool
 MemController::tryIssue(unsigned slot, Tick now)
 {
     Transaction *t = window[slot].get();
-    if (cfg.openPage && t->phase != TransPhase::AmbHit
-        && t->phase != TransPhase::McHit)
+    if (cfg.openPage && t->phase != TransPhase::PrefetchHit)
         recomputeOpenPagePhase(t);
 
     bool issued;
     switch (t->phase) {
-      case TransPhase::AmbHit:
-        issued = issueAmbHit(slot, now);
-        break;
-      case TransPhase::McHit:
-        issued = issueMcHit(slot, now);
+      case TransPhase::PrefetchHit:
+        issued = issuePrefetchHit(slot, now);
         break;
       case TransPhase::NeedPrecharge:
         issued = issuePrecharge(t, now);
@@ -442,11 +404,7 @@ MemController::policyAccess(const Transaction *t, Tick now) const
 void
 MemController::emitCandidates(Transaction *t, bool convert)
 {
-    PrefetchTable *tbl = table ? table.get() : mcBuf.get();
-    PrefetchPolicy *pol = table ? apPol.get() : mcPol.get();
-    // The AMB cache is per DIMM; the MC buffer is one pseudo-DIMM.
-    const unsigned td = table ? t->coord.dimm : 0u;
-
+    const unsigned b = bufSlot(t);
     t->nPfLines = 0;
     t->groupLines = 1;
     if (!pol)
@@ -465,7 +423,7 @@ MemController::emitCandidates(Transaction *t, bool convert)
     if (throttle > 0.0 && acc.linkUtil > throttle) {
         // The return link is past its configured ceiling: demand
         // traffic needs every frame, so every candidate is shed.
-        tbl->countDropped(dropped + cands.size());
+        table->countDropped(dropped + cands.size());
         return;
     }
 
@@ -485,13 +443,13 @@ MemController::emitCandidates(Transaction *t, bool convert)
             continue;
         }
         AmbCache::Evicted ev;
-        tbl->insertCandidate(td, la, &ev);
+        table->insertCandidate(b, la, &ev);
         if (ev.valid)
-            pol->onEvict(td, ev.lineAddr, ev.used);
+            pol->onEvict(b, ev.lineAddr, ev.used);
         t->pfLines[t->nPfLines++] = la;
     }
     if (dropped)
-        tbl->countDropped(dropped);
+        table->countDropped(dropped);
     t->groupLines = 1 + t->nPfLines;
 }
 
@@ -501,7 +459,7 @@ MemController::convertHitToMiss(Transaction *t)
     ++nHitConversions;
     if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
         // The prefetched line was evicted before its demand arrived.
-        trc.tr->instant(trc.amb[t->coord.dimm], "kill", eq->now(),
+        trc.tr->instant(trc.amb[bufSlot(t)], "kill", eq->now(),
                         trace::Kind::Prefetch, t->coreId, t->lineAddr);
     }
     t->phase = TransPhase::NeedActivate;
@@ -509,11 +467,12 @@ MemController::convertHitToMiss(Transaction *t)
 }
 
 bool
-MemController::issueAmbHit(unsigned slot, Tick now)
+MemController::issuePrefetchHit(unsigned slot, Tick now)
 {
     Transaction *t = window[slot].get();
     const unsigned d = t->coord.dimm;
-    AmbCache::Line *line = table->peek(d, t->lineAddr);
+    const unsigned b = bufSlot(t);
+    AmbCache::Line *line = table->peek(b, t->lineAddr);
     if (!line) {
         // The prefetched copy was evicted before we fetched it.
         convertHitToMiss(t);
@@ -524,99 +483,53 @@ MemController::issueAmbHit(unsigned slot, Tick now)
         return false;
     }
 
-    cmdLink.useCmdSlot(now);
-    const Tick arrive = now + cfg.cmdDelay;
+    // Behind the AMB: one command to the AMB, then a northbound
+    // frame and the chain.  At the controller the data is already
+    // there: no command and no link, so the whole service interval
+    // is the buffer wait, bounded by [now, ready].
+    Tick arrive = now;
+    Tick data_at, ready;
+    if (bufAtMc) {
+        ready = data_at = std::max(now, line->readyAt);
+    } else {
+        cmdLink.useCmdSlot(now);
+        arrive = now + cfg.cmdDelay;
+        Tick nb_earliest = std::max(arrive, line->readyAt);
+        if (cfg.apFullLatency) {
+            // APFL (Fig. 9): same idle latency as a DRAM access, but
+            // no bank activity.
+            nb_earliest = std::max(
+                arrive + cfg.timing.tRCD + cfg.timing.tCL, line->readyAt);
+        }
+        data_at = reserveNorthbound(nb_earliest, d);
+        ready = data_at + cfg.timing.burst + chainDelay(d);
+    }
     if (att) {
         if (!t->stampIssue)
             t->stampIssue = now;
         t->stampCas = now;
         t->stampArrive = arrive;
+        t->stampData = data_at;
     }
-    Tick nb_earliest = std::max(arrive, line->readyAt);
-    if (cfg.apFullLatency) {
-        // APFL (Fig. 9): same idle latency as a DRAM access, but no
-        // bank activity.
-        nb_earliest = std::max(arrive + cfg.timing.tRCD + cfg.timing.tCL,
-                               line->readyAt);
-    }
-    const Tick nb_start = reserveNorthbound(nb_earliest, d);
-    const Tick ready = nb_start + cfg.timing.burst + chainDelay(d);
-    if (att)
-        t->stampData = nb_start;
 
-    ++nAmbHits;
     // Timeliness: the prefetch covered this read, but its fill had
-    // not reached the AMB SRAM when the demand command arrived.
+    // not reached the buffer when the demand arrived.
     const bool late = line->readyAt > arrive;
-    if (late) {
-        ++nLatePfHits;
+    if (late)
         table->countLateHit();
-    }
     table->countHit();
     line->used = true;
     t->ambServed = true;
     t->phase = TransPhase::WaitData;
     if (trc.tr) {
         if (trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[d], late ? "late_hit" : "hit",
+            trc.tr->instant(trc.amb[b], late ? "late_hit" : "hit",
                             arrive, trace::Kind::Prefetch, t->coreId,
                             t->lineAddr);
         }
-        trc.tr->instant(trc.south, "amb_rd", now);
-        traceTxn("amb_hit", arrive, t);
-    }
-    finish(slot, ready);
-    return true;
-}
-
-bool
-MemController::issueMcHit(unsigned slot, Tick now)
-{
-    Transaction *t = window[slot].get();
-    AmbCache::Line *line = mcBuf->peek(0, t->lineAddr);
-    if (!line) {
-        // Evicted before service: ask the policy again.
-        ++nHitConversions;
-        if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[0], "kill", now,
-                            trace::Kind::Prefetch, t->coreId,
-                            t->lineAddr);
-        }
-        t->phase = TransPhase::NeedActivate;
-        emitCandidates(t, /*convert=*/true);
-        return false;
-    }
-    if (line->readyAt == AmbCache::fillPending)
-        return false;
-
-    // The data is already at the controller: no command, no link.
-    const Tick ready = std::max(now, line->readyAt);
-    if (att) {
-        // No command and no link: the whole service interval is the
-        // buffer wait, bounded by [now, ready].
-        if (!t->stampIssue)
-            t->stampIssue = now;
-        t->stampCas = now;
-        t->stampArrive = now;
-        t->stampData = ready;
-    }
-    ++nMcHits;
-    const bool late = line->readyAt > now;
-    if (late) {
-        ++nLatePfHits;
-        mcBuf->countLateHit();
-    }
-    mcBuf->countHit();
-    line->used = true;
-    t->ambServed = true;
-    t->phase = TransPhase::WaitData;
-    if (trc.tr) {
-        if (trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[0], late ? "late_hit" : "hit",
-                            now, trace::Kind::Prefetch, t->coreId,
-                            t->lineAddr);
-        }
-        traceTxn("mc_hit", now, t);
+        if (!bufAtMc)
+            trc.tr->instant(trc.south, "amb_rd", now);
+        traceTxn(bufAtMc ? "mc_hit" : "amb_hit", arrive, t);
     }
     finish(slot, ready);
     return true;
@@ -777,36 +690,23 @@ MemController::issueRead(unsigned slot, Tick now)
             finish(slot, ready);
         } else {
             const Addr la = t->pfLines[order[i - 1]];
-            if (table) {
-                // AMB prefetching: fills stay behind the AMB and
-                // never touch the channel.
-                table->resolveFill(d, la, d_start + tm.burst);
-                apPol->onFill(d, la, d_start + tm.burst);
-                if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-                    trc.tr->instant(trc.amb[d], "fill",
-                                    d_start + tm.burst,
-                                    trace::Kind::Prefetch, t->coreId,
-                                    la);
-                }
-            } else {
-                // Controller-level prefetching: the neighbours must
-                // cross the channel into the MC buffer, consuming
-                // the bandwidth AMB prefetching preserves.
-                Tick ready;
+            // Behind the AMB the fills never touch the channel; into
+            // the buffer at the controller they must cross it,
+            // consuming the bandwidth AMB prefetching preserves.
+            Tick ready = d_start + tm.burst;
+            if (bufAtMc) {
                 if (cfg.fbd) {
-                    const Tick nb = reserveNorthbound(d_start, d);
-                    ready = nb + tm.burst + chainDelay(d);
-                } else {
-                    ready = d_start + tm.burst;
+                    ready = reserveNorthbound(d_start, d) + tm.burst
+                        + chainDelay(d);
                 }
                 nChannelBytes += lineBytes;
-                mcBuf->resolveFill(0, la, ready);
-                mcPol->onFill(0, la, ready);
-                if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-                    trc.tr->instant(trc.amb[0], "fill", ready,
-                                    trace::Kind::Prefetch, t->coreId,
-                                    la);
-                }
+            }
+            const unsigned b = bufSlot(t);
+            table->resolveFill(b, la, ready);
+            pol->onFill(b, la, ready);
+            if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
+                trc.tr->instant(trc.amb[b], "fill", ready,
+                                trace::Kind::Prefetch, t->coreId, la);
             }
         }
     }
@@ -999,11 +899,8 @@ MemController::resetStats()
     nReads = 0;
     nWrites = 0;
     nReadsDone = 0;
-    nAmbHits = 0;
     nChannelBytes = 0;
-    nMcHits = 0;
     nHitConversions = 0;
-    nLatePfHits = 0;
     readLatTotal = 0.0;
     latHist.reset();
     latHistDemand.reset();
@@ -1013,8 +910,6 @@ MemController::resetStats()
         d.resetCounts();
     if (table)
         table->resetStats();
-    if (mcBuf)
-        mcBuf->resetStats();
     if (att)
         att->reset();
 }

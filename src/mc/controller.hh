@@ -12,14 +12,19 @@
  *
  * Scheduling follows the paper: a 64-entry reorder window, the
  * hit-first policy (requests that can be served without opening a row —
- * AMB-cache hits and open-row hits — go first), and read priority over
- * writes until the number of queued writes crosses a drain threshold.
+ * prefetch-buffer hits and open-row hits — go first), and read priority
+ * over writes until the number of queued writes crosses a drain
+ * threshold.
  *
- * With AMB prefetching enabled (FB-DIMM only) a demand read that misses
- * the prefetch information table becomes a K-line region fetch: one
- * activation followed by K pipelined column accesses on the DIMM-level
- * bus; the demanded line is forwarded on the northbound link first and
- * the K-1 neighbours fill the AMB cache without touching the channel.
+ * With prefetching enabled a demand read that misses the prefetch
+ * information table becomes a K-line region fetch: one activation
+ * followed by K pipelined column accesses on the DIMM-level bus; the
+ * demanded line is forwarded on the channel first.  The K-1 neighbours
+ * fill one prefetch buffer, whose place is the only difference between
+ * the two configurations: behind each DIMM's AMB (AMB prefetching,
+ * FB-DIMM only), where fills never touch the channel, or one buffer at
+ * the controller (controller-level prefetching), where fills cross the
+ * channel and hits need no command.
  */
 
 #ifndef FBDP_MC_CONTROLLER_HH
@@ -72,13 +77,13 @@ struct ControllerConfig
     unsigned regionLines = 4;    ///< K
     bool apFullLatency = false;  ///< APFL analysis mode (Fig. 9)
 
-    /** AMB prefetching: the per-DIMM AMB caches (FB-DIMM only).
-     *  The policy "none" switches it off. */
+    /** AMB prefetching: the prefetch buffer sits behind each DIMM's
+     *  AMB (FB-DIMM only).  The policy "none" switches it off. */
     PrefetchConfig ambPrefetch;
     /** Controller-level prefetching (the comparison class the paper
-     *  discusses in Section 6, after Lin/Reinhardt/Burger): region
-     *  fetches ride the *channel* into a buffer at the memory
-     *  controller.  Exclusive with ambPrefetch. */
+     *  discusses in Section 6, after Lin/Reinhardt/Burger): the same
+     *  buffer as one table at the memory controller, so region fetches
+     *  ride the *channel* into it.  Exclusive with ambPrefetch. */
     PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
 };
 
@@ -144,7 +149,7 @@ class MemController
     {
         return latHistDemand;
     }
-    /** Reads served from the AMB cache / MC prefetch buffer. */
+    /** Reads served from the prefetch buffer. */
     const stats::Histogram &prefHitLatencyHist() const
     {
         return latHistPrefHit;
@@ -154,10 +159,6 @@ class MemController
     {
         return latHistWrite;
     }
-
-    /** AMB/MC hits whose fill had not completed when demanded (the
-     *  prefetch arrived, but late — DSPatch-style timeliness). */
-    std::uint64_t latePrefetchHits() const { return nLatePfHits; }
 
     // --- telemetry gauges (cumulative; samplers take deltas) ---
     /** Requests queued in the controller (window + overflow). */
@@ -202,23 +203,16 @@ class MemController
     /** Aggregate DRAM operation counts across the channel's DIMMs. */
     DramOpCounts dramOps() const;
 
+    /** The prefetch buffer at its configured place (one AMB cache
+     *  per DIMM, or one table at the controller), or nullptr when no
+     *  prefetching is configured.  Its counters are the only count of
+     *  prefetch hits, late hits, coverage and efficiency. */
     const PrefetchTable *prefetchTable() const { return table.get(); }
 
-    /** MC-buffer mirror when mcBufPrefetch is enabled. */
-    const PrefetchTable *mcBuffer() const { return mcBuf.get(); }
+    /** The buffer's candidate policy, or nullptr with no buffer. */
+    const PrefetchPolicy *prefetchPolicy() const { return pol.get(); }
 
-    /** The active prefetch policy at either attachment point, or
-     *  nullptr when no prefetching is configured. */
-    const PrefetchPolicy *
-    activePolicy() const
-    {
-        return apPol ? apPol.get() : mcPol.get();
-    }
-
-    std::uint64_t ambHits() const { return nAmbHits; }
-    std::uint64_t mcHits() const { return nMcHits; }
-
-    /** AMB hits that lost their line to eviction before the fetch. */
+    /** Buffer hits that lost their line to eviction before service. */
     std::uint64_t hitConversions() const { return nHitConversions; }
 
     /** Clear measurement counters (not timing state). */
@@ -241,8 +235,11 @@ class MemController
      *  @return true iff a command was issued. */
     bool tryIssue(unsigned slot, Tick now);
 
-    bool issueAmbHit(unsigned slot, Tick now);
-    bool issueMcHit(unsigned slot, Tick now);
+    /** Serve a read from the prefetch buffer.  The place decides
+     *  only the timing: behind the AMB a hit takes a command slot and
+     *  a northbound frame; at the controller the data is already
+     *  there. */
+    bool issuePrefetchHit(unsigned slot, Tick now);
     bool issueActivate(Transaction *t, Tick now);
     bool issuePrecharge(Transaction *t, Tick now);
     bool issueRead(unsigned slot, Tick now);
@@ -263,7 +260,8 @@ class MemController
     /** Open-page: re-derive the phase from live bank state. */
     void recomputeOpenPagePhase(Transaction *t);
 
-    /** AMB-hit line disappeared: fall back to a region fetch. */
+    /** A buffer hit's line disappeared: fall back to a region
+     *  fetch. */
     void convertHitToMiss(Transaction *t);
 
     /** The demand access as the policy sees it. */
@@ -297,11 +295,20 @@ class MemController
     std::vector<BusTracker> dimmBus;     ///< per-DIMM DDR2 buses (FBD)
     BusTracker sharedBus;                ///< DDR2 baseline data bus
 
+    /** The prefetch buffer and its policy (both null without one). */
     std::unique_ptr<PrefetchTable> table;
-    std::unique_ptr<PrefetchTable> mcBuf;  ///< one pseudo-DIMM
+    std::unique_ptr<PrefetchPolicy> pol;
+    /** The buffer sits at the controller (mcBufPrefetch), not behind
+     *  the AMBs (ambPrefetch). */
+    bool bufAtMc = false;
 
-    std::unique_ptr<PrefetchPolicy> apPol; ///< AMB candidate policy
-    std::unique_ptr<PrefetchPolicy> mcPol; ///< MC-buffer policy
+    /** @p t's slot in the buffer: its DIMM's AMB cache, or the one
+     *  table at the controller. */
+    unsigned
+    bufSlot(const Transaction *t) const
+    {
+        return bufAtMc ? 0u : t->coord.dimm;
+    }
 
     /** One finished transaction waiting for its data to arrive. */
     struct Completion
@@ -402,11 +409,8 @@ class MemController
     std::uint64_t nReads = 0;
     std::uint64_t nWrites = 0;
     std::uint64_t nReadsDone = 0;
-    std::uint64_t nAmbHits = 0;
-    std::uint64_t nMcHits = 0;
     std::uint64_t nChannelBytes = 0;
     std::uint64_t nHitConversions = 0;
-    std::uint64_t nLatePfHits = 0;
     double readLatTotal = 0.0;  ///< in ticks
     stats::Histogram latHist{"read_latency", "read latency (ns)",
                              0.0, 1000.0, 500};
@@ -431,7 +435,7 @@ class MemController
         std::uint32_t south = 0;  ///< command/write-data link
         std::uint32_t north = 0;  ///< read-return link
         std::vector<std::uint32_t> bank;  ///< [dimm * banks + bank]
-        std::vector<std::uint32_t> amb;   ///< per DIMM (AP only)
+        std::vector<std::uint32_t> amb;   ///< per buffer slot
         std::vector<std::uint32_t> dimm;  ///< per DIMM (refresh)
     };
     TraceBinding trc;

@@ -41,26 +41,4 @@ TransPool::release(Transaction *t) noexcept
     --st.live;
 }
 
-const char *
-transPhaseName(TransPhase p)
-{
-    switch (p) {
-      case TransPhase::NeedPrecharge:
-        return "NeedPrecharge";
-      case TransPhase::NeedActivate:
-        return "NeedActivate";
-      case TransPhase::NeedCas:
-        return "NeedCas";
-      case TransPhase::AmbHit:
-        return "AmbHit";
-      case TransPhase::McHit:
-        return "McHit";
-      case TransPhase::WaitData:
-        return "WaitData";
-      case TransPhase::Complete:
-        return "Complete";
-    }
-    return "?";
-}
-
 } // namespace fbdp

@@ -13,27 +13,6 @@ PrefetchTable::PrefetchTable(unsigned n_dimms, unsigned entries,
         caches.emplace_back(entries, ways);
 }
 
-AmbCache::Line *
-PrefetchTable::lookupRead(unsigned dimm_idx, Addr line_addr)
-{
-    AmbCache::Line *l = caches.at(dimm_idx).lookup(line_addr);
-    if (l)
-        ++nHits;
-    return l;
-}
-
-void
-PrefetchTable::insertGroup(unsigned dimm_idx, Addr region_base,
-                           unsigned region_lines, Addr demanded)
-{
-    for (unsigned i = 0; i < region_lines; ++i) {
-        Addr la = region_base + static_cast<Addr>(i) * lineBytes;
-        if (la == demanded)
-            continue;
-        insertCandidate(dimm_idx, la);
-    }
-}
-
 void
 PrefetchTable::insertCandidate(unsigned dimm_idx, Addr line_addr,
                                AmbCache::Evicted *evicted)
@@ -72,14 +51,6 @@ PrefetchTable::invalidate(unsigned dimm_idx, Addr line_addr,
     if (was_used)
         *was_used = used;
     return true;
-}
-
-void
-PrefetchTable::reset()
-{
-    for (auto &c : caches)
-        c.reset();
-    resetStats();
 }
 
 void

@@ -2,11 +2,13 @@
  * @file
  * The prefetch information table held at the memory controller.
  *
- * One AmbCache tag mirror per DIMM of the channel, plus the prefetch
- * accounting the paper reports: coverage (#prefetch_hit / #read) and
- * efficiency (#prefetch_hit / #prefetch).  Only the K-1 non-demanded
- * lines of a group count as prefetches; the demanded line goes straight
- * to the processor and is not retained.
+ * One AmbCache tag mirror per slot of the channel's prefetch buffer
+ * (one per DIMM for the AMB caches, one for a buffer at the
+ * controller), plus the prefetch accounting the paper reports:
+ * coverage (#prefetch_hit / #read) and efficiency (#prefetch_hit /
+ * #prefetch).  Only the K-1 non-demanded lines of a group count as
+ * prefetches; the demanded line goes straight to the processor and is
+ * not retained.
  */
 
 #ifndef FBDP_PREFETCH_PREFETCH_TABLE_HH
@@ -20,7 +22,7 @@
 
 namespace fbdp {
 
-/** Controller-side view of all AMB caches on one channel. */
+/** Controller-side view of one channel's prefetch buffer. */
 class PrefetchTable
 {
   public:
@@ -38,13 +40,8 @@ class PrefetchTable
         return static_cast<unsigned>(caches.size());
     }
 
-    /**
-     * Demand-read lookup; bumps the hit counter when found.
-     * @return the line (possibly still in flight) or nullptr.
-     */
-    AmbCache::Line *lookupRead(unsigned dimm_idx, Addr line_addr);
-
-    /** Re-check a previously hit line without double counting. */
+    /** The line (possibly still in flight) or nullptr; counts nothing
+     *  (a served read is counted with countHit()). */
     AmbCache::Line *
     peek(unsigned dimm_idx, Addr line_addr)
     {
@@ -52,21 +49,13 @@ class PrefetchTable
     }
 
     /**
-     * Record the K-1 prefetched lines of a region fetch whose demanded
-     * line is @p demanded.  Entries become visible immediately with
-     * @c fillPending readiness; fills are timed later via
-     * resolveFill().
-     */
-    void insertGroup(unsigned dimm_idx, Addr region_base,
-                     unsigned region_lines, Addr demanded);
-
-    /**
-     * Record one policy-emitted prefetch candidate (the per-line core
-     * of insertGroup): counts a prefetch issue even when the line is
-     * already resident — a resident line keeps its FIFO age — and
-     * reports a displaced victim through @p evicted so the owning
-     * controller can train its policy and account pollution (an
-     * unused victim is counted here).
+     * Record one policy-emitted prefetch candidate: counts a prefetch
+     * issue even when the line is already resident — a resident line
+     * keeps its FIFO age — and reports a displaced victim through
+     * @p evicted so the owning controller can train its policy and
+     * account pollution (an unused victim is counted here).  The entry
+     * becomes visible immediately with @c fillPending readiness; its
+     * fill is timed later via resolveFill().
      */
     void insertCandidate(unsigned dimm_idx, Addr line_addr,
                          AmbCache::Evicted *evicted = nullptr);
@@ -165,7 +154,6 @@ class PrefetchTable
             : 0.0;
     }
 
-    void reset();
     void resetStats();
 
   private:

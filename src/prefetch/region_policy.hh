@@ -23,11 +23,10 @@ class RegionPolicy : public PrefetchPolicy
     void
     onMiss(const PrefetchAccess &access, CandidateList &out) override
     {
-        // Ascending address order, demanded line skipped: byte-
-        // identical to the old PrefetchTable::insertGroup walk, so
-        // FIFO ages in the AMB cache — and therefore every downstream
-        // stat — are unchanged.  The controller re-orders the actual
-        // CAS stream into wrap-around critical-word-first order.
+        // Ascending address order, demanded line skipped: the order
+        // in which the buffer takes the lines, and so their FIFO ages.
+        // The controller re-orders the actual CAS stream into
+        // wrap-around critical-word-first order.
         for (unsigned off = 0; off < access.regionLines; ++off) {
             const Addr la =
                 access.regionBase +

@@ -1,10 +1,12 @@
 #include "system/runner.hh"
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
 #include <future>
 #include <ostream>
+#include <thread>
 
 #include "common/logging.hh"
 #include "common/parse.hh"
@@ -49,14 +51,16 @@ applyInstsVar(const char *name, std::uint64_t &field)
 unsigned
 jobsFromEnv()
 {
+    const unsigned host =
+        std::clamp(std::thread::hardware_concurrency(), 1u, 1024u);
     const char *e = std::getenv("FBDP_JOBS");
     if (!e || !*e)
-        return 1;
+        return host;
     const auto v = parseCount(e, 1, 1024);
     if (!v) {
         warn("ignoring FBDP_JOBS='%s': expected a worker count in "
-             "[1, 1024]; running serially", e);
-        return 1;
+             "[1, 1024]; using the host's %u CPUs", e, host);
+        return host;
     }
     return static_cast<unsigned>(*v);
 }

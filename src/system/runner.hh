@@ -73,9 +73,11 @@ unsigned resolveJobs(unsigned jobs, std::size_t cells);
 /**
  * Worker count requested by the FBDP_JOBS environment variable.
  * Accepted values are decimal integers in [1, 1024]; unset or empty
- * means serial (1).  Anything else — non-numeric text, trailing
+ * means the host's CPU count (std::thread::hardware_concurrency,
+ * clamped to [1, 1024]).  Anything else — non-numeric text, trailing
  * junk, zero, negatives, absurd counts — logs a warning and falls
- * back to serial rather than silently misconfiguring the pool.
+ * back to that same default rather than silently misconfiguring the
+ * pool.  Results never depend on the count.
  */
 unsigned jobsFromEnv();
 

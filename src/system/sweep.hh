@@ -16,7 +16,7 @@
  * cell-definition order, so callbacks need no locking and streamed
  * output is byte-identical for any job count.  The job count comes
  * from jobs(), or the FBDP_JOBS environment variable when jobs() was
- * given 0 (the default), falling back to a serial run.
+ * given 0 (the default), falling back to the host's CPU count.
  */
 
 #ifndef FBDP_SYSTEM_SWEEP_HH
@@ -56,7 +56,7 @@ class Sweep
     Sweep &repeats(unsigned n);
 
     /** Worker threads for run(); 0 (default) means "use FBDP_JOBS
-     *  from the environment, else run serially". */
+     *  from the environment, else the host's CPU count". */
     Sweep &jobs(unsigned n);
 
     /** Invoked after each run, on the calling thread, in row order

@@ -356,37 +356,35 @@ System::buildStatGroups(bool include_histograms) const
         addF(g, "refresh", "refresh commands",
              [&mc] { return static_cast<double>(
                          mc.dramOps().refresh); });
-        addF(g, "amb_hits", "reads served by the AMB cache",
-             [&mc] { return static_cast<double>(mc.ambHits()); });
-        addF(g, "late_prefetch_hits",
-             "prefetch hits with the fill still in flight",
-             [&mc] { return static_cast<double>(
-                         mc.latePrefetchHits()); });
-        addF(g, "coverage", "#prefetch_hit / #read", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable();
-            return t ? t->coverage() : 0.0;
-        });
-        addF(g, "efficiency", "#prefetch_hit / #prefetch", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable();
-            return t ? t->efficiency() : 0.0;
-        });
-        addF(g, "pf_dropped", "candidates shed before issue", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable()
-                ? mc.prefetchTable() : mc.mcBuffer();
-            return t ? static_cast<double>(t->droppedCandidates())
-                     : 0.0;
-        });
-        addF(g, "pf_lateness", "late prefetch hits / hits", [&mc] {
-            const PrefetchTable *t = mc.prefetchTable()
-                ? mc.prefetchTable() : mc.mcBuffer();
-            return t ? t->lateness() : 0.0;
-        });
-        addF(g, "pf_pollution",
-             "unused displaced or invalidated / issued", [&mc] {
-                 const PrefetchTable *t = mc.prefetchTable()
-                     ? mc.prefetchTable() : mc.mcBuffer();
-                 return t ? t->pollution() : 0.0;
-             });
+        // The prefetch buffer's own counters, 0 without a buffer.
+        auto pf = [&](const char *name, const char *desc,
+                      double (*get)(const PrefetchTable &)) {
+            addF(g, name, desc, [&mc, get] {
+                const PrefetchTable *t = mc.prefetchTable();
+                return t ? get(*t) : 0.0;
+            });
+        };
+        pf("amb_hits", "reads served by the prefetch buffer",
+           [](const PrefetchTable &t) {
+               return static_cast<double>(t.prefetchHits());
+           });
+        pf("late_prefetch_hits",
+           "prefetch hits with the fill still in flight",
+           [](const PrefetchTable &t) {
+               return static_cast<double>(t.lateHits());
+           });
+        pf("coverage", "#prefetch_hit / #read",
+           [](const PrefetchTable &t) { return t.coverage(); });
+        pf("efficiency", "#prefetch_hit / #prefetch",
+           [](const PrefetchTable &t) { return t.efficiency(); });
+        pf("pf_dropped", "candidates shed before issue",
+           [](const PrefetchTable &t) {
+               return static_cast<double>(t.droppedCandidates());
+           });
+        pf("pf_lateness", "late prefetch hits / hits",
+           [](const PrefetchTable &t) { return t.lateness(); });
+        pf("pf_pollution", "unused displaced or invalidated / issued",
+           [](const PrefetchTable &t) { return t.pollution(); });
 
         // Phase breakdown: where the latency of each transaction
         // class went on this channel (means; Σ phases == total).
@@ -458,15 +456,14 @@ System::collect(Tick window_ticks) const
     for (const auto &mc : controllers) {
         r.reads += mc->reads();
         r.writes += mc->writes();
-        r.ambHits += mc->ambHits();
         bytes += mc->channelBytes();
         lat_weighted += mc->avgReadLatencyNs()
             * static_cast<double>(mc->readLatSamples());
         lat_samples += mc->readLatSamples();
         r.ops += mc->dramOps();
-        const PrefetchTable *t = mc->prefetchTable()
-            ? mc->prefetchTable() : mc->mcBuffer();
-        if (t) {
+        if (const PrefetchTable *t = mc->prefetchTable()) {
+            r.ambHits += t->prefetchHits();
+            r.latePrefetchHits += t->lateHits();
             pf_reads += t->reads();
             pf_hits += t->prefetchHits();
             pf_issued += t->prefetchesIssued();
@@ -477,9 +474,8 @@ System::collect(Tick window_ticks) const
             r.prefetch.evictedUnused += t->evictedUnused();
             r.prefetch.invalidatedUnused += t->invalidatedUnused();
         }
-        if (const PrefetchPolicy *pol = mc->activePolicy())
+        if (const PrefetchPolicy *pol = mc->prefetchPolicy())
             r.prefetch.policy = pol->name();
-        r.ambHits += mc->mcHits();  // MC hits fill the same role
     }
     if (lat_samples)
         r.avgReadLatencyNs = lat_weighted
@@ -506,7 +502,6 @@ System::collect(Tick window_ticks) const
             demand.merge(mc->demandLatencyHist());
             pref.merge(mc->prefHitLatencyHist());
             wr.merge(mc->writeLatencyHist());
-            r.latePrefetchHits += mc->latePrefetchHits();
         }
         auto fill = [](const stats::Histogram &h) {
             LatencyClassStats s;

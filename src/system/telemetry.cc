@@ -69,8 +69,7 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
         addGauge(pfx + "amb_occupancy",
                  "prefetch-buffer fill fraction right now",
                  [&mc] {
-                     const PrefetchTable *t = mc.prefetchTable()
-                         ? mc.prefetchTable() : mc.mcBuffer();
+                     const PrefetchTable *t = mc.prefetchTable();
                      if (!t || t->capacity() == 0)
                          return 0.0;
                      return static_cast<double>(t->population())
@@ -95,9 +94,8 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
              "cumulative #prefetch_hit / #read, all channels", [this] {
                  std::uint64_t hits = 0, reads = 0;
                  for (unsigned c = 0; c < sys.numControllers(); ++c) {
-                     const MemController &mc = sys.controller(c);
-                     const PrefetchTable *t = mc.prefetchTable()
-                         ? mc.prefetchTable() : mc.mcBuffer();
+                     const PrefetchTable *t =
+                         sys.controller(c).prefetchTable();
                      if (!t)
                          continue;
                      hits += t->prefetchHits();
@@ -117,9 +115,8 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
              "prefetches issued, all channels", [this] {
                  std::uint64_t bad = 0, issued = 0;
                  for (unsigned c = 0; c < sys.numControllers(); ++c) {
-                     const MemController &mc = sys.controller(c);
-                     const PrefetchTable *t = mc.prefetchTable()
-                         ? mc.prefetchTable() : mc.mcBuffer();
+                     const PrefetchTable *t =
+                         sys.controller(c).prefetchTable();
                      if (!t)
                          continue;
                      bad += t->evictedUnused()
@@ -264,9 +261,10 @@ TelemetrySampler::takeSample(Tick at)
             guardedDelta(mc.southDataFrames(), p.southDataFrames);
         cur.northBusy = guardedDelta(mc.northBusyTicks(), p.northBusy);
         cur.bankBusy = guardedDelta(mc.bankBusyTicks(), p.bankBusy);
-        cur.hits = guardedDelta(mc.ambHits() + mc.mcHits(), p.hits);
+        const PrefetchTable *t = mc.prefetchTable();
+        cur.hits = guardedDelta(t ? t->prefetchHits() : 0, p.hits);
         cur.reads = guardedDelta(mc.reads(), p.reads);
-        cur.latePf = guardedDelta(mc.latePrefetchHits(), p.latePf);
+        cur.latePf = guardedDelta(t ? t->lateHits() : 0, p.latePf);
     }
     for (size_t i = 0; i < coreScr.size(); ++i)
         coreScr[i].dInsts =
@@ -275,10 +273,7 @@ TelemetrySampler::takeSample(Tick at)
     {
         std::uint64_t issued = 0;
         for (unsigned c = 0; c < sys.numControllers(); ++c) {
-            const MemController &mc = sys.controller(c);
-            const PrefetchTable *t = mc.prefetchTable()
-                ? mc.prefetchTable() : mc.mcBuffer();
-            if (t)
+            if (const PrefetchTable *t = sys.controller(c).prefetchTable())
                 issued += t->prefetchesIssued();
         }
         pfScr.dIssued = guardedDelta(issued, pfScr.prevIssued);

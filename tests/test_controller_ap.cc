@@ -103,7 +103,7 @@ TEST_F(ControllerApTest, SecondReadHitsAt33ns)
     ASSERT_EQ(done.size(), 2u);
     // 12 controller + 3 command + 6 data + 12 AMB = 33 ns.
     EXPECT_EQ(done[1] - t0, nsToTicks(33));
-    EXPECT_EQ(mc.ambHits(), 1u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 1u);
     EXPECT_EQ(mc.dramOps().actPre, 1u) << "hit touches no bank";
     EXPECT_EQ(mc.dramOps().rdCas, 4u);
 }
@@ -137,7 +137,7 @@ TEST_F(ControllerApTest, HitOnInFlightPrefetchWaitsForFill)
     ASSERT_EQ(done.size(), 2u);
     EXPECT_EQ(mc.dramOps().actPre, 1u) << "one activation total";
     EXPECT_EQ(mc.dramOps().rdCas, 4u);
-    EXPECT_EQ(mc.ambHits(), 1u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 1u);
     // The neighbour's data leaves the AMB only after its pipelined
     // CAS: later than the demanded line, earlier than a full access.
     EXPECT_GT(done[1], done[0]);
@@ -157,7 +157,7 @@ TEST_F(ControllerApTest, AllRegionLinesHitAfterGroupFetch)
         eq.run();
     }
     EXPECT_EQ(done.size(), 4u);
-    EXPECT_EQ(mc.ambHits(), 3u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 3u);
     EXPECT_EQ(mc.prefetchTable()->coverage(), 0.75);
     EXPECT_EQ(mc.prefetchTable()->efficiency(), 1.0);
 }
@@ -175,7 +175,7 @@ TEST_F(ControllerApTest, WriteInvalidatesPrefetchedLine)
     mc.push(makeRead(lineBytes, &done));
     eq.run();
     // The stale copy is gone: this is a fresh group fetch, not a hit.
-    EXPECT_EQ(mc.ambHits(), 0u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 0u);
     EXPECT_GT(done.back() - t0, nsToTicks(33));
 }
 
@@ -196,7 +196,7 @@ TEST_F(ControllerApTest, RegionSizeTwo)
     rd(0);
     rd(lineBytes);
     EXPECT_EQ(mc.dramOps().rdCas, 2u);
-    EXPECT_EQ(mc.ambHits(), 1u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 1u);
 }
 
 TEST_F(ControllerApTest, CapacityPressureEvictsOldPrefetches)
@@ -238,7 +238,7 @@ TEST_F(ControllerApTest, LowerAssociativityNeverBeatsFull)
             mc.push(std::move(t));
             local_eq.run();
         }
-        return mc.ambHits();
+        return mc.prefetchTable()->prefetchHits();
     };
     const std::uint64_t full = hits_with(0);
     const std::uint64_t four = hits_with(4);

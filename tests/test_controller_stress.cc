@@ -166,7 +166,7 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     }
     if (f.ap || f.mc) {
         // Group fetches add K-1 extra CASes per miss; hits add none.
-        EXPECT_GE(mc.dramOps().rdCas + mc.ambHits() + mc.mcHits(),
+        EXPECT_GE(mc.dramOps().rdCas + mc.prefetchTable()->prefetchHits(),
                   reads_sent);
     }
 

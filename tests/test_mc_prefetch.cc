@@ -86,8 +86,9 @@ TEST_F(McPrefetchTest, HitServedFasterThanAmbHit)
     // The data already sits at the controller: faster than the 33 ns
     // AMB hit; the exact value depends only on controller overhead.
     EXPECT_LT(done[1] - t0, nsToTicks(33));
-    EXPECT_EQ(mc.mcHits(), 1u);
-    EXPECT_EQ(mc.ambHits(), 0u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 1u);
+    EXPECT_EQ(mc.prefetchTable()->numDimms(), 1u)
+        << "one buffer at the controller, not one per DIMM";
 }
 
 TEST_F(McPrefetchTest, HitConsumesNoChannelBandwidth)
@@ -115,11 +116,11 @@ TEST_F(McPrefetchTest, WritesInvalidateBuffer)
     w->coord = map.map(lineBytes);
     mc.push(std::move(w));
     eq.run();
-    EXPECT_EQ(mc.mcBuffer()->writeInvalidations(), 1u);
+    EXPECT_EQ(mc.prefetchTable()->writeInvalidations(), 1u);
     const Tick t0 = eq.now();
     mc.push(makeRead(lineBytes, &done));
     eq.run();
-    EXPECT_EQ(mc.mcHits(), 0u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 0u);
     EXPECT_GT(done.back() - t0, nsToTicks(33));
 }
 
@@ -131,8 +132,8 @@ TEST_F(McPrefetchTest, CoverageMatchesAmbPathOnSweep)
         mc.push(makeRead(static_cast<Addr>(i) * lineBytes, &done));
         eq.run();
     }
-    EXPECT_DOUBLE_EQ(mc.mcBuffer()->coverage(), 0.75);
-    EXPECT_DOUBLE_EQ(mc.mcBuffer()->efficiency(), 1.0);
+    EXPECT_DOUBLE_EQ(mc.prefetchTable()->coverage(), 0.75);
+    EXPECT_DOUBLE_EQ(mc.prefetchTable()->efficiency(), 1.0);
 }
 
 TEST_F(McPrefetchTest, ExclusiveWithAmbPrefetching)

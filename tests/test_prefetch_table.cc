@@ -16,6 +16,19 @@ line(unsigned i)
     return static_cast<Addr>(i) * lineBytes;
 }
 
+/** Insert the candidates the region policy emits for a demand of
+ *  @p demanded in the @p k-line region at @p base: every other line
+ *  of the region, in ascending order. */
+void
+fetchRegion(PrefetchTable &t, Addr base, unsigned k, Addr demanded)
+{
+    for (unsigned i = 0; i < k; ++i) {
+        const Addr la = base + static_cast<Addr>(i) * lineBytes;
+        if (la != demanded)
+            t.insertCandidate(0, la);
+    }
+}
+
 TEST(PrefetchTableTest, OneCachePerDimm)
 {
     PrefetchTable t(4, 64, 0);
@@ -25,21 +38,10 @@ TEST(PrefetchTableTest, OneCachePerDimm)
     EXPECT_NE(t.peek(0, line(1)), nullptr);
 }
 
-TEST(PrefetchTableTest, InsertGroupSkipsDemandedLine)
+TEST(PrefetchTableTest, CandidatesStartPending)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(2));
-    EXPECT_NE(t.peek(0, line(0)), nullptr);
-    EXPECT_NE(t.peek(0, line(1)), nullptr);
-    EXPECT_EQ(t.peek(0, line(2)), nullptr) << "demanded not kept";
-    EXPECT_NE(t.peek(0, line(3)), nullptr);
-    EXPECT_EQ(t.prefetchesIssued(), 3u);
-}
-
-TEST(PrefetchTableTest, GroupEntriesStartPending)
-{
-    PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));
+    fetchRegion(t, 0, 4, line(0));
     EXPECT_EQ(t.peek(0, line(1))->readyAt, AmbCache::fillPending);
     t.resolveFill(0, line(1), 5555);
     EXPECT_EQ(t.peek(0, line(1))->readyAt, 5555u);
@@ -55,11 +57,11 @@ TEST(PrefetchTableTest, ResolveFillOnEvictedLineIsHarmless)
 TEST(PrefetchTableTest, ReinsertKeepsFifoAge)
 {
     PrefetchTable t(1, 4, 0);
-    t.insertGroup(0, 0, 4, line(0));          // inserts 1,2,3
-    t.insertGroup(0, 0, 4, line(2));          // 0 new; 1,3 existing
+    fetchRegion(t, 0, 4, line(0));            // inserts 1,2,3
+    fetchRegion(t, 0, 4, line(2));            // 0 new; 1,3 existing
     // Capacity 4: entries now 1,2,3,0 -> no eviction yet.
     EXPECT_EQ(t.dimm(0).population(), 4u);
-    t.insertGroup(0, 4 * lineBytes, 4, line(4));  // 5,6,7: evicts 3
+    fetchRegion(t, 4 * lineBytes, 4, line(4));    // 5,6,7: evicts 3
     EXPECT_EQ(t.peek(0, line(1)), nullptr);
     EXPECT_EQ(t.peek(0, line(2)), nullptr);
     EXPECT_EQ(t.peek(0, line(3)), nullptr);
@@ -70,7 +72,7 @@ TEST(PrefetchTableTest, ReinsertKeepsFifoAge)
 TEST(PrefetchTableTest, CoverageAndEfficiency)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));  // 3 prefetches
+    fetchRegion(t, 0, 4, line(0));  // 3 prefetches
     for (int i = 0; i < 4; ++i)
         t.countRead();
     t.countHit();
@@ -89,7 +91,7 @@ TEST(PrefetchTableTest, ZeroDenominators)
 TEST(PrefetchTableTest, WriteInvalidationCountsOnlyPresent)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));
+    fetchRegion(t, 0, 4, line(0));
     t.invalidate(0, line(1));
     t.invalidate(0, line(1));  // second time: no entry
     t.invalidate(0, line(0));  // demanded line never inserted
@@ -97,20 +99,19 @@ TEST(PrefetchTableTest, WriteInvalidationCountsOnlyPresent)
     EXPECT_EQ(t.peek(0, line(1)), nullptr);
 }
 
-TEST(PrefetchTableTest, LookupReadCountsHit)
+TEST(PrefetchTableTest, PeekCountsNoHit)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));
-    EXPECT_NE(t.lookupRead(0, line(1)), nullptr);
-    EXPECT_EQ(t.prefetchHits(), 1u);
-    EXPECT_EQ(t.lookupRead(0, line(40)), nullptr);
-    EXPECT_EQ(t.prefetchHits(), 1u);
+    fetchRegion(t, 0, 4, line(0));
+    EXPECT_NE(t.peek(0, line(1)), nullptr);
+    EXPECT_EQ(t.peek(0, line(40)), nullptr);
+    EXPECT_EQ(t.prefetchHits(), 0u) << "only countHit() counts";
 }
 
 TEST(PrefetchTableTest, ResetStatsKeepsContents)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));
+    fetchRegion(t, 0, 4, line(0));
     t.countRead();
     t.countHit();
     t.resetStats();
@@ -120,23 +121,12 @@ TEST(PrefetchTableTest, ResetStatsKeepsContents)
     EXPECT_NE(t.peek(0, line(1)), nullptr) << "contents survive";
 }
 
-TEST(PrefetchTableTest, ResetClearsEverything)
-{
-    PrefetchTable t(2, 64, 0);
-    t.insertGroup(0, 0, 4, line(0));
-    t.insertGroup(1, 0, 4, line(0));
-    t.reset();
-    EXPECT_EQ(t.peek(0, line(1)), nullptr);
-    EXPECT_EQ(t.peek(1, line(1)), nullptr);
-    EXPECT_EQ(t.prefetchesIssued(), 0u);
-}
-
 TEST(PrefetchTableTest, RegionSizesTwoAndEight)
 {
     PrefetchTable t(1, 64, 0);
-    t.insertGroup(0, 0, 2, line(1));
+    fetchRegion(t, 0, 2, line(1));
     EXPECT_EQ(t.prefetchesIssued(), 1u);
-    t.insertGroup(0, 8 * lineBytes, 8, line(8));
+    fetchRegion(t, 8 * lineBytes, 8, line(8));
     EXPECT_EQ(t.prefetchesIssued(), 8u);  // 1 + 7
     for (unsigned i = 9; i < 16; ++i)
         EXPECT_NE(t.peek(0, line(i)), nullptr) << i;

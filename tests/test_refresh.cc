@@ -176,7 +176,7 @@ TEST_F(RefreshTest, ApSurvivesRefresh)
         a += lineBytes;
         eq.run();
     }
-    EXPECT_GT(mc.ambHits(), 0u);
+    EXPECT_GT(mc.prefetchTable()->prefetchHits(), 0u);
     EXPECT_GT(mc.dramOps().refresh, 0u);
     EXPECT_NEAR(mc.prefetchTable()->coverage(), 0.75, 0.01);
 }

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <functional>
 #include <set>
@@ -95,15 +96,18 @@ TEST(RunnerTest, JobsFromEnvParsesAndFallsBack)
     EXPECT_EQ(jobsFromEnv(), 5u);
     setenv("FBDP_JOBS", "1024", 1);
     EXPECT_EQ(jobsFromEnv(), 1024u);
-    // Garbage, out-of-range and trailing-junk values all warn and
-    // fall back to serial instead of silently parsing to 0.
+    // Unset means one worker per host CPU; garbage, out-of-range and
+    // trailing-junk values all warn and fall back to that same default
+    // instead of silently parsing to 0.
+    const unsigned host =
+        std::clamp(std::thread::hardware_concurrency(), 1u, 1024u);
     for (const char *bad : {"junk", "max", "0", "-3", "8x", "2000",
                             ""}) {
         setenv("FBDP_JOBS", bad, 1);
-        EXPECT_EQ(jobsFromEnv(), 1u) << "FBDP_JOBS='" << bad << "'";
+        EXPECT_EQ(jobsFromEnv(), host) << "FBDP_JOBS='" << bad << "'";
     }
     unsetenv("FBDP_JOBS");
-    EXPECT_EQ(jobsFromEnv(), 1u);
+    EXPECT_EQ(jobsFromEnv(), host);
 }
 
 TEST(RunnerTest, ReferenceSetIsThreadSafe)

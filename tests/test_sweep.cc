@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "system/sweep.hh"
@@ -162,7 +164,10 @@ TEST(SweepTest, JobsResolveFromEnvironment)
     setenv("FBDP_JOBS", "3", 1);
     EXPECT_EQ(s.effectiveJobs(), 3u);
     unsetenv("FBDP_JOBS");
-    EXPECT_EQ(s.effectiveJobs(), 1u); // serial fallback
+    // One worker per host CPU, clamped to the 12 cells.
+    const unsigned host =
+        std::clamp(std::thread::hardware_concurrency(), 1u, 1024u);
+    EXPECT_EQ(s.effectiveJobs(), std::min(host, 12u));
     s.jobs(64);
     EXPECT_EQ(s.effectiveJobs(), 12u); // clamped to cell count
 }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "system/runner.hh"
 #include "system/system.hh"
@@ -148,6 +149,65 @@ TEST(SystemTest, ApReducesActivations)
         / static_cast<double>(ap.reads);
     EXPECT_LT(act_per_read_ap, act_per_read_base);
 }
+
+/**
+ * The prefetch buffer's counters are the only count of prefetch hits
+ * at either of its places (behind the AMBs, or at the controller):
+ * RunResult and every channel's stat group read the same numbers.
+ */
+class PrefetchCountTest : public ::testing::TestWithParam<bool>
+{
+};
+
+TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
+{
+    SystemConfig c = quick(SystemConfig::fbdAp());
+    if (GetParam()) {
+        c = quick(SystemConfig::fbdBase());
+        c.scheme = Interleave::MultiCacheline;
+        c.mcBufPrefetch.policy = "region";
+    }
+    c.benchmarks = mixByName("2C-1").benches;
+    System sys(c);
+    const RunResult r = sys.run();
+    ASSERT_GT(r.ambHits, 0u);
+    EXPECT_EQ(r.ambHits, r.prefetch.hits);
+    EXPECT_EQ(r.latePrefetchHits, r.prefetch.lateHits);
+
+    // Sum the channels: hits and late hits add up, coverage weighs by
+    // the channel's reads and efficiency recovers its issued lines.
+    double hits = 0.0, late = 0.0, covered = 0.0, issued = 0.0;
+    unsigned channels = 0;
+    for (const System::OwnedStatGroup &g : sys.buildStatGroups()) {
+        if (g.group.name().rfind("mc", 0) != 0)
+            continue;
+        ++channels;
+        auto get = [&g](const char *name) {
+            const auto *f =
+                dynamic_cast<const stats::Formula *>(g.group.find(name));
+            EXPECT_NE(f, nullptr) << g.group.name() << "." << name;
+            return f ? f->value() : 0.0;
+        };
+        const double h = get("amb_hits");
+        hits += h;
+        late += get("late_prefetch_hits");
+        covered += get("coverage") * get("reads");
+        if (h > 0.0)
+            issued += h / get("efficiency");
+    }
+    EXPECT_EQ(channels, c.logicChannels);
+    EXPECT_EQ(hits, static_cast<double>(r.ambHits));
+    EXPECT_EQ(late, static_cast<double>(r.latePrefetchHits));
+    EXPECT_NEAR(covered / static_cast<double>(r.reads), r.coverage,
+                1e-9);
+    EXPECT_NEAR(issued, static_cast<double>(r.prefetch.issued), 1e-6);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Places, PrefetchCountTest, ::testing::Bool(),
+    [](const ::testing::TestParamInfo<bool> &info) {
+        return std::string(info.param ? "fbd_mcp" : "fbd_ap");
+    });
 
 /**
  * Parameterized preset sweep: every (machine, data rate, channel

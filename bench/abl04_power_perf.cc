@@ -59,8 +59,8 @@ abl04(fbdp::PaperRun &p, std::ostream &os)
             for (unsigned i = 0; i < nMixes; ++i) {
                 SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
-                c.ambPrefetch.entries = v.entries;
-                c.ambPrefetch.ways = v.ways;
+                c.prefetch.entries = v.entries;
+                c.prefetch.ways = v.ways;
                 const RunResult r = p.run(c, group[i]);
                 perf += r.ipcSum();
                 energy += pm.relativeDynamicEnergy(

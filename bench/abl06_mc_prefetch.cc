@@ -28,7 +28,7 @@ abl06(fbdp::PaperRun &p, std::ostream &os)
     auto mcp = [&] {
         SystemConfig c = SystemConfig::fbdBase();
         c.scheme = Interleave::MultiCacheline;
-        c.mcBufPrefetch.policy = "region";
+        c.prefetch = PrefetchConfig::parse("region,place=mc");
         return p.prep(c);
     };
 

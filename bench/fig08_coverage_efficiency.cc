@@ -51,8 +51,8 @@ fig08(fbdp::PaperRun &p, std::ostream &os)
             for (const auto &mix : mixesFor(cores)) {
                 SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
-                c.ambPrefetch.entries = v.entries;
-                c.ambPrefetch.ways = v.ways;
+                c.prefetch.entries = v.entries;
+                c.prefetch.ways = v.ways;
                 RunResult r = p.run(c, mix);
                 cov += r.coverage;
                 eff += r.efficiency;

@@ -58,8 +58,8 @@ fig11(fbdp::PaperRun &p, std::ostream &os)
             for (const auto &mix : mixesFor(cores)) {
                 SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
-                c.ambPrefetch.entries = v.entries;
-                c.ambPrefetch.ways = v.ways;
+                c.prefetch.entries = v.entries;
+                c.prefetch.ways = v.ways;
                 s += p.run(c, mix).ipcSum();
             }
             s /= n;

@@ -26,7 +26,7 @@ fig12(fbdp::PaperRun &p, std::ostream &os)
         c = p.prep(c);
         c.swPrefetch = sp;
         if (!ap) {
-            c.ambPrefetch.policy = "none";
+            c.prefetch.policy = "none";
             c.scheme = Interleave::Cacheline;
         }
         return c;

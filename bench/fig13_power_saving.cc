@@ -58,8 +58,8 @@ fig13(fbdp::PaperRun &p, std::ostream &os)
                     p.run(p.prep(SystemConfig::fbdBase()), mix);
                 SystemConfig c = p.prep(SystemConfig::fbdAp());
                 c.regionLines = v.k;
-                c.ambPrefetch.entries = v.entries;
-                c.ambPrefetch.ways = v.ways;
+                c.prefetch.entries = v.entries;
+                c.prefetch.ways = v.ways;
                 RunResult ap = p.run(c, mix);
                 rel += pm.relativeDynamicEnergy(
                     ap.ops, ap.totalInsts(), base.ops,

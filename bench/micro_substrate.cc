@@ -202,7 +202,7 @@ void
 BM_ControllerIssueCycle(benchmark::State &state)
 {
     ControllerConfig cfg;
-    cfg.ambPrefetch.policy = "region";
+    cfg.prefetch.policy = "region";
     controllerIssueCycle(state, cfg);
 }
 BENCHMARK(BM_ControllerIssueCycle);
@@ -211,7 +211,7 @@ void
 BM_ControllerIssueCycleMcBuf(benchmark::State &state)
 {
     ControllerConfig cfg;
-    cfg.mcBufPrefetch.policy = "region";
+    cfg.prefetch = PrefetchConfig::parse("region,place=mc");
     controllerIssueCycle(state, cfg);
 }
 BENCHMARK(BM_ControllerIssueCycleMcBuf);

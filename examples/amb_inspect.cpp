@@ -32,10 +32,10 @@ main(int argc, char **argv)
     if (argc > 3)
         cfg.regionLines = static_cast<unsigned>(std::atoi(argv[3]));
     if (argc > 4)
-        cfg.ambPrefetch.entries =
+        cfg.prefetch.entries =
             static_cast<unsigned>(std::atoi(argv[4]));
     if (argc > 5)
-        cfg.ambPrefetch.ways =
+        cfg.prefetch.ways =
             static_cast<unsigned>(std::atoi(argv[5]));
     cfg.warmupInsts = insts / 4;
     cfg.measureInsts = insts;
@@ -48,9 +48,9 @@ main(int argc, char **argv)
     RunResult r = sys.run();
 
     std::cout << "mix " << mix.name << "  K=" << cfg.regionLines
-              << " entries=" << cfg.ambPrefetch.entries
+              << " entries=" << cfg.prefetch.entries
               << " ways="
-              << (cfg.ambPrefetch.ways ? cfg.ambPrefetch.ways : 999)
+              << (cfg.prefetch.ways ? cfg.prefetch.ways : 999)
               << "\n\n";
 
     std::uint64_t ins = 0, ev = 0, conv = 0, pf = 0, hits = 0,

@@ -40,7 +40,7 @@ rawControllerDemo()
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.ambPrefetch.policy = "region";
+    cfg.prefetch.policy = "region";
     MemController mc("demo", &eq, cfg);
 
     std::vector<Tick> completions;

@@ -19,17 +19,14 @@
  *   --dimms N         DIMMs per channel          (default 4)
  *   --rate MT         533 | 667 | 800            (default 667)
  *   --k N             prefetch region lines      (default 4)
- *   --entries N       AMB-cache lines            (default 64)
- *   --ways N          associativity, 0 = full    (default 0)
- *   --amb-policy SPEC prefetch policy of the AMB attachment point,
- *                     "policy[,key=value]..." over the PolicyRegistry
- *                     names (region | dspatch | indram | none) with
- *                     keys degree / entries / ways / throttle, e.g.
- *                     --amb-policy=region,degree=4 (= also accepted
- *                     as a separate argument)
- *   --mc-policy SPEC  same, for the controller-buffer attachment
- *                     point; disables the AMB point unless
- *                     --amb-policy is also given
+ *   --prefetch SPEC   the prefetch buffer, "policy[,key=value]..."
+ *                     over the PolicyRegistry names (region | dspatch
+ *                     | indram | none) with keys place (amb | mc,
+ *                     default amb) / degree / entries (default 64 at
+ *                     amb, 256 at mc) / ways / throttle, e.g.
+ *                     --prefetch=region,place=mc,entries=128 (=
+ *                     also accepted as a separate argument); replaces
+ *                     the machine's buffer (fbd-ap: "region")
  *   --interleave I    line | multiline | page    (default by machine)
  *   --insts N         measured instructions      (default 400000)
  *   --warmup N        timed warm-up instructions (default insts/4)
@@ -127,10 +124,10 @@ main(int argc, char **argv)
          attribution = false,
          manifest_on = false, progress_term = false;
     unsigned channels = 2, dimms = 4, rate = 667, k = 4,
-             entries = 64, ways = 0, trace_cores = 1;
+             trace_cores = 1;
     std::uint64_t seed = 1;
     std::string trace_out, trace_filter, telemetry_out, epoch_spec,
-        stats_json, amb_policy, mc_policy, progress_out, ledger_out;
+        stats_json, prefetch_spec, progress_out, ledger_out;
 
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -146,7 +143,7 @@ main(int argc, char **argv)
     };
     constexpr long long maxU32 = 0xffffffffLL;
     constexpr long long maxU63 = 0x7fffffffffffffffLL;
-    // "--amb-policy=SPEC" form: specs contain commas, which shells
+    // "--prefetch=SPEC" form: specs contain commas, which shells
     // and scripts prefer to keep glued to the option.
     auto eqValue = [](const char *arg, const char *opt,
                       std::string &out) {
@@ -173,17 +170,9 @@ main(int argc, char **argv)
             rate = static_cast<unsigned>(number(i, 0, maxU32));
         else if (!std::strcmp(a, "--k"))
             k = static_cast<unsigned>(number(i, 0, maxU32));
-        else if (!std::strcmp(a, "--entries"))
-            entries = static_cast<unsigned>(number(i, 0, maxU32));
-        else if (!std::strcmp(a, "--ways"))
-            ways = static_cast<unsigned>(number(i, 0, maxU32));
-        else if (!std::strcmp(a, "--amb-policy"))
-            amb_policy = need(i);
-        else if (eqValue(a, "--amb-policy", amb_policy))
-            ;
-        else if (!std::strcmp(a, "--mc-policy"))
-            mc_policy = need(i);
-        else if (eqValue(a, "--mc-policy", mc_policy))
+        else if (!std::strcmp(a, "--prefetch"))
+            prefetch_spec = need(i);
+        else if (eqValue(a, "--prefetch", prefetch_spec))
             ;
         else if (!std::strcmp(a, "--interleave"))
             interleave = need(i);
@@ -259,29 +248,14 @@ main(int argc, char **argv)
     cfg.dimmsPerChannel = dimms;
     cfg.dataRate = rate;
     cfg.regionLines = k;
-    cfg.ambPrefetch.entries = entries;
-    cfg.ambPrefetch.ways = ways;
-    if (!mc_policy.empty()) {
-        cfg.mcBufPrefetch =
-            PrefetchConfig::parse(mc_policy, cfg.mcBufPrefetch);
-        // The two attachment points are exclusive; an explicit MC
-        // policy takes the slot unless the AMB one is also explicit.
-        if (amb_policy.empty() && cfg.mcBufPrefetch.enabled())
-            cfg.ambPrefetch.policy = "none";
-    }
-    if (!amb_policy.empty()) {
-        cfg.ambPrefetch =
-            PrefetchConfig::parse(amb_policy, cfg.ambPrefetch);
+    if (!prefetch_spec.empty()) {
+        cfg.prefetch = PrefetchConfig::parse(prefetch_spec);
         // Prefetching needs a region-preserving interleaving; switch
         // the plain presets over unless --interleave overrode it.
-        if (cfg.ambPrefetch.enabled() && interleave.empty()
+        if (cfg.prefetch.enabled() && interleave.empty()
             && cfg.scheme == Interleave::Cacheline)
             cfg.scheme = Interleave::MultiCacheline;
     }
-    if (!mc_policy.empty() && cfg.mcBufPrefetch.enabled()
-        && interleave.empty()
-        && cfg.scheme == Interleave::Cacheline)
-        cfg.scheme = Interleave::MultiCacheline;
     cfg.vrl = vrl;
     cfg.swPrefetch = !no_sp;
     cfg.refreshEnable = !no_refresh;
@@ -424,10 +398,9 @@ main(int argc, char **argv)
     t.addRow({"ACT/PRE pairs", std::to_string(r.ops.actPre)});
     t.addRow({"column accesses", std::to_string(r.ops.cas())});
     t.addRow({"refresh commands", std::to_string(r.ops.refresh)});
-    const bool pf_on =
-        cfg.ambPrefetch.enabled() || cfg.mcBufPrefetch.enabled();
+    const bool pf_on = cfg.prefetch.enabled();
     if (pf_on) {
-        t.addRow({"AMB-cache hits", std::to_string(r.ambHits)});
+        t.addRow({"prefetch-buffer hits", std::to_string(r.ambHits)});
         t.addRow({"prefetch coverage", fmtPct(r.coverage)});
         t.addRow({"prefetch efficiency", fmtPct(r.efficiency)});
     }

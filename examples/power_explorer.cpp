@@ -52,8 +52,8 @@ main(int argc, char **argv)
             for (unsigned ways : {1u, 4u, 0u}) {
                 SystemConfig c = prep(SystemConfig::fbdAp());
                 c.regionLines = k;
-                c.ambPrefetch.entries = entries;
-                c.ambPrefetch.ways = ways;
+                c.prefetch.entries = entries;
+                c.prefetch.ways = ways;
                 RunResult r = runMix(c, mix);
                 const double rel = pm.relativeDynamicEnergy(
                     r.ops, r.totalInsts(), base.ops,

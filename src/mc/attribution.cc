@@ -50,7 +50,7 @@ latClassOf(const Transaction &t)
 {
     if (!t.isRead())
         return LatClass::Write;
-    if (t.ambServed)
+    if (t.bufServed)
         return LatClass::PrefHit;
     if (t.swPrefetch)
         return LatClass::SwPrefetch;
@@ -87,7 +87,7 @@ computePhaseDurations(const Transaction &t)
     // The [arrive, data] interval is AMB service for buffer hits and
     // DRAM bank service otherwise; the two phases are exclusive.
     const Tick service = b[5] - b[4];
-    if (t.ambServed) {
+    if (t.bufServed) {
         d.phase[4] = service;                     // Amb
     } else {
         d.phase[5] = service;                     // Bank

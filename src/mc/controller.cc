@@ -26,19 +26,13 @@ MemController::MemController(std::string name, EventQueue *event_queue,
         dimms.emplace_back(&cfg.timing, cfg.banksPerDimm);
     if (cfg.fbd)
         dimmBus.resize(cfg.nDimms);
-    const PrefetchConfig &ap = cfg.ambPrefetch;
-    const PrefetchConfig &mp = cfg.mcBufPrefetch;
-    if (ap.enabled())
-        fbdp_assert(cfg.fbd, "AMB prefetching requires FB-DIMM");
-    if (mp.enabled())
-        fbdp_assert(!ap.enabled(),
-                    "mcBufPrefetch and ambPrefetch are exclusive");
-    bufAtMc = mp.enabled();
-    const PrefetchConfig &pc = bufAtMc ? mp : ap;
+    const PrefetchConfig &pc = cfg.prefetch;
     if (pc.enabled()) {
+        fbdp_assert(cfg.fbd || pc.atMc(),
+                    "AMB prefetching requires FB-DIMM");
         // One AMB cache per DIMM, or one table at the controller.
         table = std::make_unique<PrefetchTable>(
-            bufAtMc ? 1u : cfg.nDimms, pc.entries, pc.ways);
+            pc.atMc() ? 1u : cfg.nDimms, pc.entries, pc.ways);
         PolicyParams pp;
         pp.regionLines = cfg.regionLines;
         pp.degree = pc.degree;
@@ -76,12 +70,12 @@ MemController::bindTracer(trace::Tracer *t, unsigned channel)
             trc.bank[d * cfg.banksPerDimm + b] =
                 t->track(dn + ".bank" + std::to_string(b));
     }
-    if (table && bufAtMc) {
-        trc.amb.push_back(t->track(ch + ".mcbuf"));
+    if (table && cfg.prefetch.atMc()) {
+        trc.pf.push_back(t->track(ch + ".pf"));
     } else if (table) {
         for (unsigned d = 0; d < cfg.nDimms; ++d)
-            trc.amb.push_back(t->track(ch + ".dimm" + std::to_string(d)
-                                       + ".amb"));
+            trc.pf.push_back(t->track(ch + ".dimm" + std::to_string(d)
+                                      + ".pf"));
     }
 }
 
@@ -200,7 +194,7 @@ MemController::push(TransPtr t)
             if (table->invalidate(b, t->lineAddr, &was_used)) {
                 pol->onEvict(b, t->lineAddr, was_used);
                 if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.amb[b], "inval", now,
+                    trc.tr->instant(trc.pf[b], "inval", now,
                                     trace::Kind::Write, t->coreId,
                                     t->lineAddr);
                 }
@@ -459,7 +453,7 @@ MemController::convertHitToMiss(Transaction *t)
     ++nHitConversions;
     if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
         // The prefetched line was evicted before its demand arrived.
-        trc.tr->instant(trc.amb[bufSlot(t)], "kill", eq->now(),
+        trc.tr->instant(trc.pf[bufSlot(t)], "kill", eq->now(),
                         trace::Kind::Prefetch, t->coreId, t->lineAddr);
     }
     t->phase = TransPhase::NeedActivate;
@@ -489,7 +483,7 @@ MemController::issuePrefetchHit(unsigned slot, Tick now)
     // is the buffer wait, bounded by [now, ready].
     Tick arrive = now;
     Tick data_at, ready;
-    if (bufAtMc) {
+    if (cfg.prefetch.atMc()) {
         ready = data_at = std::max(now, line->readyAt);
     } else {
         cmdLink.useCmdSlot(now);
@@ -519,17 +513,17 @@ MemController::issuePrefetchHit(unsigned slot, Tick now)
         table->countLateHit();
     table->countHit();
     line->used = true;
-    t->ambServed = true;
+    t->bufServed = true;
     t->phase = TransPhase::WaitData;
     if (trc.tr) {
         if (trc.tr->want(trace::Kind::Prefetch)) {
-            trc.tr->instant(trc.amb[b], late ? "late_hit" : "hit",
+            trc.tr->instant(trc.pf[b], late ? "late_hit" : "hit",
                             arrive, trace::Kind::Prefetch, t->coreId,
                             t->lineAddr);
         }
-        if (!bufAtMc)
+        if (!cfg.prefetch.atMc())
             trc.tr->instant(trc.south, "amb_rd", now);
-        traceTxn(bufAtMc ? "mc_hit" : "amb_hit", arrive, t);
+        traceTxn(cfg.prefetch.atMc() ? "mc_hit" : "amb_hit", arrive, t);
     }
     finish(slot, ready);
     return true;
@@ -694,7 +688,7 @@ MemController::issueRead(unsigned slot, Tick now)
             // the buffer at the controller they must cross it,
             // consuming the bandwidth AMB prefetching preserves.
             Tick ready = d_start + tm.burst;
-            if (bufAtMc) {
+            if (cfg.prefetch.atMc()) {
                 if (cfg.fbd) {
                     ready = reserveNorthbound(d_start, d) + tm.burst
                         + chainDelay(d);
@@ -705,7 +699,7 @@ MemController::issueRead(unsigned slot, Tick now)
             table->resolveFill(b, la, ready);
             pol->onFill(b, la, ready);
             if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
-                trc.tr->instant(trc.amb[b], "fill", ready,
+                trc.tr->instant(trc.pf[b], "fill", ready,
                                 trace::Kind::Prefetch, t->coreId, la);
             }
         }
@@ -834,7 +828,7 @@ MemController::completionFire()
             readLatTotal +=
                 static_cast<double>(t->completedAt - t->arrivedAtMc);
             latHist.sample(lat_ns);
-            (t->ambServed ? latHistPrefHit : latHistDemand)
+            (t->bufServed ? latHistPrefHit : latHistDemand)
                 .sample(lat_ns);
         } else {
             latHistWrite.sample(lat_ns);

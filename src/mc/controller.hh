@@ -77,14 +77,12 @@ struct ControllerConfig
     unsigned regionLines = 4;    ///< K
     bool apFullLatency = false;  ///< APFL analysis mode (Fig. 9)
 
-    /** AMB prefetching: the prefetch buffer sits behind each DIMM's
-     *  AMB (FB-DIMM only).  The policy "none" switches it off. */
-    PrefetchConfig ambPrefetch;
-    /** Controller-level prefetching (the comparison class the paper
-     *  discusses in Section 6, after Lin/Reinhardt/Burger): the same
-     *  buffer as one table at the memory controller, so region fetches
-     *  ride the *channel* into it.  Exclusive with ambPrefetch. */
-    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
+    /** The prefetch buffer: behind each DIMM's AMB (FB-DIMM only) or
+     *  one table at the controller, where region fetches ride the
+     *  channel into it (the comparison class the paper discusses in
+     *  Section 6, after Lin/Reinhardt/Burger).  The policy "none"
+     *  switches it off. */
+    PrefetchConfig prefetch;
 };
 
 /** One logic-channel memory controller with its DRAM devices. */
@@ -298,16 +296,12 @@ class MemController
     /** The prefetch buffer and its policy (both null without one). */
     std::unique_ptr<PrefetchTable> table;
     std::unique_ptr<PrefetchPolicy> pol;
-    /** The buffer sits at the controller (mcBufPrefetch), not behind
-     *  the AMBs (ambPrefetch). */
-    bool bufAtMc = false;
-
     /** @p t's slot in the buffer: its DIMM's AMB cache, or the one
      *  table at the controller. */
     unsigned
     bufSlot(const Transaction *t) const
     {
-        return bufAtMc ? 0u : t->coord.dimm;
+        return cfg.prefetch.atMc() ? 0u : t->coord.dimm;
     }
 
     /** One finished transaction waiting for its data to arrive. */
@@ -435,7 +429,7 @@ class MemController
         std::uint32_t south = 0;  ///< command/write-data link
         std::uint32_t north = 0;  ///< read-return link
         std::vector<std::uint32_t> bank;  ///< [dimm * banks + bank]
-        std::vector<std::uint32_t> amb;   ///< per buffer slot
+        std::vector<std::uint32_t> pf;    ///< per buffer slot
         std::vector<std::uint32_t> dimm;  ///< per DIMM (refresh)
     };
     TraceBinding trc;

@@ -51,7 +51,7 @@ struct Transaction
     Addr lineAddr = 0;        ///< line-aligned physical address
     int coreId = -1;
     bool swPrefetch = false;  ///< generated by a software prefetch
-    bool ambServed = false;   ///< read served from the prefetch buffer
+    bool bufServed = false;   ///< read served from the prefetch buffer
 
     Tick created = 0;         ///< left the cache hierarchy
     Tick arrivedAtMc = 0;     ///< entered the controller

@@ -1,7 +1,7 @@
 /**
  * @file
- * PolicyRegistry: the string-keyed factory table behind --amb-policy
- * and --mc-policy.
+ * PolicyRegistry: the string-keyed factory table behind the policy
+ * name of a --prefetch spec.
  */
 
 #include "prefetch/policy.hh"

@@ -115,7 +115,7 @@ struct PolicyParams
     unsigned regionLines = 4; ///< K of the address interleaving
     /** Max candidates per demand; 0 = the policy's own default. */
     unsigned degree = 0;
-    unsigned nDimms = 1;      ///< DIMMs behind this attachment point
+    unsigned nDimms = 1;      ///< DIMMs on the buffer's channel
     /**
      * Northbound-utilisation ceiling in [0,1]; above it the
      * controller drops every candidate.  0 disables throttling.
@@ -123,7 +123,7 @@ struct PolicyParams
     double throttle = 0.0;
 };
 
-/** Candidate-selection policy of one prefetch attachment point. */
+/** Candidate-selection policy of one prefetch buffer. */
 class PrefetchPolicy
 {
   public:

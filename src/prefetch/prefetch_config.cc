@@ -25,9 +25,10 @@ specCount(const std::string &key, const std::string &val, long long lo,
 } // namespace
 
 PrefetchConfig
-PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
+PrefetchConfig::parse(const std::string &spec)
 {
-    PrefetchConfig pc = dflt;
+    PrefetchConfig pc;
+    bool entries_set = false;
 
     std::size_t pos = 0;
     bool first = true;
@@ -58,10 +59,19 @@ PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
             fatal("prefetch spec key '%s' has no value (spec '%s')",
                   key.c_str(), spec.c_str());
 
-        if (key == "degree") {
+        if (key == "place") {
+            if (val == "amb")
+                pc.place = PrefetchPlace::Amb;
+            else if (val == "mc")
+                pc.place = PrefetchPlace::Mc;
+            else
+                fatal("prefetch spec key 'place' has value '%s' (known: "
+                      "amb, mc; spec '%s')", val.c_str(), spec.c_str());
+        } else if (key == "degree") {
             pc.degree = specCount(key, val, 0, spec);
         } else if (key == "entries") {
             pc.entries = specCount(key, val, 1, spec);
+            entries_set = true;
         } else if (key == "ways") {
             pc.ways = specCount(key, val, 0, spec);
         } else if (key == "throttle") {
@@ -73,10 +83,13 @@ PrefetchConfig::parse(const std::string &spec, const PrefetchConfig &dflt)
             pc.throttle = *t;
         } else {
             fatal("unknown prefetch spec key '%s' (spec '%s'; known: "
-                  "degree, entries, ways, throttle)",
+                  "place, degree, entries, ways, throttle)",
                   key.c_str(), spec.c_str());
         }
     }
+
+    if (!entries_set)
+        pc.entries = pc.atMc() ? 256 : 64;
 
     if (!PolicyRegistry::instance().has(pc.policy)) {
         std::string known;

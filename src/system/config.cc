@@ -29,7 +29,7 @@ SystemConfig::fbdAp()
     c.fbd = true;
     c.scheme = Interleave::MultiCacheline;
     c.regionLines = 4;
-    c.ambPrefetch = PrefetchConfig{"region", 0, 64, 0, 0.0};
+    c.prefetch.policy = "region";
     return c;
 }
 
@@ -38,18 +38,6 @@ namespace {
 /** Most logic channels or DIMMs per channel a machine may have: far
  *  past any FB-DIMM system, short of exhausting host memory. */
 constexpr unsigned maxTopology = 1024;
-
-/** fatal()s unless @p pc's buffer can be built (AmbCache's shape). */
-void
-checkBufferShape(const char *point, const PrefetchConfig &pc)
-{
-    if (pc.entries < 1 || pc.entries > PrefetchConfig::maxCount)
-        fatal("%s prefetch buffer needs 1 to %u entries, not %u",
-              point, PrefetchConfig::maxCount, pc.entries);
-    if (pc.ways != 0 && pc.entries % pc.ways != 0)
-        fatal("%s prefetch buffer: %u entries not divisible by %u "
-              "ways", point, pc.entries, pc.ways);
-}
 
 } // namespace
 
@@ -67,21 +55,20 @@ SystemConfig::controllerConfig() const
     if (regionLines < 1 || row_lines % regionLines != 0)
         fatal("region size K=%u must divide the %u lines of a DRAM row",
               regionLines, row_lines);
-    if (ambPrefetch.enabled()) {
-        if (!fbd)
+    if (prefetch.enabled()) {
+        const char *where = prefetch.atMc() ? "controller" : "AMB";
+        if (!fbd && !prefetch.atMc())
             fatal("AMB prefetching requires FB-DIMM");
         if (scheme == Interleave::Cacheline)
-            fatal("AMB prefetching needs multi-cacheline or page "
-                  "interleaving (Section 3.2)");
-        checkBufferShape("AMB", ambPrefetch);
-    }
-    if (mcBufPrefetch.enabled()) {
-        if (ambPrefetch.enabled())
-            fatal("mcBufPrefetch and ambPrefetch are exclusive");
-        if (scheme == Interleave::Cacheline)
-            fatal("controller prefetching needs region-preserving "
-                  "interleaving too");
-        checkBufferShape("controller", mcBufPrefetch);
+            fatal("%s prefetching needs multi-cacheline or page "
+                  "interleaving (Section 3.2)", where);
+        if (prefetch.entries < 1
+            || prefetch.entries > PrefetchConfig::maxCount)
+            fatal("%s prefetch buffer needs 1 to %u entries, not %u",
+                  where, PrefetchConfig::maxCount, prefetch.entries);
+        if (prefetch.ways != 0 && prefetch.entries % prefetch.ways != 0)
+            fatal("%s prefetch buffer: %u entries not divisible by %u "
+                  "ways", where, prefetch.entries, prefetch.ways);
     }
     ControllerConfig cc;
     cc.fbd = fbd;
@@ -102,8 +89,7 @@ SystemConfig::controllerConfig() const
     cc.openPage = (scheme == Interleave::Page);
     cc.regionLines = regionLines;
     cc.apFullLatency = apFullLatency;
-    cc.ambPrefetch = ambPrefetch;
-    cc.mcBufPrefetch = mcBufPrefetch;
+    cc.prefetch = prefetch;
     return cc;
 }
 

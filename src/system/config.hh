@@ -65,18 +65,13 @@ struct SystemConfig
 
     // --- DRAM-level prefetching ---
     /**
-     * The AMB attachment point: policy + buffer shape of the per-DIMM
-     * AMB caches ("none", the default, switches it off).  The FBD-AP
-     * preset is the canned spec "region,entries=64,ways=0"; select
-     * other policies with e.g. PrefetchConfig::parse("dspatch,degree=2").
+     * The prefetch buffer: policy, place and shape ("none", the
+     * default, switches it off).  The FBD-AP preset is the spec
+     * "region" (place=amb, 64 lines, fully associative); select others
+     * with e.g. PrefetchConfig::parse("dspatch,degree=2") or
+     * PrefetchConfig::parse("region,place=mc").
      */
-    PrefetchConfig ambPrefetch;
-    /**
-     * The controller attachment point: prefetches cross the channel
-     * into a buffer at the MC (the Section 6 comparison class).
-     * Mutually exclusive with ambPrefetch.
-     */
-    PrefetchConfig mcBufPrefetch{"none", 0, 256, 0, 0.0};
+    PrefetchConfig prefetch;
 
     unsigned regionLines = 4;     ///< K of the address interleaving
     bool apFullLatency = false;   ///< APFL analysis mode
@@ -113,9 +108,9 @@ struct SystemConfig
      * Derived controller configuration for one logic channel.
      * fatal()s on a configuration the components cannot build: no
      * channels or DIMMs, a region size K that does not divide a DRAM
-     * row, an empty or unevenly divided prefetch buffer, both
-     * attachment points enabled at once, or prefetching on a machine
-     * or interleaving that cannot support it.
+     * row, an empty or unevenly divided prefetch buffer, or a
+     * prefetch buffer on a machine or interleaving that cannot host
+     * it.
      */
     ControllerConfig controllerConfig() const;
 

@@ -47,7 +47,7 @@ ledgerRecordJson(const RunManifest &m, const SweepRow &row)
     metric(os, first, "bandwidth_gbs", r.bandwidthGBs);
     metric(os, first, "reads", r.reads);
     metric(os, first, "writes", r.writes);
-    metric(os, first, "amb_hits", r.ambHits);
+    metric(os, first, "pf_hits", r.ambHits);
     metric(os, first, "coverage", r.coverage);
     metric(os, first, "efficiency", r.efficiency);
     metric(os, first, "demand_p99_ns", r.latDemand.p99Ns);

@@ -85,15 +85,6 @@ kvD(std::ostringstream &os, const char *key, double v)
     os << key << '=' << csprintf("%.17g", v) << ';';
 }
 
-void
-kvPf(std::ostringstream &os, const char *prefix,
-     const PrefetchConfig &pf)
-{
-    os << prefix << "=" << pf.policy << ',' << pf.degree << ','
-       << pf.entries << ',' << pf.ways << ','
-       << csprintf("%.17g", pf.throttle) << ';';
-}
-
 } // namespace
 
 std::uint64_t
@@ -158,8 +149,11 @@ canonicalConfigString(const SystemConfig &cfg)
     kv(os, "refreshEnable", cfg.refreshEnable);
 
     // Prefetching.
-    kvPf(os, "ambPrefetch", cfg.ambPrefetch);
-    kvPf(os, "mcBufPrefetch", cfg.mcBufPrefetch);
+    const PrefetchConfig &pf = cfg.prefetch;
+    os << "prefetch=" << pf.policy << ','
+       << (pf.atMc() ? "mc" : "amb") << ',' << pf.degree << ','
+       << pf.entries << ',' << pf.ways << ','
+       << csprintf("%.17g", pf.throttle) << ';';
     kv(os, "regionLines", cfg.regionLines);
     kv(os, "apFullLatency", cfg.apFullLatency);
 

@@ -364,7 +364,7 @@ System::buildStatGroups(bool include_histograms) const
                 return t ? get(*t) : 0.0;
             });
         };
-        pf("amb_hits", "reads served by the prefetch buffer",
+        pf("pf_hits", "reads served by the prefetch buffer",
            [](const PrefetchTable &t) {
                return static_cast<double>(t.prefetchHits());
            });

@@ -76,7 +76,7 @@ struct LatencyClassStats
 
 /**
  * Prefetch-policy outcome of one run, aggregated over every channel's
- * active attachment point (AMB caches or the MC buffer).  The typed
+ * prefetch buffer (AMB caches or the MC buffer).  The typed
  * block behind ResultSchema::prefetchStats() and the --stats-json
  * "prefetch" section; head-to-head policy comparisons read these.
  */

@@ -59,14 +59,14 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
                  [&mc] {
                      return static_cast<double>(mc.queueDepth());
                  });
-        addGauge(pfx + "amb_hit_rate",
+        addGauge(pfx + "pf_hit_rate",
                  "fraction of this epoch's reads served by a "
                  "prefetch buffer",
                  [cur] {
                      return cur->reads > 0.0 ? cur->hits / cur->reads
                                              : 0.0;
                  });
-        addGauge(pfx + "amb_occupancy",
+        addGauge(pfx + "pf_occupancy",
                  "prefetch-buffer fill fraction right now",
                  [&mc] {
                      const PrefetchTable *t = mc.prefetchTable();

@@ -130,7 +130,7 @@ class TelemetrySampler
     };
 
     /** Delta baseline / per-epoch value of the prefetch gauges,
-     *  summed over every channel's active attachment point. */
+     *  summed over every channel's prefetch buffer. */
     struct PrefetchScratch
     {
         std::uint64_t prevIssued = 0;

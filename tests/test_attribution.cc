@@ -76,7 +76,7 @@ TEST(PhaseDurationTest, AmbServedReadUsesAmbNotBank)
 {
     Transaction t;
     t.cmd = MemCmd::Read;
-    t.ambServed = true;
+    t.bufServed = true;
     t.arrivedAtMc = 100;
     t.earliestIssue = 100;
     t.stampIssue = 120;
@@ -123,7 +123,7 @@ TEST(PhaseDurationTest, SwPrefetchClassifiesBelowAmbHit)
 
     // An AMB hit wins over the sw-prefetch flag: the transaction was
     // served by the prefetch buffer, which is the interesting fact.
-    t.ambServed = true;
+    t.bufServed = true;
     EXPECT_EQ(computePhaseDurations(t).cls, LatClass::PrefHit);
 }
 

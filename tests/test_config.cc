@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/parse.hh"
+#include "sim/event_queue.hh"
 #include "system/config.hh"
 
 namespace fbdp {
@@ -17,8 +18,7 @@ TEST(ConfigTest, Ddr2Preset)
 {
     SystemConfig c = SystemConfig::ddr2();
     EXPECT_FALSE(c.fbd);
-    EXPECT_FALSE(c.ambPrefetch.enabled());
-    EXPECT_FALSE(c.mcBufPrefetch.enabled());
+    EXPECT_FALSE(c.prefetch.enabled());
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::Cacheline));
     EXPECT_EQ(c.logicChannels, 2u);
@@ -32,16 +32,67 @@ TEST(ConfigTest, FbdApPresetMatchesSection52Defaults)
 {
     SystemConfig c = SystemConfig::fbdAp();
     EXPECT_TRUE(c.fbd);
-    EXPECT_EQ(c.ambPrefetch.policy, "region");
+    EXPECT_EQ(c.prefetch.policy, "region");
+    EXPECT_EQ(c.prefetch.place, PrefetchPlace::Amb);
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::MultiCacheline));
     EXPECT_EQ(c.regionLines, 4u);
-    EXPECT_EQ(c.ambPrefetch.degree, 0u);
-    EXPECT_EQ(c.ambPrefetch.entries, 64u);
-    EXPECT_EQ(c.ambPrefetch.ways, 0u) << "fully associative default";
-    EXPECT_EQ(c.ambPrefetch.throttle, 0.0);
-    EXPECT_FALSE(c.mcBufPrefetch.enabled());
+    EXPECT_EQ(c.prefetch.degree, 0u);
+    EXPECT_EQ(c.prefetch.entries, 64u);
+    EXPECT_EQ(c.prefetch.ways, 0u) << "fully associative default";
+    EXPECT_EQ(c.prefetch.throttle, 0.0);
     EXPECT_FALSE(c.apFullLatency);
+
+    // The preset's buffer is the spec "region,place=amb".
+    const PrefetchConfig spec = PrefetchConfig::parse("region,place=amb");
+    EXPECT_EQ(c.prefetch.policy, spec.policy);
+    EXPECT_EQ(c.prefetch.place, spec.place);
+    EXPECT_EQ(c.prefetch.degree, spec.degree);
+    EXPECT_EQ(c.prefetch.entries, spec.entries);
+    EXPECT_EQ(c.prefetch.ways, spec.ways);
+    EXPECT_EQ(c.prefetch.throttle, spec.throttle);
+}
+
+TEST(ConfigTest, PlaceSetsTheDefaultShape)
+{
+    const PrefetchConfig amb = PrefetchConfig::parse("region");
+    EXPECT_EQ(amb.place, PrefetchPlace::Amb);
+    EXPECT_EQ(amb.entries, 64u);
+    EXPECT_EQ(amb.ways, 0u);
+    const PrefetchConfig mc = PrefetchConfig::parse("region,place=mc");
+    EXPECT_EQ(mc.place, PrefetchPlace::Mc);
+    EXPECT_EQ(mc.entries, 256u);
+    EXPECT_EQ(mc.ways, 0u);
+    // An explicit entries wins on either side of the place.
+    EXPECT_EQ(PrefetchConfig::parse("region,place=mc,entries=32").entries,
+              32u);
+    EXPECT_EQ(PrefetchConfig::parse("region,entries=32,place=mc").entries,
+              32u);
+    EXPECT_EQ(PrefetchConfig::parse("region,place=amb,entries=128").entries,
+              128u);
+}
+
+// A spec's shape reaches the controller at either place: once the
+// shape flags applied only to the AMB buffer, so a controller buffer
+// silently kept its 256 lines.
+TEST(ConfigTest, SpecShapeReachesTheControllerAtBothPlaces)
+{
+    for (const char *place : {"amb", "mc"}) {
+        SystemConfig c = SystemConfig::fbdAp();
+        c.prefetch = PrefetchConfig::parse(
+            std::string("region,entries=32,ways=4,place=") + place);
+        const ControllerConfig cc = c.controllerConfig();
+        EXPECT_EQ(cc.prefetch.place, c.prefetch.place) << place;
+        EXPECT_EQ(cc.prefetch.entries, 32u) << place;
+        EXPECT_EQ(cc.prefetch.ways, 4u) << place;
+
+        EventQueue eq;
+        const MemController mc("mc", &eq, cc);
+        ASSERT_NE(mc.prefetchTable(), nullptr) << place;
+        const unsigned buffers = c.prefetch.atMc() ? 1 : cc.nDimms;
+        EXPECT_EQ(mc.prefetchTable()->capacity(), 32u * buffers)
+            << place;
+    }
 }
 
 TEST(ConfigTest, Table1ProcessorDefaults)
@@ -64,9 +115,9 @@ TEST(ConfigTest, ControllerDerivation)
     SystemConfig c = SystemConfig::fbdAp();
     ControllerConfig cc = c.controllerConfig();
     EXPECT_TRUE(cc.fbd);
-    EXPECT_EQ(cc.ambPrefetch.policy, "region");
-    EXPECT_EQ(cc.ambPrefetch.entries, 64u);
-    EXPECT_FALSE(cc.mcBufPrefetch.enabled());
+    EXPECT_EQ(cc.prefetch.policy, "region");
+    EXPECT_EQ(cc.prefetch.place, PrefetchPlace::Amb);
+    EXPECT_EQ(cc.prefetch.entries, 64u);
     EXPECT_EQ(cc.nDimms, 4u);
     EXPECT_EQ(cc.timing.memCycle, 3000u);
     EXPECT_FALSE(cc.openPage);
@@ -131,20 +182,25 @@ TEST(ConfigDeathTest, RegionThatDoesNotDivideARowIsFatal)
 TEST(ConfigDeathTest, UnbuildablePrefetchBufferIsFatal)
 {
     SystemConfig c = SystemConfig::fbdAp();
-    c.ambPrefetch.entries = 0;  // --entries 0
+    c.prefetch.entries = 0;  // parse() refuses entries=0 itself
     EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
                 "needs 1 to 65536 entries, not 0");
     c = SystemConfig::fbdAp();
-    c.ambPrefetch.ways = 3;  // --ways 3
+    c.prefetch = PrefetchConfig::parse("region,ways=3");
     EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
-                "64 entries not divisible by 3 ways");
+                "AMB prefetch buffer: 64 entries not divisible by 3 ways");
+    c = SystemConfig::fbdAp();
+    c.prefetch = PrefetchConfig::parse("region,place=mc,ways=3");
+    EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
+                "controller prefetch buffer: 256 entries not divisible "
+                "by 3 ways");
 }
 
 TEST(ConfigDeathTest, AmbPolicyOnDdr2IsFatal)
 {
-    // --machine ddr2 --amb-policy region
+    // --machine ddr2 --prefetch region
     SystemConfig c = SystemConfig::ddr2();
-    c.ambPrefetch = PrefetchConfig::parse("region");
+    c.prefetch = PrefetchConfig::parse("region");
     c.scheme = Interleave::MultiCacheline;
     EXPECT_EXIT(c.controllerConfig(), ::testing::ExitedWithCode(1),
                 "requires FB-DIMM");

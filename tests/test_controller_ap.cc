@@ -43,7 +43,8 @@ class ControllerApTest : public ::testing::Test
         ControllerConfig c;
         c.fbd = true;
         c.regionLines = k;
-        c.ambPrefetch = PrefetchConfig{"region", 0, entries, ways, 0.0};
+        c.prefetch = PrefetchConfig{"region", PrefetchPlace::Amb, 0,
+                                    entries, ways, 0.0};
         return c;
     }
 

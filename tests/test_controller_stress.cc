@@ -77,12 +77,12 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     if (!f.fbd)
         cfg.cmdDelay = nsToTicks(3) + 2 * cfg.timing.memCycle;
     if (f.ap)
-        cfg.ambPrefetch.policy = "region";
-    cfg.ambPrefetch.ways = f.ways;
+        cfg.prefetch.policy = "region";
+    if (f.mc)
+        cfg.prefetch = PrefetchConfig::parse("region,place=mc");
+    cfg.prefetch.ways = f.ways;
     cfg.openPage = f.open_page;
     cfg.vrl = f.vrl;
-    if (f.mc)
-        cfg.mcBufPrefetch.policy = "region";
     cfg.writeDrainHigh = f.drainHigh;
     cfg.writeDrainLow = f.drainLow;
     cfg.queueSize = f.queue;
@@ -119,7 +119,7 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
                     completions.push_back(w);
                     fnv(digest, raw->mcSeq);
                     fnv(digest, w);
-                    fnv(digest, raw->ambServed);
+                    fnv(digest, raw->bufServed);
                 };
             } else {
                 ++writes_sent;
@@ -195,7 +195,7 @@ runBurst(std::uint64_t seed)
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.ambPrefetch.policy = "region";
+    cfg.prefetch.policy = "region";
     MemController mc("mc", &eq, cfg);
 
     Rng rng(seed);

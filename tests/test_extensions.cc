@@ -61,7 +61,7 @@ TEST(ExtensionsTest, McPrefetchRunsAndCovers)
 {
     SystemConfig c = quick(SystemConfig::fbdBase());
     c.scheme = Interleave::MultiCacheline;
-    c.mcBufPrefetch.policy = "region";
+    c.prefetch = PrefetchConfig::parse("region,place=mc");
     auto r = runMix(c, mixByName("1C-swim"));
     EXPECT_GT(r.ambHits, 0u) << "MC hits reported through ambHits";
     EXPECT_GT(r.coverage, 0.3);
@@ -72,7 +72,7 @@ TEST(ExtensionsTest, McPrefetchConsumesMoreChannelBandwidth)
 {
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcBufPrefetch.policy = "region";
+    mcp.prefetch = PrefetchConfig::parse("region,place=mc");
     auto r_mcp = runMix(mcp, mixByName("1C-swim"));
     auto r_ap = runMix(quick(SystemConfig::fbdAp()),
                        mixByName("1C-swim"));
@@ -86,7 +86,7 @@ TEST(ExtensionsTest, McPrefetchBeatsPlainFbdAtOneCore)
                        mixByName("1C-swim"));
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcBufPrefetch.policy = "region";
+    mcp.prefetch = PrefetchConfig::parse("region,place=mc");
     auto r = runMix(mcp, mixByName("1C-swim"));
     EXPECT_GT(r.ipcSum(), base.ipcSum());
 }
@@ -97,18 +97,11 @@ TEST(ExtensionsTest, ApBeatsMcPrefetchAtEightCores)
     // channel is precious and MCP wastes it.
     SystemConfig mcp = quick(SystemConfig::fbdBase());
     mcp.scheme = Interleave::MultiCacheline;
-    mcp.mcBufPrefetch.policy = "region";
+    mcp.prefetch = PrefetchConfig::parse("region,place=mc");
     auto r_mcp = runMix(mcp, mixByName("8C-1"));
     auto r_ap = runMix(quick(SystemConfig::fbdAp()),
                        mixByName("8C-1"));
     EXPECT_GT(r_ap.ipcSum(), r_mcp.ipcSum());
-}
-
-TEST(ExtensionsTest, McPrefetchExclusiveWithAp)
-{
-    SystemConfig c = quick(SystemConfig::fbdAp());
-    c.mcBufPrefetch.policy = "region";
-    EXPECT_DEATH(c.controllerConfig(), "exclusive");
 }
 
 TEST(ExtensionsTest, RefreshCostsALittlePerformance)

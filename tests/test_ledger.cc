@@ -85,7 +85,7 @@ TEST(LedgerRecordTest, RealRowRoundTripsExactly)
     ASSERT_NE(met, nullptr);
     ASSERT_TRUE(met->get("reads")->isInteger());
     EXPECT_EQ(met->get("reads")->asUint64(), rows[0].result.reads);
-    EXPECT_EQ(met->get("amb_hits")->asUint64(),
+    EXPECT_EQ(met->get("pf_hits")->asUint64(),
               rows[0].result.ambHits);
     EXPECT_EQ(met->get("ipc_sum")->asNumber(),
               rows[0].result.ipcSum());

@@ -39,7 +39,7 @@ class McPrefetchTest : public ::testing::Test
     {
         ControllerConfig c;
         c.fbd = true;
-        c.mcBufPrefetch.policy = "region";
+        c.prefetch = PrefetchConfig::parse("region,place=mc");
         c.regionLines = 4;
         return c;
     }
@@ -134,13 +134,6 @@ TEST_F(McPrefetchTest, CoverageMatchesAmbPathOnSweep)
     }
     EXPECT_DOUBLE_EQ(mc.prefetchTable()->coverage(), 0.75);
     EXPECT_DOUBLE_EQ(mc.prefetchTable()->efficiency(), 1.0);
-}
-
-TEST_F(McPrefetchTest, ExclusiveWithAmbPrefetching)
-{
-    ControllerConfig c = mcpCfg();
-    c.ambPrefetch.policy = "region";
-    EXPECT_DEATH(MemController mc("mc", &eq, c), "exclusive");
 }
 
 TEST_F(McPrefetchTest, SequentialSweepBandwidthQuadruples)

@@ -141,8 +141,8 @@ shortFigures()
                     for (const WorkloadMix &mix : mixes) {
                         SystemConfig c = run.prep(SystemConfig::fbdAp());
                         c.regionLines = k;
-                        c.ambPrefetch.entries = 64;
-                        c.ambPrefetch.ways = 0;
+                        c.prefetch.entries = 64;
+                        c.prefetch.ways = 0;
                         const RunResult r = run.run(c, mix);
                         pf.coverage += r.coverage;
                         pf.efficiency += r.efficiency;

@@ -242,6 +242,7 @@ TEST(PrefetchConfigTest, ParseDefaultsAndKeys)
 {
     const PrefetchConfig p = PrefetchConfig::parse("region");
     EXPECT_EQ(p.policy, "region");
+    EXPECT_EQ(p.place, PrefetchPlace::Amb);
     EXPECT_EQ(p.degree, 0u);
     EXPECT_EQ(p.entries, 64u);
     EXPECT_EQ(p.ways, 0u);
@@ -249,25 +250,15 @@ TEST(PrefetchConfigTest, ParseDefaultsAndKeys)
     EXPECT_TRUE(p.enabled());
 
     const PrefetchConfig q = PrefetchConfig::parse(
-        "dspatch,degree=2,entries=128,ways=4,throttle=0.8");
+        "dspatch,place=mc,degree=2,entries=128,ways=4,throttle=0.8");
     EXPECT_EQ(q.policy, "dspatch");
+    EXPECT_EQ(q.place, PrefetchPlace::Mc);
     EXPECT_EQ(q.degree, 2u);
     EXPECT_EQ(q.entries, 128u);
     EXPECT_EQ(q.ways, 4u);
     EXPECT_DOUBLE_EQ(q.throttle, 0.8);
 
     EXPECT_FALSE(PrefetchConfig::parse("none").enabled());
-}
-
-TEST(PrefetchConfigTest, ParseInheritsCallerDefaults)
-{
-    PrefetchConfig dflt;
-    dflt.entries = 256;
-    dflt.ways = 8;
-    const PrefetchConfig p = PrefetchConfig::parse("indram", dflt);
-    EXPECT_EQ(p.policy, "indram");
-    EXPECT_EQ(p.entries, 256u);
-    EXPECT_EQ(p.ways, 8u);
 }
 
 TEST(PrefetchConfigDeathTest, RejectsMalformedSpecs)

@@ -71,8 +71,8 @@ TEST(PolicyInvisibility, RegionPolicyReproducesSeedResults)
 TEST(PolicyInvisibility, ExplicitSpecMatchesPreset)
 {
     SystemConfig c = golden();
-    c.ambPrefetch =
-        PrefetchConfig::parse("region,entries=64,ways=0");
+    c.prefetch =
+        PrefetchConfig::parse("region,place=amb,entries=64,ways=0");
     System sys(c);
     expectGolden(sys.run());
 }
@@ -94,10 +94,10 @@ TEST(PolicyInvisibility, PrefetchStatsBlockIsConsistent)
 
 TEST(PolicyInvisibility, PolicyNoneAloneSwitchesFbdApOff)
 {
-    // The ambPrefetch block is the one switch: no other field may
+    // The prefetch block is the one switch: no other field may
     // bring the region policy back, and nothing is warned about.
     SystemConfig off = golden();
-    off.ambPrefetch.policy = "none";
+    off.prefetch.policy = "none";
     SystemConfig plain = SystemConfig::fbdBase();
     plain.scheme = Interleave::MultiCacheline;
     plain.benchmarks = off.benchmarks;
@@ -109,8 +109,7 @@ TEST(PolicyInvisibility, PolicyNoneAloneSwitchesFbdApOff)
     const ControllerConfig cc = off.controllerConfig();
     const std::string off_digest = digest(System(off).run());
     const std::string warned = ::testing::internal::GetCapturedStderr();
-    EXPECT_FALSE(cc.ambPrefetch.enabled());
-    EXPECT_FALSE(cc.mcBufPrefetch.enabled());
+    EXPECT_FALSE(cc.prefetch.enabled());
     EXPECT_EQ(warned, "");
     EXPECT_EQ(off_digest, digest(System(plain).run()));
 }

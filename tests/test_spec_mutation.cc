@@ -1,7 +1,7 @@
 /**
  * @file
  * Randomized mutation tests of the spec-string parsers that read user
- * input: PrefetchConfig::parse (the --amb-policy / --mc-policy value)
+ * input: PrefetchConfig::parse (the --prefetch value)
  * and TraceSpec::parse (a "trace:PATH[,key=value]..." workload).
  *
  * Valid seed specs are mutated with a fixed seed: byte flips, inserted
@@ -23,6 +23,7 @@
 
 #include "common/random.hh"
 #include "prefetch/prefetch_config.hh"
+#include "system/config.hh"
 #include "workload/trace_stream.hh"
 
 namespace fbdp {
@@ -106,17 +107,19 @@ refDecimal(const std::string &v)
     return std::strtod(v.c_str(), nullptr);
 }
 
-/** PrefetchConfig's grammar: "policy[,key=value]...". */
+/** PrefetchConfig's grammar: "policy[,key=value]...", with the
+ *  buffer lines set by the place unless a spec names them. */
 std::optional<PrefetchConfig>
-refPrefetch(const std::string &spec, const PrefetchConfig &dflt)
+refPrefetch(const std::string &spec)
 {
     const std::vector<std::string> items = splitCommas(spec);
     const std::string &policy = items[0];
     if (policy != "region" && policy != "dspatch" && policy != "indram"
         && policy != "none")
         return std::nullopt;
-    PrefetchConfig pc = dflt;
+    PrefetchConfig pc;
     pc.policy = policy;
+    bool entries_set = false;
     for (std::size_t i = 1; i < items.size(); ++i) {
         if (items[i].empty())
             continue;
@@ -125,6 +128,12 @@ refPrefetch(const std::string &spec, const PrefetchConfig &dflt)
             return std::nullopt;
         const std::string key = items[i].substr(0, eq);
         const std::string val = items[i].substr(eq + 1);
+        if (key == "place") {
+            if (val != "amb" && val != "mc")
+                return std::nullopt;
+            pc.place = val == "mc" ? PrefetchPlace::Mc : PrefetchPlace::Amb;
+            continue;
+        }
         if (key == "throttle") {
             const auto t = refDecimal(val);
             if (!t || !(*t >= 0.0 && *t <= 1.0))
@@ -143,7 +152,10 @@ refPrefetch(const std::string &spec, const PrefetchConfig &dflt)
         if (!n)
             return std::nullopt;
         *field = static_cast<unsigned>(*n);
+        entries_set |= field == &pc.entries;
     }
+    if (!entries_set)
+        pc.entries = pc.place == PrefetchPlace::Mc ? 256 : 64;
     return pc;
 }
 
@@ -214,7 +226,7 @@ const std::vector<std::string> edgeValues = {
     "1e3", "0.5", ".5", "5.", "1e-1", "1e999", "1e-999", ".", "e1",
     "nan", "NaN", "-nan", "inf", "1k", "8m", "1024M", "1048576k",
     "1048577k", "0k", "64K", "2M", "on", "off", "true", "false", "fbt",
-    "text", "auto", "TEXT", "none", "region",
+    "text", "auto", "TEXT", "none", "region", "amb", "mc", "MC", "both",
 };
 
 /** Bytes a flip may write.  No NUL: spec strings arrive as C strings
@@ -325,9 +337,6 @@ mutants(const std::vector<std::string> &seeds,
 
 TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
 {
-    // Keys the spec leaves out come from here, so inheritance is
-    // checked too.
-    const PrefetchConfig dflt{"none", 3, 256, 8, 0.25};
     const std::vector<std::string> seeds = {
         "region",
         "region,degree=4,entries=64",
@@ -335,23 +344,27 @@ TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
         "indram,entries=128,ways=8",
         "none,entries=65536,ways=0",
         "region,throttle=1e-1,degree=0",
-        "dspatch,degree=2,entries=128,ways=4,throttle=0.8",
+        "region,place=mc",
+        "indram,place=amb,ways=2",
+        "dspatch,place=mc,degree=2,entries=128,ways=4,throttle=0.8",
     };
     unsigned accepted = 0, rejected = 0;
     for (const std::string &m : mutants(
-             seeds, {"degree", "entries", "ways", "throttle", "Ways", ""},
+             seeds,
+             {"place", "degree", "entries", "ways", "throttle", "Ways", ""},
              0x5eed)) {
-        const auto want = refPrefetch(m, dflt);
+        const auto want = refPrefetch(m);
         if (!want) {
             ++rejected;
-            EXPECT_EXIT(PrefetchConfig::parse(m, dflt),
+            EXPECT_EXIT(PrefetchConfig::parse(m),
                         ::testing::ExitedWithCode(1), "fatal: .")
                 << "mutant '" << m << "'";
             continue;
         }
         ++accepted;
-        const PrefetchConfig got = PrefetchConfig::parse(m, dflt);
+        const PrefetchConfig got = PrefetchConfig::parse(m);
         EXPECT_EQ(got.policy, want->policy) << m;
+        EXPECT_EQ(got.place, want->place) << m;
         EXPECT_EQ(got.degree, want->degree) << m;
         EXPECT_EQ(got.entries, want->entries) << m;
         EXPECT_EQ(got.ways, want->ways) << m;
@@ -360,6 +373,42 @@ TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
     // Both verdicts are exercised, so neither check is vacuous.
     EXPECT_GE(accepted, 30u);
     EXPECT_GE(rejected, 300u);
+}
+
+TEST(SpecMutationDeathTest, PlaceInputsFatalOrLastWins)
+{
+    const auto fatalExit = ::testing::ExitedWithCode(1);
+    // The spec parser refuses what no place can mean.
+    EXPECT_EXIT(PrefetchConfig::parse("region,place=both"), fatalExit,
+                "fatal: prefetch spec key 'place' has value 'both'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,place="), fatalExit,
+                "fatal: prefetch spec key 'place' has no value");
+
+    // The machine refuses a place it cannot host.
+    SystemConfig ddr2 = SystemConfig::ddr2();
+    ddr2.scheme = Interleave::MultiCacheline;
+    ddr2.prefetch = PrefetchConfig::parse("region,place=amb");
+    EXPECT_EXIT(ddr2.controllerConfig(), fatalExit,
+                "fatal: AMB prefetching requires FB-DIMM");
+    for (const char *spec : {"region,place=amb", "region,place=mc"}) {
+        SystemConfig c = SystemConfig::fbdBase();
+        ASSERT_EQ(c.scheme, Interleave::Cacheline);
+        c.prefetch = PrefetchConfig::parse(spec);
+        EXPECT_EXIT(c.controllerConfig(), fatalExit,
+                    "fatal: .* prefetching needs multi-cacheline or page "
+                    "interleaving")
+            << spec;
+    }
+
+    // A repeated place: the last value wins, shape and all.
+    const PrefetchConfig mc =
+        PrefetchConfig::parse("region,place=amb,place=mc");
+    EXPECT_EQ(mc.place, PrefetchPlace::Mc);
+    EXPECT_EQ(mc.entries, 256u);
+    const PrefetchConfig amb =
+        PrefetchConfig::parse("region,place=mc,place=amb");
+    EXPECT_EQ(amb.place, PrefetchPlace::Amb);
+    EXPECT_EQ(amb.entries, 64u);
 }
 
 TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)

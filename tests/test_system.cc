@@ -165,7 +165,7 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
     if (GetParam()) {
         c = quick(SystemConfig::fbdBase());
         c.scheme = Interleave::MultiCacheline;
-        c.mcBufPrefetch.policy = "region";
+        c.prefetch = PrefetchConfig::parse("region,place=mc");
     }
     c.benchmarks = mixByName("2C-1").benches;
     System sys(c);
@@ -188,7 +188,7 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
             EXPECT_NE(f, nullptr) << g.group.name() << "." << name;
             return f ? f->value() : 0.0;
         };
-        const double h = get("amb_hits");
+        const double h = get("pf_hits");
         hits += h;
         late += get("late_prefetch_hits");
         covered += get("coverage") * get("reads");

@@ -272,7 +272,7 @@ TEST(TraceSystemTest, TwoCoreRunExportsValidBalancedJson)
     EXPECT_NE(out.find("ch0.txn"), std::string::npos);
     EXPECT_NE(out.find("ch1.txn"), std::string::npos);
     EXPECT_NE(out.find("ch0.dimm0.bank0"), std::string::npos);
-    EXPECT_NE(out.find("ch0.dimm0.amb"), std::string::npos);
+    EXPECT_NE(out.find("ch0.dimm0.pf"), std::string::npos);
     EXPECT_NE(out.find("cpu0."), std::string::npos);
     EXPECT_NE(out.find("cpu1."), std::string::npos);
     EXPECT_NE(out.find("\"displayTimeUnit\": \"ns\""),
@@ -370,7 +370,7 @@ TEST(TelemetryTest, EmitsOneRecordPerElapsedEpoch)
 
     // Gauges remain queryable by name after the run; unknown names
     // are distinguishable from a sampled zero.
-    EXPECT_NE(sampler.gauges().find("ch0.amb_hit_rate"), nullptr);
+    EXPECT_NE(sampler.gauges().find("ch0.pf_hit_rate"), nullptr);
     ASSERT_TRUE(sampler.hasGauge("ch0.queue_depth"));
     ASSERT_TRUE(sampler.gauge("ch0.queue_depth").has_value());
     EXPECT_GE(*sampler.gauge("ch0.queue_depth"), 0.0);

@@ -88,11 +88,11 @@ TEST(WarmKey, MemorySideFieldsLeaveTheKeyAlone)
             {"channels", [](SystemConfig &c) { c.logicChannels = 4; }},
             {"amb policy",
              [](SystemConfig &c) {
-                 c.ambPrefetch = PrefetchConfig::parse("dspatch");
+                 c.prefetch = PrefetchConfig::parse("dspatch");
              }},
             {"mc buffer",
              [](SystemConfig &c) {
-                 c.mcBufPrefetch = PrefetchConfig::parse("region");
+                 c.prefetch = PrefetchConfig::parse("region,place=mc");
              }},
             {"threads", [](SystemConfig &c) { c.threads = 4; }},
             {"attribution", [](SystemConfig &c) { c.attribution = true; }},

@@ -18,12 +18,12 @@
  * ledger (or set FBDP_LEDGER).
  */
 
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 
+#include "common/parse.hh"
 #include "system/progress.hh"
 #include "system/runner.hh"
 #include "system/sweep.hh"
@@ -65,11 +65,15 @@ main(int argc, char **argv)
         }
     }
 
+    // Whole decimal counts; mixesFor() refuses a core count with no
+    // Table 3 group.
     const unsigned cores = pos.size() > 0
-        ? static_cast<unsigned>(std::atoi(pos[0]))
+        ? static_cast<unsigned>(
+              requireCount("cores", pos[0], 1, 0xffffffffLL))
         : 2;
     const std::uint64_t insts = pos.size() > 1
-        ? static_cast<std::uint64_t>(std::atoll(pos[1]))
+        ? static_cast<std::uint64_t>(
+              requireCount("insts", pos[1], 1, 0x7fffffffffffffffLL))
         : 200'000;
 
     auto prep = [&](SystemConfig c) {

@@ -7,10 +7,10 @@
  * Options:
  *   --mix NAME        workload mix (default 2C-1; see Table 3 names,
  *                     or 1C-<bench> for single programs), or a trace
- *                     spec "trace:PATH[,chunk=N[k|m]]
- *                     [,format=auto|text|fbt]" replaying a recorded
- *                     trace (text, .fbt, or gzip of either) on every
- *                     core — see --cores
+ *                     spec "trace:PATH[,chunk=N[k|m]]" replaying a
+ *                     recorded trace (text, .fbt, or gzip of either,
+ *                     told apart by magic) on every core — see
+ *                     --cores
  *   --cores N         cores replaying a trace spec (default 1; they
  *                     share one stream/decode pipeline); only valid
  *                     with --mix trace:...
@@ -35,6 +35,10 @@
  *   --no-sp           disable software prefetching
  *   --no-refresh      disable DRAM auto-refresh
  *   --apfl            AMB prefetch with full latency (Fig. 9 mode)
+ *   --verbose         append every statistic of the run, grouped per
+ *                     core, L2 and channel; each description says
+ *                     whether it covers the measured window or the
+ *                     whole run
  *   --profile         append an event-kernel profile (events/sec,
  *                     simulated-insts/sec, queue + pool counters)
  *

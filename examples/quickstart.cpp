@@ -9,11 +9,10 @@
  * Default mix: 2C-1 (wupwise + swim), 400k measured instructions.
  */
 
-#include <cstdio>
-#include <cstdlib>
 #include <iostream>
 #include <string>
 
+#include "common/parse.hh"
 #include "system/metrics.hh"
 #include "system/runner.hh"
 #include "workload/mixes.hh"
@@ -25,7 +24,8 @@ main(int argc, char **argv)
 
     const std::string mix_name = argc > 1 ? argv[1] : "2C-1";
     const std::uint64_t insts = argc > 2
-        ? static_cast<std::uint64_t>(std::atoll(argv[2]))
+        ? static_cast<std::uint64_t>(
+              requireCount("insts", argv[2], 1, 0x7fffffffffffffffLL))
         : 400'000;
 
     const WorkloadMix &mix = mixByName(mix_name);

@@ -286,6 +286,31 @@ System::buildStatGroups(bool include_histograms) const
              [this, i] { return static_cast<double>(
                              hier->l1Misses(static_cast<int>(i))); });
 
+        // The synthetic generator's op classes (a trace replay has
+        // none).  Never reset: they count every op the core drew.
+        if (const auto *sg =
+                dynamic_cast<const SyntheticGenerator *>(gens[i].get())) {
+            auto gen = [&](const char *name, const std::string &what,
+                           std::uint64_t (SyntheticGenerator::*get)()
+                               const) {
+                addF(g, name,
+                     what + ", whole run, functional warm-up included",
+                     [sg, get] {
+                         return static_cast<double>((sg->*get)());
+                     });
+            };
+            gen("gen_stream_ops", "stream ops drawn",
+                &SyntheticGenerator::streamOps);
+            gen("gen_stream_crossings", "stream ops entering a new line",
+                &SyntheticGenerator::streamLineCrossings);
+            gen("gen_hot_ops", "hot-set ops drawn",
+                &SyntheticGenerator::hotOps);
+            gen("gen_cold_ops", "cold irregular ops drawn",
+                &SyntheticGenerator::coldOps);
+            gen("gen_prefetch_ops", "software prefetch ops drawn",
+                &SyntheticGenerator::prefetchOps);
+        }
+
         // Stall-cycle attribution: every ended stall interval charged
         // to the phases of the completion that woke the core.
         if (const CoreStallAttribution *sa = c.stallAttribution()) {
@@ -325,6 +350,15 @@ System::buildStatGroups(bool include_histograms) const
         addF(g, "mem_writes", "writebacks sent to memory",
              [this] { return static_cast<double>(
                           hier->memWrites()); });
+        addF(g, "load_miss_reads",
+             "demand reads sent for load misses, measured window",
+             [this] { return static_cast<double>(
+                          hier->loadMissReads()); });
+        addF(g, "store_miss_reads",
+             "demand reads sent for store misses (RFO), measured "
+             "window",
+             [this] { return static_cast<double>(
+                          hier->storeMissReads()); });
         addF(g, "sw_prefetches", "software prefetches sent",
              [this] { return static_cast<double>(
                           hier->prefetchesSent()); });
@@ -385,6 +419,32 @@ System::buildStatGroups(bool include_histograms) const
            [](const PrefetchTable &t) { return t.lateness(); });
         pf("pf_pollution", "unused displaced or invalidated / issued",
            [](const PrefetchTable &t) { return t.pollution(); });
+        pf("pf_issued", "prefetch lines issued, measured window",
+           [](const PrefetchTable &t) {
+               return static_cast<double>(t.prefetchesIssued());
+           });
+        // The buffer's tag mirrors are never reset (the functional
+        // warm-up does not reach them).
+        auto tags = [&](const char *name, const std::string &what,
+                        std::uint64_t (AmbCache::*get)() const) {
+            addF(g, name, what + ", whole run, timed warm-up included",
+                 [&mc, get] {
+                     std::uint64_t n = 0;
+                     if (const PrefetchTable *t = mc.prefetchTable()) {
+                         for (unsigned d = 0; d < t->numDimms(); ++d)
+                             n += (t->dimm(d).*get)();
+                     }
+                     return static_cast<double>(n);
+                 });
+        };
+        tags("pf_insertions", "lines inserted into the prefetch buffer",
+             &AmbCache::insertions);
+        tags("pf_evictions", "lines displaced from the prefetch buffer",
+             &AmbCache::evictions);
+        addF(g, "hit_conversions",
+             "buffer hits whose line was evicted before service, so "
+             "read from DRAM, measured window",
+             [&mc] { return static_cast<double>(mc.hitConversions()); });
 
         // Phase breakdown: where the latency of each transaction
         // class went on this channel (means; Σ phases == total).

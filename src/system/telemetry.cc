@@ -60,8 +60,8 @@ TelemetrySampler::TelemetrySampler(System &system, Tick epoch_ticks,
                      return static_cast<double>(mc.queueDepth());
                  });
         addGauge(pfx + "pf_hit_rate",
-                 "fraction of this epoch's reads served by a "
-                 "prefetch buffer",
+                 "fraction of the reads completed this epoch that a "
+                 "prefetch buffer served",
                  [cur] {
                      return cur->reads > 0.0 ? cur->hits / cur->reads
                                              : 0.0;
@@ -261,9 +261,15 @@ TelemetrySampler::takeSample(Tick at)
             guardedDelta(mc.southDataFrames(), p.southDataFrames);
         cur.northBusy = guardedDelta(mc.northBusyTicks(), p.northBusy);
         cur.bankBusy = guardedDelta(mc.bankBusyTicks(), p.bankBusy);
+        // Hits and reads from one population, the reads completed
+        // this epoch, and as two non-negative deltas, so the hit
+        // rate stays within [0, 1] across the mid-run reset too.
+        const std::uint64_t done = mc.readLatSamples();
+        const std::uint64_t hitsDone = mc.prefHitLatencyHist().samples();
+        cur.hits = guardedDelta(hitsDone, p.hits);
+        cur.reads =
+            cur.hits + guardedDelta(done - hitsDone, p.otherReads);
         const PrefetchTable *t = mc.prefetchTable();
-        cur.hits = guardedDelta(t ? t->prefetchHits() : 0, p.hits);
-        cur.reads = guardedDelta(mc.reads(), p.reads);
         cur.latePf = guardedDelta(t ? t->lateHits() : 0, p.latePf);
     }
     for (size_t i = 0; i < coreScr.size(); ++i)

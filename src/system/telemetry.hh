@@ -106,8 +106,8 @@ class TelemetrySampler
         std::uint64_t southDataFrames = 0;
         Tick northBusy = 0;
         Tick bankBusy = 0;
-        std::uint64_t hits = 0;
-        std::uint64_t reads = 0;
+        std::uint64_t hits = 0;        ///< reads completed from a buffer
+        std::uint64_t otherReads = 0;  ///< the other reads completed
         std::uint64_t latePf = 0;
     };
 

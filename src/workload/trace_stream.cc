@@ -124,21 +124,9 @@ TraceSpec::parse(const std::string &bench)
             eq == std::string::npos ? "" : part.substr(eq + 1);
         if (key == "chunk") {
             spec.chunkBytes = parseChunkSize(val, bench);
-        } else if (key == "format") {
-            if (val == "auto")
-                spec.format = TraceFormat::Auto;
-            else if (val == "text")
-                spec.format = TraceFormat::Text;
-            else if (val == "fbt")
-                spec.format = TraceFormat::Fbt;
-            else
-                fatal("bad value '%s' for format= in trace spec '%s' "
-                      "(use auto/text/fbt)", val.c_str(),
-                      bench.c_str());
         } else {
             fatal("unknown trace spec option '%s' in '%s' (valid: "
-                  "chunk=, format=)", key.c_str(),
-                  bench.c_str());
+                  "chunk=)", key.c_str(), bench.c_str());
         }
     }
     return spec;
@@ -614,18 +602,12 @@ TraceStream::TraceStream(const TraceSpec &spec_,
     // `preload` when they turn out to be text content.
     char m4[4];
     std::size_t got = src->read(m4, sizeof(m4));
-    bool looksFbt =
+    const bool looksFbt =
         got == sizeof(m4) && std::memcmp(m4, fbtMagic, 4) == 0;
-    if (spec.format == TraceFormat::Auto)
-        fmt = looksFbt ? TraceFormat::Fbt : TraceFormat::Text;
-    else
-        fmt = spec.format;
+    fmt = looksFbt ? TraceFormat::Fbt : TraceFormat::Text;
     // The most ops the file can hold, when known before decoding.
     std::optional<std::uint64_t> maxOps;
     if (fmt == TraceFormat::Fbt) {
-        if (!looksFbt)
-            fatal("trace file '%s' is not an fbt trace (bad magic)",
-                  spec.path.c_str());
         readFbtHeader(true);
         if (hdr.opCount)
             maxOps = hdr.opCount;

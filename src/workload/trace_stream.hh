@@ -123,16 +123,16 @@ struct FbtHeader
  * A parsed `trace:` workload spec.  The benchmark-name slot of
  * SystemConfig::benchmarks accepts `trace:PATH` plus options:
  *
- *   trace:/data/app.fbt.gz,chunk=8m,format=auto
+ *   trace:/data/app.fbt.gz,chunk=8m
  *
  *   chunk=N[k|m]    raw chunk budget per read (default 64k; K and M
  *                   also work; below 64 bytes is raised to 64 with a
  *                   warning, 0 and above 1 GiB are fatal, as are
  *                   signs and trailing text)
- *   format=auto|text|fbt   override the by-magic detection
  *
  * PATH is the first item, verbatim.  Empty items are skipped, and a
- * repeated key's last value wins.
+ * repeated key's last value wins.  The format is the file's own: the
+ * .fbt magic, else text.
  *
  * The default is the smallest budget that ingests and replays no
  * slower than larger ones (EXPERIMENTS.md, "Chunk budget").
@@ -145,7 +145,6 @@ struct TraceSpec
 
     std::string path;
     std::size_t chunkBytes = defaultChunkBytes;
-    TraceFormat format = TraceFormat::Auto;
 
     /** Does @p bench name a trace workload ("trace:" prefix)? */
     static bool isTraceSpec(const std::string &bench);
@@ -155,7 +154,7 @@ struct TraceSpec
 
     /** The option-independent workload name: "trace:" + path, the
      *  profile name of every replay of the file whatever its chunk
-     *  budget or format override. */
+     *  budget. */
     std::string canonicalName() const { return "trace:" + path; }
 };
 
@@ -249,9 +248,9 @@ class TraceStream
 {
   public:
     /**
-     * Open @p spec.path; resolves Auto format by magic.  Fatal on
-     * missing files, bad magic/version, or (at first decode) an
-     * empty trace.
+     * Open @p spec.path; the format is .fbt by magic, else text.
+     * Fatal on missing files, a bad version, or (at first decode)
+     * an empty trace.
      * @param warmup_ops ops each view draws in the functional
      *        warm-up; a file known to hold fewer is kept (0: never)
      * @param background decode ahead on a worker thread

@@ -184,16 +184,7 @@ refTrace(const std::string &bench)
             return std::nullopt;
         const std::string key = items[i].substr(0, eq);
         const std::string val = items[i].substr(eq + 1);
-        if (key == "format") {
-            if (val == "auto")
-                r.spec.format = TraceFormat::Auto;
-            else if (val == "text")
-                r.spec.format = TraceFormat::Text;
-            else if (val == "fbt")
-                r.spec.format = TraceFormat::Fbt;
-            else
-                return std::nullopt;
-        } else if (key == "chunk") {
+        if (key == "chunk") {
             const std::size_t n = leadingDigits(val);
             const std::string unit = val.substr(n);
             unsigned shift = 0;
@@ -416,11 +407,11 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
     const std::string prefix = "trace:";
     const std::vector<std::string> seeds = {
         "/data/app.fbt",
-        "/tmp/x.txt,format=text",
-        "t.txt,format=text,chunk=64k",
-        "t,chunk=4096,format=fbt",
-        "x.txt,chunk=48,format=auto",
-        "a.fbt.gz,chunk=8m,format=auto",
+        "/tmp/x.txt,chunk=1m",
+        "t.txt,,chunk=64k",
+        "t,chunk=4096,chunk=64",
+        "x.txt,chunk=48",
+        "a.fbt.gz,chunk=8m",
     };
     unsigned accepted = 0, rejected = 0;
     for (const std::string &body :
@@ -441,7 +432,6 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
         const std::string err = ::testing::internal::GetCapturedStderr();
         EXPECT_EQ(got.path, want->spec.path) << m;
         EXPECT_EQ(got.chunkBytes, want->spec.chunkBytes) << m;
-        EXPECT_EQ(got.format, want->spec.format) << m;
         EXPECT_EQ(err.find("warn: trace chunk size") != std::string::npos,
                   want->warnsSmallChunk)
             << m << ": " << err;

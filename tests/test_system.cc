@@ -176,7 +176,8 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
 
     // Sum the channels: hits and late hits add up, coverage weighs by
     // the channel's reads and efficiency recovers its issued lines.
-    double hits = 0.0, late = 0.0, covered = 0.0, issued = 0.0;
+    double hits = 0.0, late = 0.0, covered = 0.0, issued = 0.0,
+           pf_issued = 0.0;
     unsigned channels = 0;
     for (const System::OwnedStatGroup &g : sys.buildStatGroups()) {
         if (g.group.name().rfind("mc", 0) != 0)
@@ -194,8 +195,14 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
         covered += get("coverage") * get("reads");
         if (h > 0.0)
             issued += h / get("efficiency");
+        pf_issued += get("pf_issued");
+        // The buffer cannot displace more lines than it took in.
+        EXPECT_GT(get("pf_insertions"), 0.0);
+        EXPECT_LE(get("pf_evictions"), get("pf_insertions"));
+        EXPECT_LE(get("hit_conversions"), get("reads"));
     }
     EXPECT_EQ(channels, c.logicChannels);
+    EXPECT_EQ(pf_issued, static_cast<double>(r.prefetch.issued));
     EXPECT_EQ(hits, static_cast<double>(r.ambHits));
     EXPECT_EQ(late, static_cast<double>(r.latePrefetchHits));
     EXPECT_NEAR(covered / static_cast<double>(r.reads), r.coverage,
@@ -208,6 +215,40 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<bool> &info) {
         return std::string(info.param ? "fbd_mcp" : "fbd_ap");
     });
+
+// The L2's demand reads split into load and store misses, and each
+// synthetic core's ops into the generator's four op classes.
+TEST(SystemTest, StatGroupsSplitReadsAndOps)
+{
+    SystemConfig c = quick(SystemConfig::fbdAp());
+    c.benchmarks = mixByName("2C-1").benches;
+    System sys(c);
+    sys.run();
+
+    unsigned cores = 0;
+    for (const System::OwnedStatGroup &g : sys.buildStatGroups()) {
+        auto get = [&g](const char *name) {
+            const auto *f =
+                dynamic_cast<const stats::Formula *>(g.group.find(name));
+            EXPECT_NE(f, nullptr) << g.group.name() << "." << name;
+            return f ? f->value() : 0.0;
+        };
+        if (g.group.name() == "l2") {
+            EXPECT_GT(get("store_miss_reads"), 0.0);
+            EXPECT_EQ(get("load_miss_reads") + get("store_miss_reads"),
+                      get("mem_reads"));
+        } else if (g.group.name().rfind("cpu", 0) == 0) {
+            const SyntheticGenerator &gen =
+                sys.syntheticGenerator(cores++);
+            EXPECT_EQ(get("gen_stream_ops") + get("gen_hot_ops")
+                          + get("gen_cold_ops") + get("gen_prefetch_ops"),
+                      static_cast<double>(gen.opsGenerated()));
+            EXPECT_GT(get("gen_stream_crossings"), 0.0);
+            EXPECT_LE(get("gen_stream_crossings"), get("gen_stream_ops"));
+        }
+    }
+    EXPECT_EQ(cores, 2u);
+}
 
 /**
  * Parameterized preset sweep: every (machine, data rate, channel

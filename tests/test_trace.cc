@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -376,6 +377,39 @@ TEST(TelemetryTest, EmitsOneRecordPerElapsedEpoch)
     EXPECT_GE(*sampler.gauge("ch0.queue_depth"), 0.0);
     EXPECT_FALSE(sampler.hasGauge("no.such.gauge"));
     EXPECT_FALSE(sampler.gauge("no.such.gauge").has_value());
+}
+
+// The hit rate takes hits and reads from one population, the reads
+// completed in the epoch, so no epoch reads above 1.  Hits counted
+// when served over reads counted on arrival can: a hit served in the
+// epoch after its read arrived.
+TEST(TelemetryTest, PrefetchHitRateIsAFraction)
+{
+    System sys(smallConfig(SystemConfig::fbdAp()));
+    std::ostringstream os;
+    TelemetrySampler sampler(sys, TelemetrySampler::defaultEpoch, os);
+    sampler.start();
+    sys.run();
+    sampler.finish();
+
+    std::istringstream is(os.str());
+    std::string line;
+    std::size_t checked = 0;
+    double highest = 0.0;
+    while (std::getline(is, line)) {
+        for (unsigned c = 0; c < sys.numControllers(); ++c) {
+            const std::string key =
+                "\"ch" + std::to_string(c) + ".pf_hit_rate\": ";
+            ASSERT_NE(line.find(key), std::string::npos) << line;
+            const double rate = fieldReal(line, key);
+            EXPECT_GE(rate, 0.0) << key << " in " << line;
+            EXPECT_LE(rate, 1.0) << key << " in " << line;
+            highest = std::max(highest, rate);
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, sampler.records() * sys.numControllers());
+    EXPECT_GT(highest, 0.0);
 }
 
 TEST(TelemetryTest, CsvFormatHasHeaderAndMatchingRows)

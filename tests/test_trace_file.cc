@@ -299,14 +299,10 @@ TEST_F(TraceStreamTest, SpecParsing)
     TraceSpec s = TraceSpec::parse("trace:/tmp/x.fbt");
     EXPECT_EQ(s.path, "/tmp/x.fbt");
     EXPECT_EQ(s.chunkBytes, TraceSpec::defaultChunkBytes);
-    EXPECT_EQ(static_cast<int>(s.format),
-              static_cast<int>(TraceFormat::Auto));
     EXPECT_EQ(s.canonicalName(), "trace:/tmp/x.fbt");
 
-    s = TraceSpec::parse("trace:/a/b,chunk=128k,format=fbt");
+    s = TraceSpec::parse("trace:/a/b,chunk=128k");
     EXPECT_EQ(s.chunkBytes, 128u << 10);
-    EXPECT_EQ(static_cast<int>(s.format),
-              static_cast<int>(TraceFormat::Fbt));
 
     s = TraceSpec::parse("trace:/a/b,chunk=2m");
     EXPECT_EQ(s.chunkBytes, 2u << 20);
@@ -321,6 +317,9 @@ TEST_F(TraceStreamTest, SpecParsing)
                  "unknown trace spec option 'stream'");
     EXPECT_DEATH(TraceSpec::parse("trace:/a,stream=on"),
                  "unknown trace spec option 'stream'");
+    // So is the format: the file's magic decides it.
+    EXPECT_DEATH(TraceSpec::parse("trace:/a,format=fbt"),
+                 "unknown trace spec option 'format'");
     EXPECT_DEATH(TraceSpec::parse("trace:/a,chunk=banana"),
                  "bad chunk size");
 }
@@ -674,13 +673,6 @@ TEST_F(TraceStreamTest, EmptyAndCorruptFilesAreFatal)
                 gen.next();
         },
         "has fbt record 3 but its header claims 2");
-
-    // Forcing fbt on a text file trips the magic check.
-    {
-        TraceSpec s = spec(textPath);
-        s.format = TraceFormat::Fbt;
-        EXPECT_DEATH(TraceStream bad(s), "bad magic");
-    }
 
     EXPECT_DEATH(TraceStream missing(spec("/nonexistent/x.fbt")),
                  "cannot open");

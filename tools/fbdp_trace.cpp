@@ -18,20 +18,28 @@
  *
  *   fbdp-trace stat IN
  *       One pass over IN: format, header metadata, op counts by
- *       kind, instruction count, footprint bounds.
+ *       kind, instruction count, address bounds, and a summary of the
+ *       demand stream (software prefetches left out): distinct lines,
+ *       footprint, mean line-reuse distance and the most common
+ *       strides within a 4 MB segment.
  *
- * Exit codes: 0 success, 2 usage error.  File errors are fatal with
- * the offending path (exit 1).
+ * Exit codes: 0 success, 2 usage error.  File errors and bad --ops /
+ * --seed values are fatal (exit 1).
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <map>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "system/manifest.hh"
 #include "system/metrics.hh"
 #include "workload/generator.hh"
@@ -159,13 +167,42 @@ cmdStat(const std::string &in)
     std::uint64_t counts[3] = {0, 0, 0};
     std::uint64_t total = 0, insts = 0;
     Addr lo = ~static_cast<Addr>(0), hi = 0;
+    // The demand stream: each line's last touch (by op index, so the
+    // map also counts distinct lines), the running reuse-distance sum,
+    // and strides against the previous access in the same 4 MB
+    // segment, which separates interleaved streams well enough to
+    // expose each stream's own stride.
+    std::unordered_map<Addr, std::uint64_t> last_touch;
+    std::uint64_t reuse_sum = 0, reuses = 0;
+    std::unordered_map<Addr, Addr> prev_in_segment;
+    std::map<std::int64_t, std::uint64_t> stride_hist;
+    std::uint64_t strided = 0;
     TraceOp op;
-    while (reader.next(&op)) {
+    for (; reader.next(&op); ++total) {
         ++counts[static_cast<int>(op.kind)];
-        ++total;
         insts += op.gap + 1;
         lo = op.addr < lo ? op.addr : lo;
         hi = op.addr > hi ? op.addr : hi;
+        if (op.kind == TraceOp::Kind::Prefetch)
+            continue;
+        auto [seg, fresh] = prev_in_segment.try_emplace(op.addr >> 22,
+                                                        op.addr);
+        if (!fresh) {
+            const auto stride = static_cast<std::int64_t>(op.addr)
+                - static_cast<std::int64_t>(seg->second);
+            if (stride > -4096 && stride < 4096) {
+                ++stride_hist[stride];
+                ++strided;
+            }
+            seg->second = op.addr;
+        }
+        auto [line, first] =
+            last_touch.try_emplace(lineIndex(op.addr), total);
+        if (!first) {
+            reuse_sum += total - line->second;
+            ++reuses;
+            line->second = total;
+        }
     }
     TextTable t({"metric", "value"});
     t.addRow({"file", in});
@@ -184,7 +221,28 @@ cmdStat(const std::string &in)
               static_cast<unsigned long long>(lo))});
     t.addRow({"highest address", csprintf("%llx",
               static_cast<unsigned long long>(hi))});
+    t.addRow({"distinct cachelines", std::to_string(last_touch.size())});
+    t.addRow({"footprint (MB)",
+              fmtD(static_cast<double>(last_touch.size()) * lineBytes
+                       / (1 << 20), 1)});
+    t.addRow({"mean line-reuse distance (ops)",
+              fmtD(reuses ? static_cast<double>(reuse_sum)
+                               / static_cast<double>(reuses)
+                          : 0.0, 0)});
     t.print(std::cout);
+
+    // Most common first; among equals, the larger stride first.
+    std::vector<std::pair<std::uint64_t, std::int64_t>> top;
+    for (const auto &[stride, n] : stride_hist)
+        top.emplace_back(n, stride);
+    std::sort(top.rbegin(), top.rend());
+    std::cout << "\ntop same-segment strides (bytes -> share):\n";
+    for (std::size_t i = 0; i < top.size() && i < 6; ++i) {
+        std::cout << "  " << top[i].second << " -> "
+                  << fmtPct(static_cast<double>(top[i].first)
+                            / static_cast<double>(strided))
+                  << "\n";
+    }
     return 0;
 }
 
@@ -208,6 +266,7 @@ main(int argc, char **argv)
     bool n_ops_set = false;
     std::uint64_t seed = 42;
     bool sw_prefetch = true;
+    constexpr long long maxU63 = 0x7fffffffffffffffLL;
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
             usage();
@@ -230,10 +289,11 @@ main(int argc, char **argv)
             opts.gzipExplicit = true;
         } else if (!std::strcmp(a, "--ops")) {
             n_ops = static_cast<std::uint64_t>(
-                std::atoll(need(i)));
+                requireCount(a, need(i), 1, maxU63));
             n_ops_set = true;
         } else if (!std::strcmp(a, "--seed")) {
-            seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            seed = static_cast<std::uint64_t>(
+                requireCount(a, need(i), 0, maxU63));
         } else if (!std::strcmp(a, "--no-sp")) {
             sw_prefetch = false;
         } else if (a[0] == '-') {

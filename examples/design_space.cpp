@@ -13,9 +13,9 @@
  * the job count.  --progress draws a
  * live per-cell status line with an ETA on stderr; --progress-out
  * streams the same events as JSONL for machines.  --manifest embeds
- * the grid manifest in the CSV/JSON output (FBDP_MANIFEST=1 works
- * too), and --ledger appends one record per cell to a cross-run
- * ledger (or set FBDP_LEDGER).
+ * the grid manifest in the CSV/JSON output, and --ledger appends one
+ * record per cell to a cross-run ledger.  [insts] (default 200000)
+ * is each cell's measured window, after insts/4 of timed warm-up.
  */
 
 #include <cstring>
@@ -79,7 +79,6 @@ main(int argc, char **argv)
     auto prep = [&](SystemConfig c) {
         c.warmupInsts = insts / 4;
         c.measureInsts = insts;
-        applyInstsFromEnv(c);
         return c;
     };
 
@@ -95,11 +94,7 @@ main(int argc, char **argv)
         sweep.addConfig("fbd-ap-k" + std::to_string(k), c);
     }
 
-    sweep.addMixGroup(cores);
-    if (manifest)
-        sweep.manifest(true);
-    if (!ledgerPath.empty())
-        sweep.ledger(ledgerPath);
+    sweep.addMixGroup(cores).manifest(manifest).ledger(ledgerPath);
 
     // Progress sinks observe completion order only; rows and bytes on
     // stdout stay identical with or without them.
@@ -121,7 +116,7 @@ main(int argc, char **argv)
         }
         grid = sweep.gridManifest();
         jsonl = std::make_unique<JsonlProgress>(
-            progressFile, sweep.manifestEnabled() ? &grid : nullptr);
+            progressFile, manifest ? &grid : nullptr);
         mux.add(jsonl.get());
     }
     if (term || jsonl)

@@ -65,8 +65,7 @@
  *   --manifest        embed the run manifest (build, git SHA, config
  *                     digest, seed, host, start time) in every output
  *                     written this run: stats JSON, telemetry header,
- *                     trace metadata, progress stream.  Also on when
- *                     FBDP_MANIFEST is set in the environment.
+ *                     trace metadata, progress stream
  *   --progress        live status line on stderr (instructions
  *                     retired, % of target, insts/s, ETA)
  *   --progress-out F  machine-readable progress: one JSON object per
@@ -224,9 +223,6 @@ main(int argc, char **argv)
         } else
             usage(argv[0]);
     }
-    if (const char *env = std::getenv("FBDP_MANIFEST");
-        env && *env && std::strcmp(env, "0") != 0)
-        manifest_on = true;
 
     if (machine == "ddr2")
         cfg = SystemConfig::ddr2();
@@ -268,7 +264,6 @@ main(int argc, char **argv)
     cfg.warmupInsts = warmup ? warmup : insts / 4;
     cfg.seed = seed;
     cfg.attribution = attribution;
-    applyInstsFromEnv(cfg);
 
     // A trace spec replaces the named mix: N cores (--cores) replay
     // the same file, sharing one stream cursor / loaded vector.

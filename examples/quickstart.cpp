@@ -33,7 +33,6 @@ main(int argc, char **argv)
     auto prep = [&](SystemConfig c) {
         c.warmupInsts = insts / 4;
         c.measureInsts = insts;
-        applyInstsFromEnv(c);
         return c;
     };
 

@@ -19,37 +19,6 @@ printJsonNumber(std::ostream &os, double v)
     os << v;
 }
 
-void
-Scalar::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " "
-       << std::setw(16) << sum << " # " << desc() << "\n";
-}
-
-void
-Scalar::printJson(std::ostream &os) const
-{
-    printJsonNumber(os, sum);
-}
-
-void
-Average::print(std::ostream &os) const
-{
-    os << std::left << std::setw(40) << name() << " "
-       << std::setw(16) << mean() << " # " << desc()
-       << " (" << count << " samples)\n";
-}
-
-void
-Average::printJson(std::ostream &os) const
-{
-    os << "{\"mean\": ";
-    printJsonNumber(os, mean());
-    os << ", \"samples\": " << count << ", \"total\": ";
-    printJsonNumber(os, sum);
-    os << "}";
-}
-
 Histogram::Histogram(std::string stat_name, std::string stat_desc,
                      double bucket_lo, double bucket_hi,
                      unsigned n_buckets)

@@ -5,8 +5,8 @@
  * Components declare named statistics inside a StatGroup; the group can
  * be reset between measurement phases (warm-up vs measured region) and
  * dumped as text.  Only the stat kinds this project needs are provided:
- * scalar counters, averages, distributions, and derived formulas
- * evaluated at dump/query time.
+ * distributions and derived formulas evaluated at dump/query time
+ * (components keep plain counters and expose them as formulas).
  */
 
 #ifndef FBDP_COMMON_STATS_HH
@@ -40,8 +40,8 @@ class Stat
     virtual void print(std::ostream &os) const = 0;
 
     /**
-     * Print the value as a single JSON value (a number for scalars
-     * and formulas, a summary object for averages and histograms).
+     * Print the value as a single JSON value (a number for formulas,
+     * a summary object for histograms).
      * Non-finite values render as null, keeping the output valid
      * JSON.
      */
@@ -54,52 +54,6 @@ class Stat
 
 /** Write @p v as a JSON number, or null when not finite. */
 void printJsonNumber(std::ostream &os, double v);
-
-/** Monotonic (or at least additive) scalar counter. */
-class Scalar : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    Scalar &operator+=(double v) { sum += v; return *this; }
-    Scalar &operator++() { sum += 1.0; return *this; }
-
-    double value() const { return sum; }
-    void set(double v) { sum = v; }
-
-    void reset() override { sum = 0.0; }
-    void print(std::ostream &os) const override;
-    void printJson(std::ostream &os) const override;
-
-  private:
-    double sum = 0.0;
-};
-
-/** Mean of sampled values (e.g. observed memory latency). */
-class Average : public Stat
-{
-  public:
-    using Stat::Stat;
-
-    void
-    sample(double v)
-    {
-        sum += v;
-        ++count;
-    }
-
-    double mean() const { return count ? sum / count : 0.0; }
-    std::uint64_t samples() const { return count; }
-    double total() const { return sum; }
-
-    void reset() override { sum = 0.0; count = 0; }
-    void print(std::ostream &os) const override;
-    void printJson(std::ostream &os) const override;
-
-  private:
-    double sum = 0.0;
-    std::uint64_t count = 0;
-};
 
 /** Fixed-bucket histogram for distribution-shaped stats. */
 class Histogram : public Stat

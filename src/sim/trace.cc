@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "common/logging.hh"
+#include "common/parse.hh"
 
 namespace fbdp {
 namespace trace {
@@ -58,12 +60,12 @@ Filter::parse(const std::string &spec)
         std::string key = term.substr(0, eq);
         std::string val = term.substr(eq + 1);
         if (key == "chan") {
-            char *end = nullptr;
-            long ch = std::strtol(val.c_str(), &end, 10);
-            if (!end || *end != '\0' || val.empty() || ch < 0)
+            const auto ch = parseCount(
+                val.c_str(), 0, std::numeric_limits<int>::max());
+            if (!ch)
                 fatal("--trace-filter chan '%s' is not a channel index",
                       val.c_str());
-            f.channel = static_cast<int>(ch);
+            f.channel = static_cast<int>(*ch);
         } else if (key == "kind") {
             f.reads = f.writes = f.prefetches = false;
             for (const std::string &k : split(val, '|')) {

@@ -24,30 +24,6 @@ runMix(const SystemConfig &base, const WorkloadMix &mix)
     return sys.run();
 }
 
-namespace {
-
-/** Largest instruction count the *_INSTS variables accept. */
-constexpr long long maxEnvInsts = 1'000'000'000'000;
-
-/** Set @p field from environment variable @p name when it holds a
- *  valid instruction count; warn and keep @p field otherwise. */
-void
-applyInstsVar(const char *name, std::uint64_t &field)
-{
-    const char *e = std::getenv(name);
-    if (!e || !*e)
-        return;
-    if (const auto v = parseCount(e, 1, maxEnvInsts)) {
-        field = static_cast<std::uint64_t>(*v);
-        return;
-    }
-    warn("ignoring %s='%s': expected a decimal instruction count in "
-         "[1, %lld]; keeping %llu", name, e, maxEnvInsts,
-         static_cast<unsigned long long>(field));
-}
-
-} // namespace
-
 unsigned
 jobsFromEnv()
 {
@@ -169,13 +145,6 @@ smtSpeedup(const RunResult &r, const WorkloadMix &mix,
     return s;
 }
 
-void
-applyInstsFromEnv(SystemConfig &cfg)
-{
-    applyInstsVar("FBDP_MEASURE_INSTS", cfg.measureInsts);
-    applyInstsVar("FBDP_WARMUP_INSTS", cfg.warmupInsts);
-}
-
 SystemConfig
 PaperRun::prep(SystemConfig c) const
 {
@@ -183,7 +152,6 @@ PaperRun::prep(SystemConfig c) const
     c.warmupInsts = quick ? (lng ? 30'000 : 20'000)
                           : (lng ? 75'000 : 50'000);
     c.measureInsts = 4 * c.warmupInsts;
-    applyInstsFromEnv(c);
     return c;
 }
 

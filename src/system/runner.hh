@@ -116,16 +116,6 @@ double smtSpeedup(
     const RunResult &r, const WorkloadMix &mix,
     const std::function<double(const std::string &)> &ref_ipc);
 
-/**
- * Scale per-run instruction counts from the environment.
- * FBDP_MEASURE_INSTS / FBDP_WARMUP_INSTS override the defaults;
- * benches use this so `--quick` and CI runs stay cheap.  Values follow
- * jobsFromEnv's rules: whole-string decimal integers in [1, 10^12]
- * are applied; anything else (`2e6`, `120k`, zero, negatives) warns
- * and leaves the count as it was.  Unset or empty is ignored.
- */
-void applyInstsFromEnv(SystemConfig &cfg);
-
 /** The paper figures' run windows: 20k/80k warm-up/measured insts
  *  (Short) or 30k/120k (Long: Figs. 4, 5, 7) with --quick, else
  *  50k/200k or 75k/300k. */
@@ -150,7 +140,7 @@ class PaperRun
     /** The window prep() and smt() use from now on. */
     void setWindow(Window w) { window = w; }
 
-    /** @p c in the current window, then applyInstsFromEnv(). */
+    /** @p c with the current window's warm-up and measured insts. */
     SystemConfig prep(SystemConfig c) const;
 
     /** @p mix on @p cfg; while recording, one zero IPC per core. */

@@ -1,7 +1,6 @@
 #include "system/sweep.hh"
 
 #include <chrono>
-#include <cstdlib>
 
 #include "common/logging.hh"
 #include "system/ledger.hh"
@@ -101,7 +100,6 @@ Sweep &
 Sweep::manifest(bool on)
 {
     wantManifest = on;
-    manifestSet = true;
     return *this;
 }
 
@@ -109,26 +107,7 @@ Sweep &
 Sweep::ledger(std::string path)
 {
     ledgerPath = std::move(path);
-    ledgerSet = true;
     return *this;
-}
-
-bool
-Sweep::manifestEnabled() const
-{
-    if (manifestSet)
-        return wantManifest;
-    const char *env = std::getenv("FBDP_MANIFEST");
-    return env && *env && std::string(env) != "0";
-}
-
-std::string
-Sweep::ledgerFile() const
-{
-    if (ledgerSet)
-        return ledgerPath;
-    const char *env = std::getenv("FBDP_LEDGER");
-    return env ? env : "";
 }
 
 RunManifest
@@ -169,7 +148,6 @@ Sweep::run()
     // Rows, row callbacks and ledger appends happen in the result
     // hook — calling thread, row order — with each cell's own
     // manifest, so ledger records trend per cell.
-    const std::string ledgerOut = ledgerFile();
     CellHooks hooks;
     hooks.result = [&](std::size_t i, RunResult &&result) {
         SweepRow row;
@@ -179,10 +157,10 @@ Sweep::run()
         row.result = std::move(result);
         if (rowCb)
             rowCb(row);
-        if (!ledgerOut.empty()) {
+        if (!ledgerPath.empty()) {
             std::string err;
             if (!appendLedgerRecord(
-                    ledgerOut,
+                    ledgerPath,
                     ledgerRecordJson(
                         RunManifest::capture(grid.cells[i].cfg), row),
                     &err))
@@ -235,7 +213,7 @@ Sweep::csvRow(const SweepRow &row)
 void
 Sweep::runCsv(std::ostream &os)
 {
-    if (manifestEnabled())
+    if (wantManifest)
         os << gridManifest().csvComment();
     os << csvHeader() << '\n';
     onRow([&os](const SweepRow &row) {
@@ -248,7 +226,7 @@ void
 Sweep::runJson(std::ostream &os)
 {
     const std::string m =
-        manifestEnabled() ? gridManifest().json() : std::string();
+        wantManifest ? gridManifest().json() : std::string();
     schema().writeJson(run(), os, m);
 }
 

@@ -80,7 +80,7 @@ class Sweep
      * "manifest" line — stripping those recovers the manifest-free
      * bytes.  The manifest's config digest hashes *every* cell's
      * canonical configuration, so it identifies the whole grid.
-     * Unset, the FBDP_MANIFEST environment variable (=1) decides.
+     * Off by default.
      */
     Sweep &manifest(bool on);
 
@@ -89,8 +89,7 @@ class Sweep
      * (see system/ledger.hh; empty disables).  Each record carries
      * the *cell's* manifest — the digest of that cell's exact
      * configuration — so `fbdp-report --history` trends the same cell
-     * across sweeps.  Unset, the FBDP_LEDGER environment variable
-     * (a path) decides.
+     * across sweeps.  Off by default.
      */
     Sweep &ledger(std::string path);
 
@@ -125,9 +124,6 @@ class Sweep
      *  jobs() and the number of cells. */
     unsigned effectiveJobs() const;
 
-    /** Resolved manifest() / FBDP_MANIFEST decision. */
-    bool manifestEnabled() const;
-
   private:
     std::vector<std::pair<std::string, SystemConfig>> configs;
     std::vector<const WorkloadMix *> mixes;
@@ -137,12 +133,7 @@ class Sweep
     ProgressSink *sink = nullptr;
 
     bool wantManifest = false;
-    bool manifestSet = false;  ///< manifest() called; ignore the env
-    std::string ledgerPath;
-    bool ledgerSet = false;    ///< ledger() called; ignore the env
-
-    /** ledger()/FBDP_LEDGER resolution ("" = off). */
-    std::string ledgerFile() const;
+    std::string ledgerPath;   ///< "" = no ledger
 };
 
 } // namespace fbdp

@@ -154,12 +154,14 @@ System::~System() = default;
 void
 System::attachTracer(trace::Tracer *t)
 {
+    if (t && t->filter().channel >= static_cast<int>(controllers.size()))
+        fatal("--trace-filter chan=%d: the machine has %zu channel(s)",
+              t->filter().channel, controllers.size());
     for (unsigned ch = 0; ch < controllers.size(); ++ch)
         controllers[ch]->bindTracer(t, ch);
     hier->bindTracer(t);
     for (auto &c : cores)
         c->bindTracer(t);
-
 }
 
 void

@@ -210,7 +210,8 @@ class System
     /**
      * Attach (or detach with nullptr) a lifecycle tracer, binding
      * every controller (with its channel index for channel filtering),
-     * the cache hierarchy and every core.  Call before run(); tracing
+     * the cache hierarchy and every core; a filter naming a channel
+     * the machine lacks is fatal.  Call before run(); tracing
      * must not — and does not — change simulation results.
      */
     void attachTracer(trace::Tracer *t);

@@ -1,9 +1,7 @@
 #include "system/telemetry.hh"
 
-#include <cctype>
-#include <cstdlib>
-
 #include "common/logging.hh"
+#include "common/parse.hh"
 #include "power/power_model.hh"
 
 namespace fbdp {
@@ -343,24 +341,29 @@ TelemetrySampler::hasGauge(const std::string &name) const
 Tick
 TelemetrySampler::parseTimeSpec(const std::string &spec)
 {
+    // A million simulated seconds: far longer than any run, and small
+    // enough that nsToTicks() cannot overflow a Tick.
+    constexpr double maxNs = 1e15;
     const char *str = spec.c_str();
-    char *end = nullptr;
-    const double v = std::strtod(str, &end);
-    if (end == str)
-        fatal("bad time spec '%s': expected <number><ns|us|ms>", str);
-    const std::string unit(end);
-    double ns = 0.0;
+    const std::size_t n = spec.size();
+    const std::string unit = spec.substr(n < 2 ? 0 : n - 2);
+    double nsPerUnit = 0.0;
     if (unit == "ns")
-        ns = v;
+        nsPerUnit = 1.0;
     else if (unit == "us")
-        ns = v * 1e3;
+        nsPerUnit = 1e3;
     else if (unit == "ms")
-        ns = v * 1e6;
+        nsPerUnit = 1e6;
     else
         fatal("bad time spec '%s': unit must be ns, us or ms", str);
-    if (ns <= 0.0)
+    const auto v = parseDecimal(spec.substr(0, n - 2).c_str(), 0.0,
+                                maxNs / nsPerUnit);
+    if (!v)
+        fatal("bad time spec '%s': expected a positive decimal "
+              "<number><ns|us|ms> of at most %.0f ns", str, maxNs);
+    if (*v <= 0.0)
         fatal("bad time spec '%s': duration must be positive", str);
-    const Tick t = nsToTicks(ns);
+    const Tick t = nsToTicks(*v * nsPerUnit);
     if (t == 0)
         fatal("bad time spec '%s': rounds to zero ticks", str);
     return t;

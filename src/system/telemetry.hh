@@ -93,8 +93,10 @@ class TelemetrySampler
 
     /**
      * Parse a time specification with a unit suffix — "500ns", "1us",
-     * "2ms" — into ticks.  fatal()s on malformed input or a
-     * non-positive duration.
+     * "2ms" — into ticks.  The number is a plain decimal
+     * (parseDecimal: no sign, hex, "nan" or "inf") of at most 1e15 ns;
+     * anything else, or a duration that is zero or rounds to zero
+     * ticks, is fatal.
      */
     static Tick parseTimeSpec(const std::string &spec);
 

@@ -19,7 +19,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <sstream>
 #include <string>
@@ -54,12 +53,10 @@ struct Figures
 };
 
 /** Record, run and replay @p draw in window @p w, exactly as
- *  `fbdp-paper --quick` does: no run-length overrides. */
+ *  `fbdp-paper --quick` does. */
 void
 playQuick(Window w, const PaperRun::Draw &draw)
 {
-    unsetenv("FBDP_MEASURE_INSTS");
-    unsetenv("FBDP_WARMUP_INSTS");
     PaperRun p(true);
     p.setWindow(w);
     std::ostringstream discard;

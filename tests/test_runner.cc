@@ -1,21 +1,27 @@
 /**
  * @file
  * Experiment-runner tests: reference caching, the SMT-speedup metric,
- * environment overrides, and the record/run/replay plan of PaperRun.
+ * FBDP_JOBS, the record/run/replay plan of PaperRun, and that a run's
+ * length, manifest and ledger come from no environment variable.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "run_digest.hh"
 #include "system/runner.hh"
+#include "system/sweep.hh"
 
 namespace fbdp {
 namespace {
@@ -125,68 +131,54 @@ TEST(RunnerTest, ReferenceSetIsThreadSafe)
     EXPECT_GT(got[0], 0.0);
 }
 
-TEST(RunnerTest, EnvOverridesApply)
+/** Sets an environment variable for its lifetime, then restores
+ *  the value it had (or unsets it). */
+class ScopedEnv
 {
-    setenv("FBDP_MEASURE_INSTS", "123456", 1);
-    setenv("FBDP_WARMUP_INSTS", "7890", 1);
-    SystemConfig c;
-    applyInstsFromEnv(c);
-    EXPECT_EQ(c.measureInsts, 123456u);
-    EXPECT_EQ(c.warmupInsts, 7890u);
-    unsetenv("FBDP_MEASURE_INSTS");
-    unsetenv("FBDP_WARMUP_INSTS");
-}
-
-TEST(RunnerTest, EnvIgnoresGarbage)
-{
-    setenv("FBDP_MEASURE_INSTS", "not-a-number", 1);
-    SystemConfig c;
-    const std::uint64_t before = c.measureInsts;
-    applyInstsFromEnv(c);
-    EXPECT_EQ(c.measureInsts, before);
-    unsetenv("FBDP_MEASURE_INSTS");
-}
-
-TEST(RunnerTest, EnvInstsRejectsPartialNumbers)
-{
-    // atoll would read "2e6" as 2 and "120k" as 120: every value that
-    // is not a whole decimal count in range must leave the config as
-    // it was, for both variables.
-    for (const char *var : {"FBDP_MEASURE_INSTS", "FBDP_WARMUP_INSTS"}) {
-        for (const char *bad :
-             {"2e6", "120k", "1.5", "0", "-5", "12 ", "0x10",
-              "1000000000001", "99999999999999999999999", "abc"}) {
-            setenv(var, bad, 1);
-            SystemConfig c;
-            const SystemConfig before = c;
-            applyInstsFromEnv(c);
-            EXPECT_EQ(c.measureInsts, before.measureInsts)
-                << var << "='" << bad << "'";
-            EXPECT_EQ(c.warmupInsts, before.warmupInsts)
-                << var << "='" << bad << "'";
-        }
-        unsetenv(var);
+  public:
+    ScopedEnv(const char *var, const std::string &value) : var(var)
+    {
+        if (const char *old = std::getenv(var))
+            saved = old;
+        setenv(var, value.c_str(), 1);
     }
+    ~ScopedEnv()
+    {
+        if (saved)
+            setenv(var, saved->c_str(), 1);
+        else
+            unsetenv(var);
+    }
+
+  private:
+    const char *var;
+    std::optional<std::string> saved;
+};
+
+TEST(PaperRunTest, WindowIgnoresInstsVariables)
+{
+    // The window is the whole run length: no variable rescales it.
+    const ScopedEnv measure("FBDP_MEASURE_INSTS", "7");
+    const ScopedEnv warmup("FBDP_WARMUP_INSTS", "7");
+    const SystemConfig c = PaperRun(true).prep(SystemConfig::fbdBase());
+    EXPECT_EQ(c.warmupInsts, 20'000u);
+    EXPECT_EQ(c.measureInsts, 80'000u);
 }
 
-TEST(RunnerTest, EnvInstsAcceptsTheWholeRange)
+TEST(SweepEnvTest, ManifestAndLedgerComeOnlyFromTheSetters)
 {
-    setenv("FBDP_MEASURE_INSTS", "1", 1);
-    setenv("FBDP_WARMUP_INSTS", "1000000000000", 1);
-    SystemConfig c;
-    applyInstsFromEnv(c);
-    EXPECT_EQ(c.measureInsts, 1u);
-    EXPECT_EQ(c.warmupInsts, 1'000'000'000'000u);
-    // Empty counts as unset.
-    setenv("FBDP_MEASURE_INSTS", "", 1);
-    setenv("FBDP_WARMUP_INSTS", "", 1);
-    SystemConfig d;
-    const SystemConfig before = d;
-    applyInstsFromEnv(d);
-    EXPECT_EQ(d.measureInsts, before.measureInsts);
-    EXPECT_EQ(d.warmupInsts, before.warmupInsts);
-    unsetenv("FBDP_MEASURE_INSTS");
-    unsetenv("FBDP_WARMUP_INSTS");
+    const std::string ledger = ::testing::TempDir() + "env_ledger.jsonl";
+    std::remove(ledger.c_str());
+    const ScopedEnv manifest("FBDP_MANIFEST", "1");
+    const ScopedEnv ledgerVar("FBDP_LEDGER", ledger);
+    Sweep s;
+    s.addConfig("ddr2", quickRef()).addMix(mixByName("1C-gap"));
+    std::ostringstream csv;
+    s.runCsv(csv);
+    EXPECT_EQ(csv.str().find("# fbdp-manifest:"), std::string::npos);
+    EXPECT_EQ(csv.str().rfind(Sweep::csvHeader() + "\n", 0), 0u);
+    EXPECT_FALSE(std::ifstream(ledger).good()) << ledger;
+    std::remove(ledger.c_str());
 }
 
 TEST(RunnerTest, TotalInstsSumsCores)

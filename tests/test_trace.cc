@@ -82,6 +82,13 @@ TEST(TraceFilterDeathTest, RejectsMalformedSpecs)
     EXPECT_DEATH((void)Filter::parse("kind=banana"),
                  "read\\|write\\|prefetch");
     EXPECT_DEATH((void)Filter::parse("speed=11"), "chan= or kind=");
+    // A channel index is a whole decimal that fits an int: a parse
+    // that wrapped would read 2^32 as channel 0 and 2^31 as "every
+    // channel".
+    for (const char *bad : {"chan=4294967296", "chan=4294967297",
+                            "chan=2147483648", "chan=+1", "chan= 1",
+                            "chan=-1", "chan=1x", "chan="})
+        EXPECT_DEATH((void)Filter::parse(bad), "channel index") << bad;
 }
 
 // ---------------------------------------------------------------- //
@@ -298,6 +305,16 @@ TEST(TraceSystemTest, ChannelFilterBindsOnlyThatChannel)
     EXPECT_TRUE(sawCh0);
 }
 
+TEST(TraceSystemDeathTest, ChannelTheMachineLacksIsFatal)
+{
+    // chan=2 on a two-channel machine would record no channel track.
+    Tracer tr{Filter::parse("chan=2")};
+    System sys(smallConfig(SystemConfig::fbdAp()));
+    EXPECT_DEATH(sys.attachTracer(&tr), "has 2 channel");
+    Tracer lastChannel{Filter::parse("chan=1")};
+    sys.attachTracer(&lastChannel);
+}
+
 TEST(TraceSystemTest, KindFilterSuppressesClassifiedRecords)
 {
     Tracer tr{Filter::parse("kind=write")};
@@ -325,6 +342,9 @@ TEST(TelemetryTest, ParsesTimeSpecs)
     EXPECT_EQ(TelemetrySampler::parseTimeSpec("2ms"),
               2'000'000'000u);
     EXPECT_EQ(TelemetrySampler::parseTimeSpec("1.5us"), 1'500'000u);
+    EXPECT_EQ(TelemetrySampler::parseTimeSpec("1e15ns"),
+              1'000'000'000'000'000'000u);
+    EXPECT_EQ(TelemetrySampler::parseTimeSpec(".5ns"), 500u);
     EXPECT_EQ(TelemetrySampler::defaultEpoch, 1'000'000u);
 }
 
@@ -338,6 +358,18 @@ TEST(TelemetryDeathTest, RejectsBadTimeSpecs)
                  "unit must be");
     EXPECT_DEATH((void)TelemetrySampler::parseTimeSpec("-5us"),
                  "positive");
+    // The number is a plain decimal of at most 1e15 ns: NaN would slip
+    // past a sign check, hex would read 0x10 as 16, and larger values
+    // would overflow the conversion to a Tick.
+    for (const char *bad : {"nanns", "infus", "0x10ns", "1e300ms",
+                            "1e16ns", "1e10ms", " 5us", "+5us", "ns",
+                            "5.5.5us"})
+        EXPECT_DEATH((void)TelemetrySampler::parseTimeSpec(bad),
+                     "expected a positive decimal") << bad;
+    EXPECT_DEATH((void)TelemetrySampler::parseTimeSpec("0ns"),
+                 "must be positive");
+    EXPECT_DEATH((void)TelemetrySampler::parseTimeSpec("0.0001ns"),
+                 "rounds to zero ticks");
 }
 
 TEST(TelemetryTest, EmitsOneRecordPerElapsedEpoch)

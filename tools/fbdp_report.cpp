@@ -24,7 +24,7 @@
  *
  * History mode — trend a cross-run ledger instead of diffing two
  * files (see system/ledger.hh; records come from `fbdpsim --ledger`
- * or a sweep's FBDP_LEDGER):
+ * or `example_design_space --ledger`, i.e. Sweep::ledger()):
  *
  *   fbdp-report --history runs.jsonl [options]
  *

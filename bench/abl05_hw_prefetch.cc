@@ -25,7 +25,7 @@ abl05(fbdp::PaperRun &p, std::ostream &os)
         c.swPrefetch = false;  // isolate the hardware prefetcher
         c.hier.hwPrefetch.enable = hw;
         if (!ap) {
-            c.prefetch.policy = "none";
+            c.prefetch.enabled = false;
             c.scheme = Interleave::Cacheline;
         }
         return c;

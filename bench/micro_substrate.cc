@@ -202,7 +202,7 @@ void
 BM_ControllerIssueCycle(benchmark::State &state)
 {
     ControllerConfig cfg;
-    cfg.prefetch.policy = "region";
+    cfg.prefetch.enabled = true;
     controllerIssueCycle(state, cfg);
 }
 BENCHMARK(BM_ControllerIssueCycle);

@@ -19,12 +19,10 @@
  *   --dimms N         DIMMs per channel          (default 4)
  *   --rate MT         533 | 667 | 800            (default 667)
  *   --k N             prefetch region lines      (default 4)
- *   --prefetch SPEC   the prefetch buffer, "policy[,key=value]..."
- *                     over the PolicyRegistry names (region | dspatch
- *                     | indram | none) with keys place (amb | mc,
- *                     default amb) / degree / entries (default 64 at
- *                     amb, 256 at mc) / ways / throttle, e.g.
- *                     --prefetch=region,place=mc,entries=128 (=
+ *   --prefetch SPEC   the prefetch buffer, "region|none[,key=value]..."
+ *                     with keys place (amb | mc, default amb) /
+ *                     entries (default 64 at amb, 256 at mc) / ways,
+ *                     e.g. --prefetch=region,place=mc,entries=128 (=
  *                     also accepted as a separate argument); replaces
  *                     the machine's buffer (fbd-ap: "region")
  *   --interleave I    line | multiline | page    (default by machine)
@@ -51,10 +49,11 @@
  *   --trace-out F     write a transaction-lifecycle trace as Chrome
  *                     trace_event JSON (load in Perfetto / about:tracing)
  *   --trace-filter S  restrict the trace, e.g. chan=0,kind=read|prefetch
+ *                     (only with --trace-out)
  *   --telemetry-out F write per-epoch gauges; .csv extension selects
  *                     CSV, anything else JSON-lines
  *   --epoch T         telemetry epoch, e.g. 500ns / 1us / 2ms
- *                     (default 1us)
+ *                     (default 1us; only with --telemetry-out)
  *   --attribution     latency-phase attribution + stall cycle
  *                     accounting; appends a per-class phase table and
  *                     a per-core top-down cycle table
@@ -252,7 +251,7 @@ main(int argc, char **argv)
         cfg.prefetch = PrefetchConfig::parse(prefetch_spec);
         // Prefetching needs a region-preserving interleaving; switch
         // the plain presets over unless --interleave overrode it.
-        if (cfg.prefetch.enabled() && interleave.empty()
+        if (cfg.prefetch.enabled && interleave.empty()
             && cfg.scheme == Interleave::Cacheline)
             cfg.scheme = Interleave::MultiCacheline;
     }
@@ -286,6 +285,24 @@ main(int argc, char **argv)
         trace_workload ? trace_mix : mixByName(mix_name);
     cfg.benchmarks = mix.benches;
 
+    // A filter or epoch that would shape no output is a mistake, not
+    // a no-op; both values are checked before anything is built or
+    // any file is opened.
+    if (!trace_filter.empty() && trace_out.empty()) {
+        std::cerr << "fbdpsim: --trace-filter needs --trace-out\n";
+        return 2;
+    }
+    if (!epoch_spec.empty() && telemetry_out.empty()) {
+        std::cerr << "fbdpsim: --epoch needs --telemetry-out\n";
+        return 2;
+    }
+    const trace::Filter filter = trace_filter.empty()
+        ? trace::Filter{}
+        : trace::Filter::parse(trace_filter);
+    const Tick epoch = epoch_spec.empty()
+        ? TelemetrySampler::defaultEpoch
+        : TelemetrySampler::parseTimeSpec(epoch_spec);
+
     // Captured once the configuration is final, so the digest covers
     // exactly what the run will simulate.
     const RunManifest mft = RunManifest::capture(cfg);
@@ -294,9 +311,6 @@ main(int argc, char **argv)
 
     std::unique_ptr<trace::Tracer> tracer;
     if (!trace_out.empty()) {
-        trace::Filter filter;
-        if (!trace_filter.empty())
-            filter = trace::Filter::parse(trace_filter);
         tracer = std::make_unique<trace::Tracer>(filter);
         sys.attachTracer(tracer.get());
     }
@@ -310,9 +324,6 @@ main(int argc, char **argv)
                       << " for writing\n";
             return 1;
         }
-        const Tick epoch = epoch_spec.empty()
-            ? TelemetrySampler::defaultEpoch
-            : TelemetrySampler::parseTimeSpec(epoch_spec);
         const bool csv = telemetry_out.size() >= 4
             && telemetry_out.compare(telemetry_out.size() - 4, 4,
                                      ".csv") == 0;
@@ -397,7 +408,7 @@ main(int argc, char **argv)
     t.addRow({"ACT/PRE pairs", std::to_string(r.ops.actPre)});
     t.addRow({"column accesses", std::to_string(r.ops.cas())});
     t.addRow({"refresh commands", std::to_string(r.ops.refresh)});
-    const bool pf_on = cfg.prefetch.enabled();
+    const bool pf_on = cfg.prefetch.enabled;
     if (pf_on) {
         t.addRow({"prefetch-buffer hits", std::to_string(r.ambHits)});
         t.addRow({"prefetch coverage", fmtPct(r.coverage)});
@@ -424,8 +435,8 @@ main(int argc, char **argv)
         std::cout << "late prefetch hits (fill still in flight): "
                   << r.latePrefetchHits << "\n";
 
-        // The per-policy quality block: what the policy fetched and
-        // what became of it (mirrors --stats-json's "prefetch").
+        // The prefetch quality block: what the region fetches brought
+        // in and what became of it (mirrors --stats-json's "prefetch").
         std::cout << "\n";
         TextTable pf({"prefetch policy: " + r.prefetch.policy,
                       "value"});

@@ -5,7 +5,7 @@
  * in range, so "4x", "abc" and "-4" are rejected instead of being
  * read as 4, 0 or a huge unsigned value.  Counts are never negative,
  * so the text must start with a digit: "+4" and " 4" are rejected
- * too.  Fractions (tolerances, throttles) take the same care: a plain
+ * too.  Fractions (tolerances, time spans) take the same care: a plain
  * decimal such as "0.8", ".5" or "1e-1", never "nan", "0x1p-1",
  * " 0.8" or "1e9x".
  */

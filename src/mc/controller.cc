@@ -27,18 +27,12 @@ MemController::MemController(std::string name, EventQueue *event_queue,
     if (cfg.fbd)
         dimmBus.resize(cfg.nDimms);
     const PrefetchConfig &pc = cfg.prefetch;
-    if (pc.enabled()) {
+    if (pc.enabled) {
         fbdp_assert(cfg.fbd || pc.atMc(),
                     "AMB prefetching requires FB-DIMM");
         // One AMB cache per DIMM, or one table at the controller.
         table = std::make_unique<PrefetchTable>(
             pc.atMc() ? 1u : cfg.nDimms, pc.entries, pc.ways);
-        PolicyParams pp;
-        pp.regionLines = cfg.regionLines;
-        pp.degree = pc.degree;
-        pp.nDimms = cfg.nDimms;  // the real topology at either place
-        pp.throttle = pc.throttle;
-        pol = PolicyRegistry::instance().make(pc.policy, pp);
     }
     if (cfg.refreshEnable) {
         refreshPending.assign(cfg.nDimms, false);
@@ -180,24 +174,18 @@ MemController::push(TransPtr t)
             table->countRead();
             if (table->peek(b, t->lineAddr)) {
                 t->phase = TransPhase::PrefetchHit;
-                pol->onHit(policyAccess(t.get(), now));
             } else {
-                // Ask the policy what should ride this fetch; the
-                // accepted candidates become visible in the tag
-                // mirror immediately so later reads to the same
-                // lines coalesce onto this fetch.
-                emitCandidates(t.get(), /*convert=*/false);
+                // The region's other lines ride this fetch; they
+                // become visible in the tag mirror immediately so
+                // later reads to the same lines coalesce onto it.
+                emitCandidates(t.get());
             }
-        } else {
+        } else if (table->invalidate(b, t->lineAddr)) {
             // Writes invalidate any stale prefetched copy.
-            bool was_used = false;
-            if (table->invalidate(b, t->lineAddr, &was_used)) {
-                pol->onEvict(b, t->lineAddr, was_used);
-                if (trc.tr && trc.tr->want(trace::Kind::Write)) {
-                    trc.tr->instant(trc.pf[b], "inval", now,
-                                    trace::Kind::Write, t->coreId,
-                                    t->lineAddr);
-                }
+            if (trc.tr && trc.tr->want(trace::Kind::Write)) {
+                trc.tr->instant(trc.pf[b], "inval", now,
+                                trace::Kind::Write, t->coreId,
+                                t->lineAddr);
             }
         }
     }
@@ -377,69 +365,27 @@ MemController::recomputeOpenPagePhase(Transaction *t)
     }
 }
 
-PrefetchAccess
-MemController::policyAccess(const Transaction *t, Tick now) const
-{
-    PrefetchAccess a;
-    a.lineAddr = t->lineAddr;
-    a.regionBase = t->coord.regionBase;
-    a.regionLines = cfg.regionLines;
-    a.dimm = t->coord.dimm;
-    a.coreId = t->coreId;
-    a.swPrefetch = t->swPrefetch;
-    a.now = now;
-    a.linkUtil = now
-        ? static_cast<double>(northBusyTicks())
-            / static_cast<double>(now)
-        : 0.0;
-    return a;
-}
-
 void
-MemController::emitCandidates(Transaction *t, bool convert)
+MemController::emitCandidates(Transaction *t)
 {
+    // The paper's region scheme: the region's other K-1 lines ride the
+    // demand's activation.  They enter the buffer in ascending address
+    // order, which sets their FIFO ages; issueRead re-orders the CAS
+    // stream critical-word-first.  A group carries at most
+    // maxPrefetchLines; the rest of a larger region is dropped.
     const unsigned b = bufSlot(t);
+    unsigned dropped = 0;
     t->nPfLines = 0;
-    t->groupLines = 1;
-    if (!pol)
-        return;
-
-    const PrefetchAccess acc = policyAccess(t, eq->now());
-    CandidateList cands(pol->degree());
-    if (convert)
-        pol->onConvert(acc, cands);
-    else
-        pol->onMiss(acc, cands);
-
-    unsigned dropped = cands.dropped();
-
-    const double throttle = pol->params().throttle;
-    if (throttle > 0.0 && acc.linkUtil > throttle) {
-        // The return link is past its configured ceiling: demand
-        // traffic needs every frame, so every candidate is shed.
-        table->countDropped(dropped + cands.size());
-        return;
-    }
-
-    const Addr region_end = t->coord.regionBase
-        + static_cast<Addr>(cfg.regionLines) * lineBytes;
-    for (unsigned i = 0; i < cands.size(); ++i) {
-        const Addr la = cands[i];
-        // A candidate rides the demand's activation, so it must be an
-        // in-region line other than the demanded one, once.
-        bool ok = la != t->lineAddr && la >= t->coord.regionBase
-            && la < region_end && (la % lineBytes) == 0;
-        for (unsigned j = 0; ok && j < t->nPfLines; ++j)
-            if (t->pfLines[j] == la)
-                ok = false;
-        if (!ok || t->nPfLines >= Transaction::maxPrefetchLines) {
+    for (unsigned off = 0; off < cfg.regionLines; ++off) {
+        const Addr la =
+            t->coord.regionBase + static_cast<Addr>(off) * lineBytes;
+        if (la == t->lineAddr)
+            continue;
+        if (t->nPfLines == Transaction::maxPrefetchLines) {
             ++dropped;
             continue;
         }
-        AmbCache::Evicted ev;
-        table->insertCandidate(b, la, &ev);
-        if (ev.valid)
-            pol->onEvict(b, ev.lineAddr, ev.used);
+        table->insertCandidate(b, la);
         t->pfLines[t->nPfLines++] = la;
     }
     if (dropped)
@@ -457,7 +403,7 @@ MemController::convertHitToMiss(Transaction *t)
                         trace::Kind::Prefetch, t->coreId, t->lineAddr);
     }
     t->phase = TransPhase::NeedActivate;
-    emitCandidates(t, /*convert=*/true);
+    emitCandidates(t);
 }
 
 bool
@@ -640,34 +586,15 @@ MemController::issueRead(unsigned slot, Tick now)
 
     BusTracker &data_bus = cfg.fbd ? dimmBus[d] : sharedBus;
 
-    // Column accesses in demanded-line-first, wrap-around order: the
-    // accepted candidates (stored in buffer-insertion order) are
-    // sorted by forward region distance from the demanded line, so
-    // the pipelined CAS stream walks the region critical-word-first
-    // exactly as the hardware group fetch does.
-    const unsigned k = cfg.regionLines ? cfg.regionLines : 1;
-    const unsigned demand_off = static_cast<unsigned>(
-        (t->lineAddr - t->coord.regionBase) / lineBytes);
+    // Column accesses in demanded-line-first, wrap-around order, as
+    // the hardware group fetch walks the region critical-word-first.
+    // The prefetched lines are stored in ascending address order, so
+    // that walk is a rotation: the lines above the demanded one, then
+    // the lines below it.
     const unsigned npf = t->nPfLines;
-    unsigned order[Transaction::maxPrefetchLines];
-    for (unsigned i = 0; i < npf; ++i)
-        order[i] = i;
-    auto wrap_dist = [&](unsigned idx) -> unsigned {
-        const unsigned off = static_cast<unsigned>(
-            (t->pfLines[idx] - t->coord.regionBase) / lineBytes);
-        return (off + k - demand_off) % k;
-    };
-    // Stable insertion sort: npf <= 15, nearly sorted in practice.
-    for (unsigned i = 1; i < npf; ++i) {
-        const unsigned v = order[i];
-        const unsigned dv = wrap_dist(v);
-        unsigned j = i;
-        while (j > 0 && wrap_dist(order[j - 1]) > dv) {
-            order[j] = order[j - 1];
-            --j;
-        }
-        order[j] = v;
-    }
+    unsigned below = 0;
+    while (below < npf && t->pfLines[below] < t->lineAddr)
+        ++below;
 
     for (unsigned i = 0; i < n; ++i) {
         const Tick cas = arrive + static_cast<Tick>(i) * tm.casGap();
@@ -683,7 +610,7 @@ MemController::issueRead(unsigned slot, Tick now)
             t->phase = TransPhase::WaitData;
             finish(slot, ready);
         } else {
-            const Addr la = t->pfLines[order[i - 1]];
+            const Addr la = t->pfLines[(below + i - 1) % npf];
             // Behind the AMB the fills never touch the channel; into
             // the buffer at the controller they must cross it,
             // consuming the bandwidth AMB prefetching preserves.
@@ -697,7 +624,6 @@ MemController::issueRead(unsigned slot, Tick now)
             }
             const unsigned b = bufSlot(t);
             table->resolveFill(b, la, ready);
-            pol->onFill(b, la, ready);
             if (trc.tr && trc.tr->want(trace::Kind::Prefetch)) {
                 trc.tr->instant(trc.pf[b], "fill", ready,
                                 trace::Kind::Prefetch, t->coreId, la);

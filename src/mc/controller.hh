@@ -44,7 +44,6 @@
 #include "mc/attribution.hh"
 #include "mc/link.hh"
 #include "mc/transaction.hh"
-#include "prefetch/policy.hh"
 #include "prefetch/prefetch_config.hh"
 #include "prefetch/prefetch_table.hh"
 #include "sim/event_queue.hh"
@@ -80,7 +79,7 @@ struct ControllerConfig
     /** The prefetch buffer: behind each DIMM's AMB (FB-DIMM only) or
      *  one table at the controller, where region fetches ride the
      *  channel into it (the comparison class the paper discusses in
-     *  Section 6, after Lin/Reinhardt/Burger).  The policy "none"
+     *  Section 6, after Lin/Reinhardt/Burger).  The spec "none"
      *  switches it off. */
     PrefetchConfig prefetch;
 };
@@ -207,9 +206,6 @@ class MemController
      *  prefetch hits, late hits, coverage and efficiency. */
     const PrefetchTable *prefetchTable() const { return table.get(); }
 
-    /** The buffer's candidate policy, or nullptr with no buffer. */
-    const PrefetchPolicy *prefetchPolicy() const { return pol.get(); }
-
     /** Buffer hits that lost their line to eviction before service. */
     std::uint64_t hitConversions() const { return nHitConversions; }
 
@@ -262,17 +258,13 @@ class MemController
      *  fetch. */
     void convertHitToMiss(Transaction *t);
 
-    /** The demand access as the policy sees it. */
-    PrefetchAccess policyAccess(const Transaction *t, Tick now) const;
-
     /**
-     * Run the active policy on @p t's demand miss (or hit
-     * conversion), vet the emitted candidates (in-region, not the
-     * demanded line, no duplicates, throttle), insert the accepted
-     * ones into the buffer in emission order and record them on the
-     * transaction for the group fetch.  Sets groupLines.
+     * Start @p t's region group fetch (on a buffer miss or a hit
+     * conversion): insert the region's other lines into the buffer in
+     * ascending address order, record them on the transaction and set
+     * groupLines.
      */
-    void emitCandidates(Transaction *t, bool convert);
+    void emitCandidates(Transaction *t);
 
     /** Retire window slot @p slot at @p ready: move it to the
      *  completion heap, leaving the slot empty until issueCycle
@@ -293,9 +285,8 @@ class MemController
     std::vector<BusTracker> dimmBus;     ///< per-DIMM DDR2 buses (FBD)
     BusTracker sharedBus;                ///< DDR2 baseline data bus
 
-    /** The prefetch buffer and its policy (both null without one). */
+    /** The prefetch buffer (null without one). */
     std::unique_ptr<PrefetchTable> table;
-    std::unique_ptr<PrefetchPolicy> pol;
     /** @p t's slot in the buffer: its DIMM's AMB cache, or the one
      *  table at the controller. */
     unsigned

@@ -60,8 +60,7 @@ class AmbCache
         bool used = false;      ///< serviced at least one demand read
     };
 
-    /** What insertIfAbsent() displaced, for pollution accounting and
-     *  policy on-evict training. */
+    /** What insertIfAbsent() displaced, for pollution accounting. */
     struct Evicted
     {
         Addr lineAddr = 0;

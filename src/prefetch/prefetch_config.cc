@@ -2,7 +2,6 @@
 
 #include "common/logging.hh"
 #include "common/parse.hh"
-#include "prefetch/policy.hh"
 
 namespace fbdp {
 
@@ -43,7 +42,12 @@ PrefetchConfig::parse(const std::string &spec)
             first = false;
             if (tok.empty())
                 fatal("empty prefetch policy spec");
-            pc.policy = tok;
+            if (tok == "region")
+                pc.enabled = true;
+            else if (tok != "none")
+                fatal("unknown prefetch policy '%s' in spec '%s' "
+                      "(known: region, none)", tok.c_str(),
+                      spec.c_str());
             continue;
         }
         if (tok.empty())
@@ -67,23 +71,14 @@ PrefetchConfig::parse(const std::string &spec)
             else
                 fatal("prefetch spec key 'place' has value '%s' (known: "
                       "amb, mc; spec '%s')", val.c_str(), spec.c_str());
-        } else if (key == "degree") {
-            pc.degree = specCount(key, val, 0, spec);
         } else if (key == "entries") {
             pc.entries = specCount(key, val, 1, spec);
             entries_set = true;
         } else if (key == "ways") {
             pc.ways = specCount(key, val, 0, spec);
-        } else if (key == "throttle") {
-            const auto t = parseDecimal(val.c_str(), 0.0, 1.0);
-            if (!t)
-                fatal("prefetch spec key 'throttle' has value '%s' "
-                      "outside [0,1] (a plain decimal such as 0.8; "
-                      "spec '%s')", val.c_str(), spec.c_str());
-            pc.throttle = *t;
         } else {
             fatal("unknown prefetch spec key '%s' (spec '%s'; known: "
-                  "place, degree, entries, ways, throttle)",
+                  "place, entries, ways)",
                   key.c_str(), spec.c_str());
         }
     }
@@ -91,17 +86,6 @@ PrefetchConfig::parse(const std::string &spec)
     if (!entries_set)
         pc.entries = pc.atMc() ? 256 : 64;
 
-    if (!PolicyRegistry::instance().has(pc.policy)) {
-        std::string known;
-        for (const auto &n : PolicyRegistry::instance().names()) {
-            if (!known.empty())
-                known += ", ";
-            known += n;
-        }
-        fatal("unknown prefetch policy '%s' in spec '%s' "
-              "(registered: %s)",
-              pc.policy.c_str(), spec.c_str(), known.c_str());
-    }
     return pc;
 }
 

@@ -14,8 +14,7 @@ PrefetchTable::PrefetchTable(unsigned n_dimms, unsigned entries,
 }
 
 void
-PrefetchTable::insertCandidate(unsigned dimm_idx, Addr line_addr,
-                               AmbCache::Evicted *evicted)
+PrefetchTable::insertCandidate(unsigned dimm_idx, Addr line_addr)
 {
     // A line that is already resident keeps its FIFO age; true FIFO
     // retires by first insertion, not by re-fetch.
@@ -25,8 +24,6 @@ PrefetchTable::insertCandidate(unsigned dimm_idx, Addr line_addr,
     ++nPrefetches;
     if (ev.valid && !ev.used)
         ++nEvictedUnused;
-    if (evicted)
-        *evicted = ev;
 }
 
 void
@@ -39,8 +36,7 @@ PrefetchTable::resolveFill(unsigned dimm_idx, Addr line_addr,
 }
 
 bool
-PrefetchTable::invalidate(unsigned dimm_idx, Addr line_addr,
-                          bool *was_used)
+PrefetchTable::invalidate(unsigned dimm_idx, Addr line_addr)
 {
     bool used = false;
     if (!caches.at(dimm_idx).invalidate(line_addr, &used))
@@ -48,8 +44,6 @@ PrefetchTable::invalidate(unsigned dimm_idx, Addr line_addr,
     ++nWriteInval;
     if (!used)
         ++nInvalUnused;
-    if (was_used)
-        *was_used = used;
     return true;
 }
 

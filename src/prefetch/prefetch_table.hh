@@ -49,26 +49,22 @@ class PrefetchTable
     }
 
     /**
-     * Record one policy-emitted prefetch candidate: counts a prefetch
-     * issue even when the line is already resident — a resident line
-     * keeps its FIFO age — and reports a displaced victim through
-     * @p evicted so the owning controller can train its policy and
-     * account pollution (an unused victim is counted here).  The entry
-     * becomes visible immediately with @c fillPending readiness; its
-     * fill is timed later via resolveFill().
+     * Record one region-fetch line: counts a prefetch issue even when
+     * the line is already resident — a resident line keeps its FIFO
+     * age — and counts a displaced victim that never served a demand
+     * as pollution.  The entry becomes visible immediately with
+     * @c fillPending readiness; its fill is timed later via
+     * resolveFill().
      */
-    void insertCandidate(unsigned dimm_idx, Addr line_addr,
-                         AmbCache::Evicted *evicted = nullptr);
+    void insertCandidate(unsigned dimm_idx, Addr line_addr);
 
     /** Set the SRAM arrival time of one previously inserted line. */
     void resolveFill(unsigned dimm_idx, Addr line_addr, Tick ready_at);
 
     /** A write to @p line_addr invalidates any stale prefetch.
      *  An unused dropped line counts as pollution.
-     *  @return true iff a resident line was dropped; @p was_used
-     *  (optional) reports its used bit. */
-    bool invalidate(unsigned dimm_idx, Addr line_addr,
-                    bool *was_used = nullptr);
+     *  @return true iff a resident line was dropped. */
+    bool invalidate(unsigned dimm_idx, Addr line_addr);
 
     /** Count one demand read (the coverage denominator). */
     void countRead() { ++nReads; }
@@ -79,8 +75,8 @@ class PrefetchTable
     /** Count a hit whose fill had not completed when demanded. */
     void countLateHit() { ++nLateHits; }
 
-    /** Count @p n policy candidates the controller refused (out of
-     *  region, duplicate, over degree, or throttled). */
+    /** Count @p n region lines a group fetch could not carry (past
+     *  Transaction::maxPrefetchLines when K > 16). */
     void countDropped(unsigned n = 1) { nDropped += n; }
 
     std::uint64_t reads() const { return nReads; }

@@ -29,7 +29,7 @@ SystemConfig::fbdAp()
     c.fbd = true;
     c.scheme = Interleave::MultiCacheline;
     c.regionLines = 4;
-    c.prefetch.policy = "region";
+    c.prefetch.enabled = true;
     return c;
 }
 
@@ -55,7 +55,7 @@ SystemConfig::controllerConfig() const
     if (regionLines < 1 || row_lines % regionLines != 0)
         fatal("region size K=%u must divide the %u lines of a DRAM row",
               regionLines, row_lines);
-    if (prefetch.enabled()) {
+    if (prefetch.enabled) {
         const char *where = prefetch.atMc() ? "controller" : "AMB";
         if (!fbd && !prefetch.atMc())
             fatal("AMB prefetching requires FB-DIMM");

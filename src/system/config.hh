@@ -65,11 +65,10 @@ struct SystemConfig
 
     // --- DRAM-level prefetching ---
     /**
-     * The prefetch buffer: policy, place and shape ("none", the
-     * default, switches it off).  The FBD-AP preset is the spec
-     * "region" (place=amb, 64 lines, fully associative); select others
-     * with e.g. PrefetchConfig::parse("dspatch,degree=2") or
-     * PrefetchConfig::parse("region,place=mc").
+     * The prefetch buffer: on/off, place and shape (off by default).
+     * The FBD-AP preset is the spec "region" (place=amb, 64 lines,
+     * fully associative); select others with e.g.
+     * PrefetchConfig::parse("region,place=mc,entries=128").
      */
     PrefetchConfig prefetch;
 

@@ -150,10 +150,9 @@ canonicalConfigString(const SystemConfig &cfg)
 
     // Prefetching.
     const PrefetchConfig &pf = cfg.prefetch;
-    os << "prefetch=" << pf.policy << ','
-       << (pf.atMc() ? "mc" : "amb") << ',' << pf.degree << ','
-       << pf.entries << ',' << pf.ways << ','
-       << csprintf("%.17g", pf.throttle) << ';';
+    os << "prefetch=" << (pf.enabled ? "region" : "none") << ','
+       << (pf.atMc() ? "mc" : "amb") << ',' << pf.entries << ','
+       << pf.ways << ';';
     kv(os, "regionLines", cfg.regionLines);
     kv(os, "apFullLatency", cfg.apFullLatency);
 

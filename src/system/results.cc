@@ -367,7 +367,7 @@ ResultSchema::prefetchStats()
                      ColumnKind::Count, [](const SweepRow &r) {
                          return ColumnValue::ofCount(r.seed);
                      }});
-        s.add(Column{"policy", "", "active PolicyRegistry name",
+        s.add(Column{"policy", "", "prefetch policy: region or none",
                      ColumnKind::Text, [](const SweepRow &r) {
                          return ColumnValue::ofText(
                              r.result.prefetch.policy);
@@ -383,14 +383,14 @@ ResultSchema::prefetchStats()
                                       r.result.prefetch.*m);
                               }};
             };
-        s.add(count("issued", "prefetch candidate lines fetched",
+        s.add(count("issued", "region lines fetched into the buffer",
                     &PrefetchRunStats::issued));
         s.add(count("hits", "demand reads served by a prefetch",
                     &PrefetchRunStats::hits));
         s.add(count("late_hits",
                     "hits whose fill was still in flight",
                     &PrefetchRunStats::lateHits));
-        s.add(count("dropped", "candidates shed before issue",
+        s.add(count("dropped", "region lines past the 15-line group cap",
                     &PrefetchRunStats::dropped));
         s.add(count("evicted_unused",
                     "prefetched lines displaced before any use",

@@ -107,12 +107,11 @@ class ResultSchema
     static const ResultSchema &latencyPercentiles();
 
     /**
-     * The prefetch-policy quality block (RunResult::prefetch): the
-     * active policy's name plus the issued / hit / late-hit / dropped
+     * The prefetch quality block (RunResult::prefetch): the policy
+     * ("region" or "none") plus the issued / hit / late-hit / dropped
      * / pollution counters and their derived ratios, aggregated over
-     * channels.  The table head-to-head policy comparisons are built
-     * from; a separate table because sweepRows() is a byte-for-byte
-     * compatibility surface.
+     * channels.  A separate table because sweepRows() is a
+     * byte-for-byte compatibility surface.
      */
     static const ResultSchema &prefetchStats();
 

@@ -12,7 +12,7 @@
  *               live only here, so a diff can ignore the section;
  *   "power"     DRAM op counts and the PowerModel's dynamic
  *               energy/power over the window (powerStats);
- *   "prefetch"  the prefetch-policy quality block (prefetchStats);
+ *   "prefetch"  the prefetch quality block (prefetchStats);
  *   "breakdown" per-class latency-phase means (latencyBreakdown;
  *               zeros unless --attribution was on);
  *   "groups"    every StatGroup from System::buildStatGroups(), stat

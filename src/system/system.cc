@@ -413,7 +413,7 @@ System::buildStatGroups(bool include_histograms) const
            [](const PrefetchTable &t) { return t.coverage(); });
         pf("efficiency", "#prefetch_hit / #prefetch",
            [](const PrefetchTable &t) { return t.efficiency(); });
-        pf("pf_dropped", "candidates shed before issue",
+        pf("pf_dropped", "region lines past the 15-line group cap",
            [](const PrefetchTable &t) {
                return static_cast<double>(t.droppedCandidates());
            });
@@ -536,8 +536,8 @@ System::collect(Tick window_ticks) const
             r.prefetch.evictedUnused += t->evictedUnused();
             r.prefetch.invalidatedUnused += t->invalidatedUnused();
         }
-        if (const PrefetchPolicy *pol = mc->prefetchPolicy())
-            r.prefetch.policy = pol->name();
+        if (mc->prefetchTable())
+            r.prefetch.policy = "region";
     }
     if (lat_samples)
         r.avgReadLatencyNs = lat_weighted

@@ -75,18 +75,18 @@ struct LatencyClassStats
 };
 
 /**
- * Prefetch-policy outcome of one run, aggregated over every channel's
+ * Prefetch outcome of one run, aggregated over every channel's
  * prefetch buffer (AMB caches or the MC buffer).  The typed
  * block behind ResultSchema::prefetchStats() and the --stats-json
- * "prefetch" section; head-to-head policy comparisons read these.
+ * "prefetch" section.
  */
 struct PrefetchRunStats
 {
-    std::string policy = "none";     ///< active PolicyRegistry name
-    std::uint64_t issued = 0;        ///< candidate lines fetched
+    std::string policy = "none";     ///< "region" or "none"
+    std::uint64_t issued = 0;        ///< region lines fetched
     std::uint64_t hits = 0;          ///< demand reads served by one
     std::uint64_t lateHits = 0;      ///< hits with the fill in flight
-    std::uint64_t dropped = 0;       ///< candidates shed before issue
+    std::uint64_t dropped = 0;       ///< region lines past the group cap
     std::uint64_t evictedUnused = 0; ///< displaced before any use
     std::uint64_t invalidatedUnused = 0; ///< written before any use
 
@@ -125,7 +125,7 @@ struct RunResult
     std::uint64_t ambHits = 0;
     double coverage = 0.0;              ///< #prefetch_hit / #read
     double efficiency = 0.0;            ///< #prefetch_hit / #prefetch
-    PrefetchRunStats prefetch;          ///< per-policy quality block
+    PrefetchRunStats prefetch;          ///< prefetch quality block
     DramOpCounts ops;                   ///< for the power model
 
     std::uint64_t l2Misses = 0;

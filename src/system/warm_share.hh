@@ -36,8 +36,8 @@ namespace fbdp {
 /**
  * Exactly the inputs phase 0 reads.  The core count and each core's
  * address slice and generator seed follow from these; memory-side
- * fields (machine, channels, policies, threads, attribution) are not
- * read and so are not part of the key.
+ * fields (machine, channels, prefetch buffer, threads, attribution)
+ * are not read and so are not part of the key.
  */
 struct WarmKey
 {

@@ -18,7 +18,7 @@ TEST(ConfigTest, Ddr2Preset)
 {
     SystemConfig c = SystemConfig::ddr2();
     EXPECT_FALSE(c.fbd);
-    EXPECT_FALSE(c.prefetch.enabled());
+    EXPECT_FALSE(c.prefetch.enabled);
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::Cacheline));
     EXPECT_EQ(c.logicChannels, 2u);
@@ -32,25 +32,21 @@ TEST(ConfigTest, FbdApPresetMatchesSection52Defaults)
 {
     SystemConfig c = SystemConfig::fbdAp();
     EXPECT_TRUE(c.fbd);
-    EXPECT_EQ(c.prefetch.policy, "region");
+    EXPECT_TRUE(c.prefetch.enabled);
     EXPECT_EQ(c.prefetch.place, PrefetchPlace::Amb);
     EXPECT_EQ(static_cast<int>(c.scheme),
               static_cast<int>(Interleave::MultiCacheline));
     EXPECT_EQ(c.regionLines, 4u);
-    EXPECT_EQ(c.prefetch.degree, 0u);
     EXPECT_EQ(c.prefetch.entries, 64u);
     EXPECT_EQ(c.prefetch.ways, 0u) << "fully associative default";
-    EXPECT_EQ(c.prefetch.throttle, 0.0);
     EXPECT_FALSE(c.apFullLatency);
 
     // The preset's buffer is the spec "region,place=amb".
     const PrefetchConfig spec = PrefetchConfig::parse("region,place=amb");
-    EXPECT_EQ(c.prefetch.policy, spec.policy);
+    EXPECT_EQ(c.prefetch.enabled, spec.enabled);
     EXPECT_EQ(c.prefetch.place, spec.place);
-    EXPECT_EQ(c.prefetch.degree, spec.degree);
     EXPECT_EQ(c.prefetch.entries, spec.entries);
     EXPECT_EQ(c.prefetch.ways, spec.ways);
-    EXPECT_EQ(c.prefetch.throttle, spec.throttle);
 }
 
 TEST(ConfigTest, PlaceSetsTheDefaultShape)
@@ -115,7 +111,7 @@ TEST(ConfigTest, ControllerDerivation)
     SystemConfig c = SystemConfig::fbdAp();
     ControllerConfig cc = c.controllerConfig();
     EXPECT_TRUE(cc.fbd);
-    EXPECT_EQ(cc.prefetch.policy, "region");
+    EXPECT_TRUE(cc.prefetch.enabled);
     EXPECT_EQ(cc.prefetch.place, PrefetchPlace::Amb);
     EXPECT_EQ(cc.prefetch.entries, 64u);
     EXPECT_EQ(cc.nDimms, 4u);
@@ -246,6 +242,73 @@ TEST(ConfigTest, CoreCountFollowsBenchmarks)
     EXPECT_EQ(c.nCores(), 0u);
     c.benchmarks = {"swim", "vpr", "gap"};
     EXPECT_EQ(c.nCores(), 3u);
+}
+
+TEST(PrefetchConfigTest, ParseDefaultsAndKeys)
+{
+    const PrefetchConfig p = PrefetchConfig::parse("region");
+    EXPECT_TRUE(p.enabled);
+    EXPECT_EQ(p.place, PrefetchPlace::Amb);
+    EXPECT_EQ(p.entries, 64u);
+    EXPECT_EQ(p.ways, 0u);
+
+    const PrefetchConfig q =
+        PrefetchConfig::parse("region,place=mc,entries=128,ways=4");
+    EXPECT_TRUE(q.enabled);
+    EXPECT_EQ(q.place, PrefetchPlace::Mc);
+    EXPECT_EQ(q.entries, 128u);
+    EXPECT_EQ(q.ways, 4u);
+
+    EXPECT_FALSE(PrefetchConfig::parse("none").enabled);
+}
+
+TEST(PrefetchConfigDeathTest, RejectsMalformedSpecs)
+{
+    EXPECT_DEATH(PrefetchConfig::parse(""), "empty prefetch policy");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries"),
+                 "not key=value");
+    EXPECT_DEATH(PrefetchConfig::parse("region,entries="),
+                 "has no value");
+    EXPECT_DEATH(PrefetchConfig::parse("region,frobnicate=1"),
+                 "unknown prefetch spec key");
+}
+
+// The paper's region fetch is the only scheme: other policy names and
+// the keys that tuned them are unknown names, not silent no-ops.
+TEST(PrefetchConfigDeathTest, OnlyRegionAndNoneAreSchemes)
+{
+    const auto fatalExit = ::testing::ExitedWithCode(1);
+    for (const char *spec : {"bogus", "dspatch", "indram", "Region",
+                             "dspatch,place=mc"}) {
+        EXPECT_EXIT(PrefetchConfig::parse(spec), fatalExit,
+                    "unknown prefetch policy")
+            << spec;
+    }
+    EXPECT_EXIT(PrefetchConfig::parse("region,degree=3"), fatalExit,
+                "unknown prefetch spec key 'degree'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,throttle=0.8"), fatalExit,
+                "unknown prefetch spec key 'throttle'");
+}
+
+TEST(PrefetchConfigDeathTest, RejectsValuesThatAreNotWholeNumbers)
+{
+    // Each once misparsed: a huge unsigned (bad_alloc), zero entries
+    // (a panic in AmbCache), a silent 4 and a silent 0.  Now each is
+    // a clean fatal, exit code 1.
+    const auto fatalExit = ::testing::ExitedWithCode(1);
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries=-4"), fatalExit,
+                "key 'entries': bad value '-4'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries=abc"), fatalExit,
+                "key 'entries': bad value 'abc'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries=0"), fatalExit,
+                "key 'entries': bad value '0'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,ways=4x"), fatalExit,
+                "key 'ways': bad value '4x'");
+    // A sign or blank, which strtoll alone would take.
+    EXPECT_EXIT(PrefetchConfig::parse("region,ways=+4"), fatalExit,
+                "key 'ways': bad value '.4'");
+    EXPECT_EXIT(PrefetchConfig::parse("region,entries= 4"), fatalExit,
+                "key 'entries': bad value ' 4'");
 }
 
 } // namespace

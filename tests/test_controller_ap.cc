@@ -1,7 +1,8 @@
 /**
  * @file
  * Memory-controller tests for the AMB-prefetching path: the 33 ns hit
- * latency, region group fetches, in-flight hits, write invalidation,
+ * latency, region group fetches (which lines ride them, and the
+ * 15-line cap past K = 16), in-flight hits, write invalidation,
  * APFL mode, and the DRAM operation accounting the power model uses.
  */
 
@@ -13,6 +14,7 @@
 #include "mc/address_map.hh"
 #include "mc/controller.hh"
 #include "sim/event_queue.hh"
+#include "system/system.hh"
 
 namespace fbdp {
 namespace {
@@ -43,8 +45,8 @@ class ControllerApTest : public ::testing::Test
         ControllerConfig c;
         c.fbd = true;
         c.regionLines = k;
-        c.prefetch = PrefetchConfig{"region", PrefetchPlace::Amb, 0,
-                                    entries, ways, 0.0};
+        c.prefetch = PrefetchConfig{true, PrefetchPlace::Amb, entries,
+                                    ways};
         return c;
     }
 
@@ -58,6 +60,18 @@ class ControllerApTest : public ::testing::Test
         t->created = eq.now();
         if (done)
             t->onComplete = [done](Tick w) { done->push_back(w); };
+        return t;
+    }
+
+    /** A read of @p addr mapped by @p map_k, for tests that run a
+     *  controller at a K other than the fixture's. */
+    static TransPtr
+    readAtK(const AddressMap &map_k, Addr addr)
+    {
+        auto t = makeTransaction();
+        t->cmd = MemCmd::Read;
+        t->lineAddr = lineAlign(addr);
+        t->coord = map_k.map(addr);
         return t;
     }
 
@@ -198,6 +212,88 @@ TEST_F(ControllerApTest, RegionSizeTwo)
     rd(lineBytes);
     EXPECT_EQ(mc.dramOps().rdCas, 2u);
     EXPECT_EQ(mc.prefetchTable()->prefetchHits(), 1u);
+}
+
+TEST_F(ControllerApTest, GroupFetchCarriesTheOtherRegionLinesAscending)
+{
+    // The paper's scheme: a miss fetches every line of its region but
+    // the demanded one, and they enter the buffer in ascending order
+    // (issueRead re-orders only the CAS walk).
+    for (unsigned k : {2u, 4u, 8u}) {
+        EventQueue eq_k;
+        const AddressMap map_k(mapCfg(k));
+        MemController mc("mc", &eq_k, apCfg(k));
+        const Addr base = static_cast<Addr>(3 * k) * lineBytes;
+        const Addr demand = base + static_cast<Addr>(k / 2) * lineBytes;
+        TransPtr t = readAtK(map_k, demand);
+        const Transaction *raw = t.get();
+        mc.push(std::move(t));  // plans the group fetch
+
+        ASSERT_EQ(raw->coord.regionBase, base) << "K=" << k;
+        ASSERT_EQ(raw->nPfLines, k - 1) << "K=" << k;
+        EXPECT_EQ(raw->groupLines, k) << "K=" << k;
+        unsigned j = 0;
+        for (unsigned off = 0; off < k; ++off) {
+            const Addr la = base + static_cast<Addr>(off) * lineBytes;
+            if (la != demand) {
+                EXPECT_EQ(raw->pfLines[j++], la) << "K=" << k;
+            }
+        }
+
+        eq_k.run();
+        EXPECT_EQ(mc.dramOps().actPre, 1u) << "K=" << k;
+        EXPECT_EQ(mc.dramOps().rdCas, k) << "K=" << k;
+        EXPECT_EQ(mc.prefetchTable()->prefetchesIssued(), k - 1);
+        EXPECT_EQ(mc.prefetchTable()->droppedCandidates(), 0u);
+    }
+}
+
+TEST_F(ControllerApTest, RegionPastSixteenLinesCarriesFifteenAndDropsTheRest)
+{
+    // K = 32 divides a 128-line row, but one group carries at most
+    // Transaction::maxPrefetchLines: the 15 lowest other lines ride
+    // the activation and the other 16 are counted as dropped.
+    constexpr unsigned k = 32;
+    const AddressMap map_k(mapCfg(k));
+    MemController mc("mc", &eq, apCfg(k));
+    const Addr demand = 5 * lineBytes;
+    TransPtr t = readAtK(map_k, demand);
+    const Transaction *raw = t.get();
+    mc.push(std::move(t));
+
+    ASSERT_EQ(raw->nPfLines, Transaction::maxPrefetchLines);
+    EXPECT_EQ(raw->groupLines, 16u);
+    unsigned j = 0;
+    for (unsigned off = 0; off <= 15; ++off) {
+        if (off != 5) {
+            EXPECT_EQ(raw->pfLines[j++],
+                      static_cast<Addr>(off) * lineBytes);
+        }
+    }
+
+    eq.run();
+    EXPECT_EQ(mc.dramOps().actPre, 1u);
+    EXPECT_EQ(mc.dramOps().rdCas, 16u);
+    EXPECT_EQ(mc.prefetchTable()->prefetchesIssued(), 15u);
+    EXPECT_EQ(mc.prefetchTable()->droppedCandidates(), 16u);
+}
+
+TEST_F(ControllerApTest, RunResultCountsLinesPastTheGroupCap)
+{
+    // The same cap seen end to end: every K = 32 group fetch (misses
+    // and hit conversions alike) inserts 15 lines and drops 16.
+    SystemConfig c = SystemConfig::fbdAp();
+    c.regionLines = 32;
+    c.benchmarks = {"swim", "mgrid"};
+    c.warmupInsts = 2000;
+    c.measureInsts = 8000;
+    const RunResult r = System(c).run();
+    ASSERT_GT(r.prefetch.issued, 0u);
+    EXPECT_EQ(r.prefetch.issued % 15, 0u);
+    EXPECT_EQ(r.prefetch.dropped, r.prefetch.issued / 15 * 16);
+
+    c.regionLines = 16;
+    EXPECT_EQ(System(c).run().prefetch.dropped, 0u) << "K=16 fits";
 }
 
 TEST_F(ControllerApTest, CapacityPressureEvictsOldPrefetches)

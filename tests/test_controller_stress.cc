@@ -77,7 +77,7 @@ TEST_P(ControllerStress, RandomTrafficAllCompletes)
     if (!f.fbd)
         cfg.cmdDelay = nsToTicks(3) + 2 * cfg.timing.memCycle;
     if (f.ap)
-        cfg.prefetch.policy = "region";
+        cfg.prefetch.enabled = true;
     if (f.mc)
         cfg.prefetch = PrefetchConfig::parse("region,place=mc");
     cfg.prefetch.ways = f.ways;
@@ -195,7 +195,7 @@ runBurst(std::uint64_t seed)
 
     ControllerConfig cfg;
     cfg.fbd = true;
-    cfg.prefetch.policy = "region";
+    cfg.prefetch.enabled = true;
     MemController mc("mc", &eq, cfg);
 
     Rng rng(seed);

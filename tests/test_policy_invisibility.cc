@@ -1,18 +1,19 @@
 /**
  * @file
- * Invisibility test of the policy refactor: routing the paper's
- * region-group prefetch through the PrefetchPolicy interface must
- * leave simulation results bit-for-bit identical.  The golden numbers
- * below pin the one-queue kernel with direct hand-offs (a request
- * reaches its controller when the cache sends it, a completion reaches
- * its core at completedAt, and each window ends at the tick of its
- * notify); RegionPolicy behind the plug-in interface must reproduce
- * every one of them exactly — including the doubles, compared with EXPECT_EQ on
+ * Invisibility test of the prefetch code's shape: however the paper's
+ * region-group prefetch is organised in the controller, simulation
+ * results must stay bit-for-bit identical.  The golden numbers below
+ * pin the one-queue kernel with direct hand-offs (a request reaches
+ * its controller when the cache sends it, a completion reaches its
+ * core at completedAt, and each window ends at the tick of its
+ * notify); the controller's region fetch must reproduce every one of
+ * them exactly — including the doubles, compared with EXPECT_EQ on
  * purpose.
  *
  * Also pins the config equivalences: the FBD-AP preset and the
- * explicit spec string must build the same machine, and the policy
- * "none" alone must switch the preset's AMB prefetching off.
+ * explicit spec string must build the same machine, and switching
+ * the prefetch config off alone must switch the preset's AMB
+ * prefetching off.
  */
 
 #include <gtest/gtest.h>
@@ -97,7 +98,7 @@ TEST(PolicyInvisibility, PolicyNoneAloneSwitchesFbdApOff)
     // The prefetch block is the one switch: no other field may
     // bring the region policy back, and nothing is warned about.
     SystemConfig off = golden();
-    off.prefetch.policy = "none";
+    off.prefetch.enabled = false;
     SystemConfig plain = SystemConfig::fbdBase();
     plain.scheme = Interleave::MultiCacheline;
     plain.benchmarks = off.benchmarks;
@@ -109,7 +110,7 @@ TEST(PolicyInvisibility, PolicyNoneAloneSwitchesFbdApOff)
     const ControllerConfig cc = off.controllerConfig();
     const std::string off_digest = digest(System(off).run());
     const std::string warned = ::testing::internal::GetCapturedStderr();
-    EXPECT_FALSE(cc.prefetch.enabled());
+    EXPECT_FALSE(cc.prefetch.enabled);
     EXPECT_EQ(warned, "");
     EXPECT_EQ(off_digest, digest(System(plain).run()));
 }

@@ -161,7 +161,7 @@ TEST_F(RefreshTest, ApSurvivesRefresh)
     acfg.scheme = Interleave::MultiCacheline;
     AddressMap amap(acfg);
     ControllerConfig cfg = cfgWithRefresh(true);
-    cfg.prefetch.policy = "region";
+    cfg.prefetch.enabled = true;
     MemController mc("mc", &eq, cfg);
     std::vector<Tick> done;
     const DramTiming t = DramTiming::forDataRate(667);

@@ -16,7 +16,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
@@ -80,45 +79,17 @@ refCount(const std::string &v, std::uint64_t lo, std::uint64_t hi)
     return x;
 }
 
-/** A plain decimal fraction: "1", "0.8", ".5", "5.", "1e-1". */
-std::optional<double>
-refDecimal(const std::string &v)
-{
-    std::size_t i = leadingDigits(v);
-    std::size_t digits = i;
-    if (i < v.size() && v[i] == '.') {
-        const std::size_t f = leadingDigits(v.substr(i + 1));
-        digits += f;
-        i += 1 + f;
-    }
-    if (digits == 0)
-        return std::nullopt;
-    if (i < v.size() && (v[i] == 'e' || v[i] == 'E')) {
-        ++i;
-        if (i < v.size() && (v[i] == '+' || v[i] == '-'))
-            ++i;
-        const std::size_t e = leadingDigits(v.substr(i));
-        if (e == 0)
-            return std::nullopt;
-        i += e;
-    }
-    if (i != v.size())
-        return std::nullopt;
-    return std::strtod(v.c_str(), nullptr);
-}
-
-/** PrefetchConfig's grammar: "policy[,key=value]...", with the
- *  buffer lines set by the place unless a spec names them. */
+/** PrefetchConfig's grammar: "region|none[,key=value]...", with
+ *  the buffer lines set by the place unless a spec names them. */
 std::optional<PrefetchConfig>
 refPrefetch(const std::string &spec)
 {
     const std::vector<std::string> items = splitCommas(spec);
     const std::string &policy = items[0];
-    if (policy != "region" && policy != "dspatch" && policy != "indram"
-        && policy != "none")
+    if (policy != "region" && policy != "none")
         return std::nullopt;
     PrefetchConfig pc;
-    pc.policy = policy;
+    pc.enabled = policy == "region";
     bool entries_set = false;
     for (std::size_t i = 1; i < items.size(); ++i) {
         if (items[i].empty())
@@ -134,17 +105,9 @@ refPrefetch(const std::string &spec)
             pc.place = val == "mc" ? PrefetchPlace::Mc : PrefetchPlace::Amb;
             continue;
         }
-        if (key == "throttle") {
-            const auto t = refDecimal(val);
-            if (!t || !(*t >= 0.0 && *t <= 1.0))
-                return std::nullopt;
-            pc.throttle = *t;
-            continue;
-        }
-        unsigned *field = key == "degree" ? &pc.degree
-            : key == "entries"            ? &pc.entries
-            : key == "ways"               ? &pc.ways
-                                          : nullptr;
+        unsigned *field = key == "entries" ? &pc.entries
+            : key == "ways"                ? &pc.ways
+                                           : nullptr;
         if (!field)
             return std::nullopt;
         const auto n = refCount(val, key == "entries" ? 1 : 0,
@@ -328,6 +291,8 @@ mutants(const std::vector<std::string> &seeds,
 
 TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
 {
+    // The deleted policies and keys stay among the seeds: every
+    // mutant that keeps one must now be fatal.
     const std::vector<std::string> seeds = {
         "region",
         "region,degree=4,entries=64",
@@ -338,6 +303,10 @@ TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
         "region,place=mc",
         "indram,place=amb,ways=2",
         "dspatch,place=mc,degree=2,entries=128,ways=4,throttle=0.8",
+        "region,entries=32,ways=4",
+        "none,place=mc",
+        "region,place=amb,entries=64,ways=0",
+        "region,place=mc,entries=128,ways=4",
     };
     unsigned accepted = 0, rejected = 0;
     for (const std::string &m : mutants(
@@ -354,12 +323,10 @@ TEST(SpecMutationDeathTest, PrefetchSpecsFatalOrMatchTheGrammar)
         }
         ++accepted;
         const PrefetchConfig got = PrefetchConfig::parse(m);
-        EXPECT_EQ(got.policy, want->policy) << m;
+        EXPECT_EQ(got.enabled, want->enabled) << m;
         EXPECT_EQ(got.place, want->place) << m;
-        EXPECT_EQ(got.degree, want->degree) << m;
         EXPECT_EQ(got.entries, want->entries) << m;
         EXPECT_EQ(got.ways, want->ways) << m;
-        EXPECT_EQ(got.throttle, want->throttle) << m;
     }
     // Both verdicts are exercised, so neither check is vacuous.
     EXPECT_GE(accepted, 30u);

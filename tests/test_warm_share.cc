@@ -86,9 +86,10 @@ TEST(WarmKey, MemorySideFieldsLeaveTheKeyAlone)
     const std::vector<std::pair<const char *, void (*)(SystemConfig &)>>
         perturb = {
             {"channels", [](SystemConfig &c) { c.logicChannels = 4; }},
-            {"amb policy",
+            {"buffer shape",
              [](SystemConfig &c) {
-                 c.prefetch = PrefetchConfig::parse("dspatch");
+                 c.prefetch =
+                     PrefetchConfig::parse("region,place=mc,entries=32");
              }},
             {"mc buffer",
              [](SystemConfig &c) {

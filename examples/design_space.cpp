@@ -4,62 +4,56 @@
  * group, streamed for external plotting.  Demonstrates the Sweep
  * batch driver, its worker pool and the typed results schema.
  *
- *   ./example_design_space [cores] [insts] [--json]
- *       [--progress] [--progress-out F] [--manifest] [--ledger F]
- *       > results.csv
+ *   ./example_design_space [cores] [insts] [--json] [--manifest]
+ *       [--ledger F] > results.csv
  *
  * Parallelism comes from FBDP_JOBS (e.g. FBDP_JOBS=8; unset, one
  * worker per host CPU); row order and bytes are identical whatever
- * the job count.  --progress draws a
- * live per-cell status line with an ETA on stderr; --progress-out
- * streams the same events as JSONL for machines.  --manifest embeds
- * the grid manifest in the CSV/JSON output, and --ledger appends one
- * record per cell to a cross-run ledger.  [insts] (default 200000)
- * is each cell's measured window, after insts/4 of timed warm-up.
+ * the job count.  --manifest embeds the grid manifest in the
+ * CSV/JSON output, and --ledger appends one record per cell to a
+ * cross-run ledger.  [insts] (default 200000) is each cell's measured
+ * window, after insts/4 of timed warm-up.  A third positional
+ * argument or an unknown --flag prints the usage line and exits 2.
  */
 
+#include <cstdlib>
 #include <cstring>
-#include <fstream>
 #include <iostream>
-#include <memory>
 
 #include "common/parse.hh"
-#include "system/progress.hh"
-#include "system/runner.hh"
 #include "system/sweep.hh"
+
+namespace {
+
+[[noreturn]] void
+usage(const char *argv0)
+{
+    std::cerr << "usage: " << argv0
+              << " [cores] [insts] [--json] [--manifest] [--ledger F]\n";
+    std::exit(2);
+}
+
+} // namespace
 
 int
 main(int argc, char **argv)
 {
     using namespace fbdp;
 
-    bool json = false, progress = false, manifest = false;
-    std::string progressPath, ledgerPath;
+    bool json = false, manifest = false;
+    std::string ledgerPath;
     std::vector<const char *> pos;
-    auto need = [&](int &i) -> const char * {
-        if (i + 1 >= argc) {
-            std::cerr << argv[i] << " needs an argument\n";
-            return nullptr;
-        }
-        return argv[++i];
-    };
     for (int i = 1; i < argc; ++i) {
         if (!std::strcmp(argv[i], "--json")) {
             json = true;
-        } else if (!std::strcmp(argv[i], "--progress")) {
-            progress = true;
-        } else if (!std::strcmp(argv[i], "--progress-out")) {
-            const char *p = need(i);
-            if (!p)
-                return 2;
-            progressPath = p;
         } else if (!std::strcmp(argv[i], "--manifest")) {
             manifest = true;
         } else if (!std::strcmp(argv[i], "--ledger")) {
-            const char *p = need(i);
-            if (!p)
-                return 2;
-            ledgerPath = p;
+            if (i + 1 >= argc)
+                usage(argv[0]);
+            ledgerPath = argv[++i];
+        } else if (!std::strncmp(argv[i], "--", 2) || pos.size() == 2) {
+            usage(argv[0]);
         } else {
             pos.push_back(argv[i]);
         }
@@ -95,32 +89,6 @@ main(int argc, char **argv)
     }
 
     sweep.addMixGroup(cores).manifest(manifest).ledger(ledgerPath);
-
-    // Progress sinks observe completion order only; rows and bytes on
-    // stdout stay identical with or without them.
-    ProgressMux mux;
-    std::unique_ptr<TerminalProgress> term;
-    std::unique_ptr<JsonlProgress> jsonl;
-    std::ofstream progressFile;
-    RunManifest grid;
-    if (progress) {
-        term = std::make_unique<TerminalProgress>(std::cerr);
-        mux.add(term.get());
-    }
-    if (!progressPath.empty()) {
-        progressFile.open(progressPath);
-        if (!progressFile) {
-            std::cerr << "cannot open " << progressPath
-                      << " for writing\n";
-            return 2;
-        }
-        grid = sweep.gridManifest();
-        jsonl = std::make_unique<JsonlProgress>(
-            progressFile, manifest ? &grid : nullptr);
-        mux.add(jsonl.get());
-    }
-    if (term || jsonl)
-        sweep.progress(&mux);
 
     if (json)
         sweep.runJson(std::cout);

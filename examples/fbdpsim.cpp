@@ -64,11 +64,7 @@
  *   --manifest        embed the run manifest (build, git SHA, config
  *                     digest, seed, host, start time) in every output
  *                     written this run: stats JSON, telemetry header,
- *                     trace metadata, progress stream
- *   --progress        live status line on stderr (instructions
- *                     retired, % of target, insts/s, ETA)
- *   --progress-out F  machine-readable progress: one JSON object per
- *                     heartbeat appended to F (see system/progress.hh)
+ *                     trace metadata
  *   --ledger F        append one cross-run ledger record (manifest +
  *                     headline metrics) to F after the run; trend
  *                     with fbdp-report --history F
@@ -89,7 +85,6 @@
 #include "system/ledger.hh"
 #include "system/manifest.hh"
 #include "system/metrics.hh"
-#include "system/progress.hh"
 #include "system/runner.hh"
 #include "system/statsjson.hh"
 #include "system/telemetry.hh"
@@ -124,12 +119,12 @@ main(int argc, char **argv)
     bool vrl = false, no_sp = false, no_refresh = false,
          apfl = false, verbose = false, profile = false,
          attribution = false,
-         manifest_on = false, progress_term = false;
+         manifest_on = false;
     unsigned channels = 2, dimms = 4, rate = 667, k = 4,
              trace_cores = 1;
     std::uint64_t seed = 1;
     std::string trace_out, trace_filter, telemetry_out, epoch_spec,
-        stats_json, prefetch_spec, progress_out, ledger_out;
+        stats_json, prefetch_spec, ledger_out;
 
     auto need = [&](int &i) -> const char * {
         if (i + 1 >= argc)
@@ -210,10 +205,6 @@ main(int argc, char **argv)
             stats_json = need(i);
         else if (!std::strcmp(a, "--manifest"))
             manifest_on = true;
-        else if (!std::strcmp(a, "--progress"))
-            progress_term = true;
-        else if (!std::strcmp(a, "--progress-out"))
-            progress_out = need(i);
         else if (!std::strcmp(a, "--ledger"))
             ledger_out = need(i);
         else if (!std::strcmp(a, "--version")) {
@@ -336,37 +327,8 @@ main(int argc, char **argv)
         sampler->start();
     }
 
-    // Live progress: terminal line, JSONL stream, or both.  The pulse
-    // schedules observer-priority events only, so attaching it leaves
-    // results bit-identical.
-    TerminalProgress term_progress(std::cerr);
-    std::ofstream progress_os;
-    std::unique_ptr<JsonlProgress> jsonl_progress;
-    ProgressMux progress_mux;
-    std::unique_ptr<ProgressPulse> pulse;
-    if (progress_term)
-        progress_mux.add(&term_progress);
-    if (!progress_out.empty()) {
-        progress_os.open(progress_out);
-        if (!progress_os) {
-            std::cerr << "fbdpsim: cannot open " << progress_out
-                      << " for writing\n";
-            return 1;
-        }
-        jsonl_progress = std::make_unique<JsonlProgress>(
-            progress_os, manifest_on ? &mft : nullptr);
-        progress_mux.add(jsonl_progress.get());
-    }
-    if (progress_term || !progress_out.empty()) {
-        pulse = std::make_unique<ProgressPulse>(
-            sys, ProgressPulse::defaultPeriod, progress_mux);
-        pulse->start();
-    }
-
     RunResult r = sys.run();
 
-    if (pulse)
-        pulse->finish();
     if (sampler)
         sampler->finish();
     if (tracer) {
@@ -433,7 +395,7 @@ main(int argc, char **argv)
     lat.print(std::cout);
     if (pf_on) {
         std::cout << "late prefetch hits (fill still in flight): "
-                  << r.latePrefetchHits << "\n";
+                  << r.prefetch.lateHits << "\n";
 
         // The prefetch quality block: what the region fetches brought
         // in and what became of it (mirrors --stats-json's "prefetch").

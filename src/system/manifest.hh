@@ -15,7 +15,7 @@
  *
  * Embedding is strictly additive and opt-in.  Every writer renders the
  * manifest either as one JSON object (stats dump, sweep JSON,
- * telemetry / progress / ledger JSON-lines) or as '#'-prefixed comment
+ * telemetry / ledger JSON-lines) or as '#'-prefixed comment
  * lines (sweep CSV, telemetry CSV), so stripping the manifest recovers
  * the byte-identical manifest-off output — the invariant the
  * observability CI job gates.

@@ -343,7 +343,7 @@ ResultSchema::latencyPercentiles()
                      "prefetch hits whose fill was still in flight",
                      ColumnKind::Count, [](const SweepRow &r) {
                          return ColumnValue::ofCount(
-                             r.result.latePrefetchHits);
+                             r.result.prefetch.lateHits);
                      }});
         return s;
     }();

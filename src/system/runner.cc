@@ -1,9 +1,7 @@
 #include "system/runner.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cstdlib>
-#include <exception>
 #include <future>
 #include <ostream>
 #include <thread>
@@ -52,45 +50,23 @@ resolveJobs(unsigned jobs, std::size_t cells)
 
 std::vector<RunResult>
 runCells(const std::vector<RunCell> &cells, unsigned jobs,
-         const CellHooks &hooks)
+         const std::function<void(std::size_t, RunResult &&)> &result)
 {
     std::vector<RunResult> results;
     auto deliver = [&](std::size_t i, RunResult &&r) {
-        if (hooks.result)
-            hooks.result(i, std::move(r));
+        if (result)
+            result(i, std::move(r));
         else
             results.push_back(std::move(r));
     };
-
-    // Progress notes fire in completion order from the thread that
-    // ran the cell; one mutex serialises them.
-    std::mutex noteMu;
-    auto note = [&noteMu](const auto &fn, auto... args) {
-        if (!fn)
-            return;
-        std::lock_guard<std::mutex> lock(noteMu);
-        fn(args...);
-    };
-    auto runCell = [&](std::size_t i) {
-        using Clock = std::chrono::steady_clock;
+    auto runCell = [&cells](std::size_t i) {
         const RunCell &cell = cells[i];
-        note(hooks.started, i);
-        const auto t0 = Clock::now();
-        try {
-            RunResult r = cell.mix ? runMix(cell.cfg, *cell.mix)
-                                   : System(cell.cfg).run();
-            note(hooks.finished, i,
-                 std::chrono::duration<double>(Clock::now() - t0)
-                     .count());
-            return r;
-        } catch (const std::exception &e) {
-            note(hooks.failed, i, e.what());
-            throw;
-        }
+        return cell.mix ? runMix(cell.cfg, *cell.mix)
+                        : System(cell.cfg).run();
     };
 
     const unsigned n = resolveJobs(jobs, cells.size());
-    if (!hooks.result)
+    if (!result)
         results.reserve(cells.size());
     if (n <= 1) {
         for (std::size_t i = 0; i < cells.size(); ++i)
@@ -100,7 +76,7 @@ runCells(const std::vector<RunCell> &cells, unsigned jobs,
 
     // Each cell is an isolated System built and run on a worker;
     // collecting the futures in submission order keeps results, the
-    // result hook and any exception deterministic.
+    // result callback and any exception deterministic.
     ThreadPool pool(n);
     std::vector<std::future<RunResult>> pending;
     pending.reserve(cells.size());
@@ -194,13 +170,12 @@ PaperRun::smt(const RunResult &r, const WorkloadMix &mix)
 }
 
 void
-PaperRun::play(const Draw &draw, std::ostream &os, unsigned jobs,
-               const CellHooks &hooks)
+PaperRun::play(const Draw &draw, std::ostream &os, unsigned jobs)
 {
     fbdp_assert(!replaying && asked.empty(), "a PaperRun plays once");
     std::ostream discard(nullptr);
     draw(*this, discard);
-    results = runCells(cells, jobs, hooks);
+    results = runCells(cells, jobs);
     replaying = true;
     draw(*this, os);
     if (next != asked.size())

@@ -36,35 +36,20 @@ struct RunCell
     const WorkloadMix *mix = nullptr;
 };
 
-/** Optional observers of one runCells() batch, which name cells by
- *  their index in the batch. */
-struct CellHooks
-{
-    /** Takes each result on the calling thread, in index order, once
-     *  that cell and every earlier one have finished.  When set,
-     *  runCells() returns no results. */
-    std::function<void(std::size_t, RunResult &&)> result;
-
-    /** Progress notes in *completion* order, from whichever thread
-     *  ran the cell, serialised under one mutex so receivers need no
-     *  locking: start, finish (host wall seconds) and failure (the
-     *  exception's message). */
-    std::function<void(std::size_t)> started;
-    std::function<void(std::size_t, double)> finished;
-    std::function<void(std::size_t, const char *)> failed;
-};
-
 /**
  * Run every cell, each as an isolated System on a worker pool, and
  * return the results in input order (deterministic regardless of
  * completion order).  @p jobs resolves through resolveJobs().  This
- * is the one batch executor; Sweep runs its grid through it.  A cell
- * that throws ends the batch: the cells before it are delivered, and
- * its exception propagates once the workers have drained.
+ * is the one batch executor; Sweep runs its grid through it.  When
+ * @p result is set it takes each cell's index and result on the
+ * calling thread, in index order, once that cell and every earlier
+ * one have finished, and runCells() returns no results.  A cell that
+ * throws ends the batch: the cells before it are delivered, and its
+ * exception propagates once the workers have drained.
  */
-std::vector<RunResult> runCells(const std::vector<RunCell> &cells,
-                                unsigned jobs = 0,
-                                const CellHooks &hooks = {});
+std::vector<RunResult> runCells(
+    const std::vector<RunCell> &cells, unsigned jobs = 0,
+    const std::function<void(std::size_t, RunResult &&)> &result = {});
 
 /** Workers a batch of @p cells runs on: @p jobs, or jobsFromEnv()
  *  when @p jobs is 0, clamped to the number of cells. */
@@ -150,10 +135,12 @@ class PaperRun
      *  prep(SystemConfig::ddr2()): one more cell per program. */
     double smt(const RunResult &r, const WorkloadMix &mix);
 
-    /** Record @p draw, run its cells through runCells(@p jobs,
-     *  @p hooks), replay it into @p os.  Once per PaperRun. */
-    void play(const Draw &draw, std::ostream &os, unsigned jobs = 0,
-              const CellHooks &hooks = {});
+    /** Record @p draw, run its cells through runCells(@p jobs),
+     *  replay it into @p os.  Once per PaperRun. */
+    void play(const Draw &draw, std::ostream &os, unsigned jobs = 0);
+
+    /** Cells play() ran: one per distinct cell requested. */
+    std::size_t cellsRun() const { return results.size(); }
 
   private:
     bool quick;

@@ -1,21 +1,18 @@
 #include "system/sweep.hh"
 
-#include <chrono>
-
 #include "common/logging.hh"
 #include "system/ledger.hh"
-#include "system/progress.hh"
 #include "system/runner.hh"
 
 namespace fbdp {
 
 namespace {
 
-/** The grid's cells in row (config-major) order, with the identity
- *  each row and progress note carries. */
+/** The grid's cells in row (config-major) order, each with its row
+ *  named (config, mix, seed) and its result still empty. */
 struct Grid
 {
-    std::vector<CellId> ids;
+    std::vector<SweepRow> rows;
     std::vector<RunCell> cells;
 };
 
@@ -25,8 +22,8 @@ materializeGrid(
     const std::vector<const WorkloadMix *> &mixes, unsigned n_repeats)
 {
     Grid g;
-    g.ids.reserve(configs.size() * mixes.size() * n_repeats);
-    g.cells.reserve(g.ids.capacity());
+    g.rows.reserve(configs.size() * mixes.size() * n_repeats);
+    g.cells.reserve(g.rows.capacity());
     for (const auto &[name, cfg] : configs) {
         for (const WorkloadMix *mix : mixes) {
             for (unsigned r = 0; r < n_repeats; ++r) {
@@ -35,7 +32,7 @@ materializeGrid(
                 // range, so sweeps can use disjoint seed ranges.
                 c.seed = cfg.seed + r;
                 c.benchmarks = mix->benches;
-                g.ids.push_back({name, mix->name, c.seed});
+                g.rows.push_back({name, mix->name, c.seed, {}});
                 g.cells.push_back({std::move(c), nullptr});
             }
         }
@@ -90,13 +87,6 @@ Sweep::onRow(std::function<void(const SweepRow &)> cb)
 }
 
 Sweep &
-Sweep::progress(ProgressSink *s)
-{
-    sink = s;
-    return *this;
-}
-
-Sweep &
 Sweep::manifest(bool on)
 {
     wantManifest = on;
@@ -140,20 +130,14 @@ Sweep::run()
 
     // Every cell is materialised up front, in config-major order;
     // this order — not completion order — defines the row order.
-    const Grid grid = materializeGrid(configs, mixes, nRepeats);
-
-    std::vector<SweepRow> rows;
-    rows.reserve(grid.cells.size());
+    Grid grid = materializeGrid(configs, mixes, nRepeats);
 
     // Rows, row callbacks and ledger appends happen in the result
-    // hook — calling thread, row order — with each cell's own
+    // callback — calling thread, row order — with each cell's own
     // manifest, so ledger records trend per cell.
-    CellHooks hooks;
-    hooks.result = [&](std::size_t i, RunResult &&result) {
-        SweepRow row;
-        row.config = grid.ids[i].config;
-        row.mix = grid.ids[i].mix;
-        row.seed = grid.ids[i].seed;
+    runCells(grid.cells, effectiveJobs(),
+             [&](std::size_t i, RunResult &&result) {
+        SweepRow &row = grid.rows[i];
         row.result = std::move(result);
         if (rowCb)
             rowCb(row);
@@ -166,30 +150,8 @@ Sweep::run()
                     &err))
                 fatal("%s", err.c_str());
         }
-        rows.push_back(std::move(row));
-    };
-    if (sink) {
-        hooks.started = [&](std::size_t i) {
-            sink->cellStarted(i, grid.ids[i]);
-        };
-        hooks.finished = [&](std::size_t i, double wall) {
-            sink->cellFinished(i, grid.ids[i], wall);
-        };
-        hooks.failed = [&](std::size_t i, const char *what) {
-            sink->cellFailed(i, grid.ids[i], what);
-        };
-    }
-
-    using Clock = std::chrono::steady_clock;
-    const unsigned n = effectiveJobs();
-    const auto t0 = Clock::now();
-    if (sink)
-        sink->sweepStarted(grid.cells.size(), n);
-    runCells(grid.cells, n, hooks);
-    if (sink)
-        sink->sweepFinished(
-            std::chrono::duration<double>(Clock::now() - t0).count());
-    return rows;
+    });
+    return std::move(grid.rows);
 }
 
 const ResultSchema &

@@ -11,7 +11,7 @@
  * jobs ran concurrently or which finished first.
  *
  * Parallelism is runCells()'s: every cell is an independent System
- * built and run on a worker thread, and its result hook delivers
+ * built and run on a worker thread, and its result callback delivers
  * rows — and invokes the onRow() callback — on the calling thread, in
  * cell-definition order, so callbacks need no locking and streamed
  * output is byte-identical for any job count.  The job count comes
@@ -34,8 +34,6 @@
 #include "workload/mixes.hh"
 
 namespace fbdp {
-
-class ProgressSink;
 
 /** Cross-product experiment runner. */
 class Sweep
@@ -60,19 +58,8 @@ class Sweep
     Sweep &jobs(unsigned n);
 
     /** Invoked after each run, on the calling thread, in row order
-     *  (streaming output; see progress() for live status). */
+     *  (streaming output). */
     Sweep &onRow(std::function<void(const SweepRow &)> cb);
-
-    /**
-     * Attach a live progress sink (nullptr detaches).  The sink sees
-     * sweepStarted / cellStarted / cellFinished / cellFailed /
-     * sweepFinished in *completion* order — that is the point of live
-     * progress — with calls serialised under an internal mutex, so
-     * sinks need no locking.  Rows, row callbacks and every output
-     * stay in config-major order and are byte-identical with or
-     * without a sink attached.
-     */
-    Sweep &progress(ProgressSink *s);
 
     /**
      * Embed a run manifest in runCsv() / runJson() output: CSV gets
@@ -92,10 +79,6 @@ class Sweep
      * across sweeps.  Off by default.
      */
     Sweep &ledger(std::string path);
-
-    /** The grid manifest manifest(true) embeds (digest over every
-     *  cell, in row order). */
-    RunManifest gridManifest() const;
 
     /** Run everything; rows in config-major order. */
     std::vector<SweepRow> run();
@@ -125,12 +108,15 @@ class Sweep
     unsigned effectiveJobs() const;
 
   private:
+    /** The grid manifest manifest(true) embeds (digest over every
+     *  cell, in row order). */
+    RunManifest gridManifest() const;
+
     std::vector<std::pair<std::string, SystemConfig>> configs;
     std::vector<const WorkloadMix *> mixes;
     unsigned nRepeats = 1;
     unsigned nJobs = 0;
     std::function<void(const SweepRow &)> rowCb;
-    ProgressSink *sink = nullptr;
 
     bool wantManifest = false;
     std::string ledgerPath;   ///< "" = no ledger

@@ -525,7 +525,6 @@ System::collect(Tick window_ticks) const
         r.ops += mc->dramOps();
         if (const PrefetchTable *t = mc->prefetchTable()) {
             r.ambHits += t->prefetchHits();
-            r.latePrefetchHits += t->lateHits();
             pf_reads += t->reads();
             pf_hits += t->prefetchHits();
             pf_issued += t->prefetchesIssued();

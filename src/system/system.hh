@@ -136,8 +136,6 @@ struct RunResult
     LatencyClassStats latDemand;    ///< reads missing every buffer
     LatencyClassStats latPrefHit;   ///< reads served by AMB/MC buffer
     LatencyClassStats latWrite;     ///< posted-write completions
-    /** Prefetch hits whose fill was still in flight when demanded. */
-    std::uint64_t latePrefetchHits = 0;
 
     /** Latency-phase / stall-cycle attribution (enabled flag inside;
      *  empty unless SystemConfig::attribution was set). */

@@ -200,6 +200,14 @@ TelemetrySampler::start()
             out << "{\"manifest\": " << manifest->json() << "}\n";
         manifest.reset();
     }
+    // The header goes out now, so a run shorter than one epoch still
+    // leaves a CSV that names its columns.
+    if (fmt == Format::Csv) {
+        out << "epoch,t_ns";
+        for (const stats::Stat *s : group.all())
+            out << ',' << s->name();
+        out << '\n';
+    }
     nextAt = (eq.now() / epoch + 1) * epoch;
     eq.schedule(&sampleEvent, nextAt);
 }
@@ -295,13 +303,6 @@ TelemetrySampler::takeSample(Tick at)
         static_cast<double>(at) / static_cast<double>(ticksPerNs);
 
     if (fmt == Format::Csv) {
-        if (!headerDone) {
-            out << "epoch,t_ns";
-            for (const stats::Stat *s : group.all())
-                out << ',' << s->name();
-            out << '\n';
-            headerDone = true;
-        }
         out << nRecords + 1 << ',' << csprintf("%.9g", tNs);
         for (const stats::Stat *s : group.all()) {
             const auto *f = static_cast<const stats::Formula *>(s);

@@ -64,8 +64,9 @@ class TelemetrySampler
      */
     void setManifest(const RunManifest &m);
 
-    /** Arm the sampler: first record at the next epoch boundary.
-     *  Call before System::run(). */
+    /** Write the manifest (if set) and, for CSV, the header line;
+     *  then arm the sampler: first record at the next epoch
+     *  boundary.  Call before System::run(). */
     void start();
 
     /**
@@ -168,7 +169,6 @@ class TelemetrySampler
     Event sampleEvent;
     Tick nextAt = 0;
     std::uint64_t nRecords = 0;
-    bool headerDone = false;
     std::optional<RunManifest> manifest;
 
     std::vector<ChannelPrev> chPrev;

@@ -55,7 +55,7 @@ simDigest(const RunResult &r)
     os << "ops " << r.ops.actPre << ' ' << r.ops.rdCas << ' '
        << r.ops.wrCas << ' ' << r.ops.refresh << "\n";
     os << "l2 " << r.l2Misses << ' ' << r.l2Hits << ' '
-       << r.swPrefetchesSent << " late " << r.latePrefetchHits << "\n";
+       << r.swPrefetchesSent << " late " << r.prefetch.lateHits << "\n";
     for (const LatencyClassStats *s :
          {&r.latDemand, &r.latPrefHit, &r.latWrite})
         os << "latclass " << s->samples << ' ' << s->p50Ns << ' '

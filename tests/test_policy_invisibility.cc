@@ -47,7 +47,7 @@ expectGolden(const RunResult &r)
     EXPECT_EQ(r.ops.actPre, 723u);
     EXPECT_EQ(r.ops.cas(), 1781u);
     EXPECT_EQ(r.ops.refresh, 6u);
-    EXPECT_EQ(r.latePrefetchHits, 89u);
+    EXPECT_EQ(r.prefetch.lateHits, 89u);
     // Bit-exact doubles: the refactor must not reorder a single
     // floating-point operation in the measured path.
     EXPECT_EQ(r.coverage, 0.65388397246804331);
@@ -84,7 +84,6 @@ TEST(PolicyInvisibility, PrefetchStatsBlockIsConsistent)
     const RunResult r = sys.run();
     EXPECT_EQ(r.prefetch.policy, "region");
     EXPECT_EQ(r.prefetch.hits, r.ambHits);
-    EXPECT_EQ(r.prefetch.lateHits, r.latePrefetchHits);
     EXPECT_EQ(r.prefetch.dropped, 0u);
     EXPECT_GT(r.prefetch.issued, r.prefetch.hits);
     // efficiency == hits / issued by construction.

@@ -172,7 +172,6 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
     const RunResult r = sys.run();
     ASSERT_GT(r.ambHits, 0u);
     EXPECT_EQ(r.ambHits, r.prefetch.hits);
-    EXPECT_EQ(r.latePrefetchHits, r.prefetch.lateHits);
 
     // Sum the channels: hits and late hits add up, coverage weighs by
     // the channel's reads and efficiency recovers its issued lines.
@@ -204,7 +203,7 @@ TEST_P(PrefetchCountTest, StatGroupsAgreeWithRunResult)
     EXPECT_EQ(channels, c.logicChannels);
     EXPECT_EQ(pf_issued, static_cast<double>(r.prefetch.issued));
     EXPECT_EQ(hits, static_cast<double>(r.ambHits));
-    EXPECT_EQ(late, static_cast<double>(r.latePrefetchHits));
+    EXPECT_EQ(late, static_cast<double>(r.prefetch.lateHits));
     EXPECT_NEAR(covered / static_cast<double>(r.reads), r.coverage,
                 1e-9);
     EXPECT_NEAR(issued, static_cast<double>(r.prefetch.issued), 1e-6);

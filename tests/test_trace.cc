@@ -472,6 +472,33 @@ TEST(TelemetryTest, CsvFormatHasHeaderAndMatchingRows)
     EXPECT_EQ(rows, sampler.records());
 }
 
+TEST(TelemetryTest, RunShorterThanOneEpochLeavesOnlyTheHeader)
+{
+    // No epoch boundary falls inside the run: the CSV still names its
+    // columns in exactly one line, and JSON-lines holds no record.
+    const Tick epoch = TelemetrySampler::parseTimeSpec("1ms");
+    for (const auto fmt : {TelemetrySampler::Format::Csv,
+                           TelemetrySampler::Format::Jsonl}) {
+        System sys(smallConfig(SystemConfig::fbdAp()));
+        std::ostringstream os;
+        TelemetrySampler sampler(sys, epoch, os, fmt);
+        sampler.start();
+        sys.run();
+        sampler.finish();
+        ASSERT_LT(sys.eventQueue().now(), epoch);
+        EXPECT_EQ(sampler.records(), 0u);
+        if (fmt == TelemetrySampler::Format::Csv) {
+            const std::string text = os.str();
+            EXPECT_EQ(text.rfind("epoch,t_ns,", 0), 0u) << text;
+            ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1)
+                << text;
+            EXPECT_EQ(text.back(), '\n');
+        } else {
+            EXPECT_EQ(os.str(), "");
+        }
+    }
+}
+
 TEST(TelemetryTest, FinishEmitsPendingBoundariesExactlyOnce)
 {
     // The run stops the moment the instruction target is hit, which

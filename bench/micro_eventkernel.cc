@@ -411,11 +411,10 @@ BENCHMARK(BM_FullSystemSimRateTraced)
     ->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
-// Trace-ingest throughput: ops parsed per host second over one      //
-// recorded trace.  TraceIngestText is the chunked text parser;      //
-// TraceIngestFbt decodes the fixed-width binary format.  Decoding   //
-// runs synchronously here (no background worker) so the rows        //
-// measure parse cost, not overlap.                                  //
+// Trace-ingest throughput: ops read per host second in one pass     //
+// over one recorded trace.  TraceIngestText parses the text lines   //
+// in the file's mapping; TraceIngestFbt decodes the fixed-width     //
+// binary records in place.                                          //
 // ---------------------------------------------------------------- //
 
 std::string
@@ -447,9 +446,7 @@ ingestFbtTrace()
 {
     static const std::string path = [] {
         std::string p = benchTmpFile("fbdp_bench_ingest.fbt");
-        TraceSpec spec;
-        spec.path = ingestTextTrace();
-        TracePassReader in(spec);
+        TracePassReader in(ingestTextTrace());
         TraceWriter w(p, TraceFormat::Fbt, false, "swim");
         TraceOp op;
         while (in.next(&op))
@@ -463,11 +460,10 @@ ingestFbtTrace()
 void
 BM_TraceIngestText(benchmark::State &state)
 {
-    TraceSpec spec;
-    spec.path = ingestTextTrace();
+    const std::string &path = ingestTextTrace();
     std::uint64_t ops = 0;
     for (auto _ : state) {
-        TracePassReader in(spec, /*background=*/false);
+        TracePassReader in(path);
         TraceOp op;
         while (in.next(&op)) {
             benchmark::DoNotOptimize(op);
@@ -481,11 +477,10 @@ BENCHMARK(BM_TraceIngestText)->Unit(benchmark::kMillisecond);
 void
 BM_TraceIngestFbt(benchmark::State &state)
 {
-    TraceSpec spec;
-    spec.path = ingestFbtTrace();
+    const std::string &path = ingestFbtTrace();
     std::uint64_t ops = 0;
     for (auto _ : state) {
-        TracePassReader in(spec, /*background=*/false);
+        TracePassReader in(path);
         TraceOp op;
         while (in.next(&op)) {
             benchmark::DoNotOptimize(op);
@@ -498,9 +493,9 @@ BENCHMARK(BM_TraceIngestFbt)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------------------- //
 // Full-system sim rate on a trace-bound config.  items/sec is       //
-// simulated insts per wall-clock second, so the background decode   //
-// worker counts too.  The trace is shorter than the functional      //
-// warm-up, so its stream decodes it once and keeps it.             //
+// simulated insts per wall-clock second, loading the text trace     //
+// into memory at System construction included.  The trace is        //
+// shorter than the functional warm-up, so replay wraps around.      //
 // ---------------------------------------------------------------- //
 
 void

@@ -7,13 +7,12 @@
  * Options:
  *   --mix NAME        workload mix (default 2C-1; see Table 3 names,
  *                     or 1C-<bench> for single programs), or a trace
- *                     spec "trace:PATH[,chunk=N[k|m]]" replaying a
- *                     recorded trace (text, .fbt, or gzip of either,
- *                     told apart by magic) on every core — see
- *                     --cores
+ *                     spec "trace:PATH" replaying a recorded trace
+ *                     (text or .fbt, told apart by magic) on every
+ *                     core — see --cores
  *   --cores N         cores replaying a trace spec (default 1; they
- *                     share one stream/decode pipeline); only valid
- *                     with --mix trace:...
+ *                     share one copy of the trace); only valid with
+ *                     --mix trace:...
  *   --machine M       ddr2 | fbd | fbd-ap        (default fbd-ap)
  *   --channels N      logic channels             (default 2)
  *   --dimms N         DIMMs per channel          (default 4)
@@ -348,8 +347,8 @@ main(int argc, char **argv)
 
     TextTable per_core({"core", "benchmark", "IPC", "insts"});
     for (size_t i = 0; i < r.ipc.size(); ++i) {
-        // Trace specs print option-free so replays of one file at
-        // any chunk budget produce identical output.
+        // Trace specs print as "trace:PATH", however the spec was
+        // spelled.
         per_core.addRow({std::to_string(i),
                          trace_workload ? trace_mix.name
                                         : mix.benches[i],
@@ -372,9 +371,7 @@ main(int argc, char **argv)
     t.addRow({"refresh commands", std::to_string(r.ops.refresh)});
     const bool pf_on = cfg.prefetch.enabled;
     if (pf_on) {
-        t.addRow({"prefetch-buffer hits", std::to_string(r.ambHits)});
         t.addRow({"prefetch coverage", fmtPct(r.coverage)});
-        t.addRow({"prefetch efficiency", fmtPct(r.efficiency)});
     }
     t.addRow({"L2 hits", std::to_string(r.l2Hits)});
     t.addRow({"L2 misses", std::to_string(r.l2Misses)});
@@ -394,17 +391,14 @@ main(int argc, char **argv)
     latRow("write", r.latWrite);
     lat.print(std::cout);
     if (pf_on) {
-        std::cout << "late prefetch hits (fill still in flight): "
-                  << r.prefetch.lateHits << "\n";
-
         // The prefetch quality block: what the region fetches brought
         // in and what became of it (mirrors --stats-json's "prefetch").
         std::cout << "\n";
-        TextTable pf({"prefetch policy: " + r.prefetch.policy,
-                      "value"});
+        TextTable pf({"prefetch buffer (region fetch)", "value"});
         pf.addRow({"lines issued", std::to_string(r.prefetch.issued)});
         pf.addRow({"useful (hits)", std::to_string(r.prefetch.hits)});
-        pf.addRow({"late hits", std::to_string(r.prefetch.lateHits)});
+        pf.addRow({"late hits (fill still in flight)",
+                   std::to_string(r.prefetch.lateHits)});
         pf.addRow({"dropped candidates",
                    std::to_string(r.prefetch.dropped)});
         pf.addRow({"evicted unused",

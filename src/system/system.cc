@@ -105,21 +105,19 @@ System::System(const SystemConfig &config)
     // interleaving spreads every slice across all channels and banks.
     //
     // Benchmark slots name either a synthetic profile or a recorded
-    // trace ("trace:PATH[,options]").  Cores replaying the same file
-    // share one TraceStream — file handle, decode pipeline and chunk
-    // window; the first spec mentioning a path fixes that file's
-    // options.  A trace shorter than the warm-up is decoded once.
-    const std::uint64_t warm_ops = resolvedWarmupOps(cfg);
+    // trace ("trace:PATH").  Cores replaying the same file share one
+    // TraceStream: one mapping of an .fbt file, one loaded copy of a
+    // text one.
     std::map<std::string, std::shared_ptr<TraceStream>> traceStreams;
     for (unsigned i = 0; i < cfg.nCores(); ++i) {
         const std::string &bench = cfg.benchmarks[i];
         const Addr base = static_cast<Addr>(i) * coreSliceBytes;
         std::unique_ptr<Generator> gen;
         if (TraceSpec::isTraceSpec(bench)) {
-            const TraceSpec spec = TraceSpec::parse(bench);
-            auto &str = traceStreams[spec.path];
+            const std::string path = TraceSpec::parse(bench).path;
+            auto &str = traceStreams[path];
             if (!str)
-                str = std::make_shared<TraceStream>(spec, warm_ops);
+                str = std::make_shared<TraceStream>(path);
             gen = std::make_unique<StreamingTraceGenerator>(str, base);
         } else {
             const BenchProfile &prof = benchProfile(bench);

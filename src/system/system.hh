@@ -262,21 +262,6 @@ class System
     Core &core(unsigned i) { return *cores.at(i); }
     Generator &generator(unsigned i) { return *gens.at(i); }
 
-    /**
-     * The synthetic generator driving core @p i; asserts when that
-     * core replays a trace instead (synthetic-only counters such as
-     * streamOps() have no trace equivalent).
-     */
-    SyntheticGenerator &
-    syntheticGenerator(unsigned i)
-    {
-        auto *g = dynamic_cast<SyntheticGenerator *>(gens.at(i).get());
-        fbdp_assert(g != nullptr,
-                    "core %u replays a trace, not a synthetic profile",
-                    i);
-        return *g;
-    }
-
     const SystemConfig &config() const { return cfg; }
 
   private:

@@ -1,37 +1,18 @@
 /**
  * @file
- * Trace replay: bounded-memory, compressed, overlapped-decode replay
- * of recorded traces, and the writer that records them.
+ * Trace replay: recorded traces read back as endless Generators, and
+ * the writer that records them.
  *
- * A TraceStream reads its file in bounded chunks (default 64 KiB of
- * raw input per chunk) and decodes the *next* chunk on a background
- * worker while the simulator consumes the current one, so ingest
- * overlaps simulation and the resident set is O(chunk) no matter how
- * large the trace is.  A single-view stream holds one raw buffer plus
- * at most three decoded chunks (the window's one or two and the one
- * decoding ahead), each sized to the ops it decoded (about 80 KB at
- * the default): about 0.3 MB per stream, so an eight-stream 8-core
- * replay peaks at the same ~14 MB of process RSS as its synthetic
- * twin.  Wrap-around replay rewinds the file and decodes it again.
- *
- * One case keeps the decoded trace instead: a file that says, before
- * any decoding, that it holds fewer ops than one view draws in the
- * functional warm-up is certain to wrap during warm-up, so its first
- * pass is kept and every later pass is served from memory.  The op
- * count comes from the .fbt header, or for plain text from the file
- * size (the shortest op line, "0 L 0\n", is 6 bytes).  Gzipped text
- * and .fbt files with a zero op count are of unknown size and
- * stream.  Both ways replay the same ops.
- *
- * Three file encodings are auto-detected by magic:
- *   - text   — one op per line, parsed strictly by a hand-rolled
- *              chunked parser (grammar below);
- *   - .fbt   — "fbdp binary trace": a fixed-width little-endian
- *              record stream behind a small header (magic, version,
- *              op count, originating profile name);
- *   - gzip   — either of the above compressed; decompressed on the
- *              fly through zlib when the build found it, a clear
- *              fatal otherwise.
+ * Two file encodings, told apart by magic:
+ *   - .fbt — "fbdp binary trace": fixed-width little-endian records
+ *            behind a small header (magic, version, op count,
+ *            originating profile name).  Replay reads the records in
+ *            place from one read-only mapping of the file.
+ *   - text — one op per line, parsed strictly (grammar below).
+ *            Replay loads the whole trace into memory, so a text
+ *            trace may hold at most TraceStream::maxTextOps ops;
+ *            `fbdp-trace convert` turns a longer one into .fbt.
+ * A gzip-compressed file is fatal: decompress it first (gunzip).
  *
  * Text grammar, one line at a time ('\n' ends a line; the last line
  * may lack it, and one '\r' before it is dropped):
@@ -42,52 +23,41 @@
  *     GAP is decimal digits worth at most 2^32-1, KIND one of L
  *     (load), S (store) or P (software prefetch), ADDR one to 16 hex
  *     digits after an optional 0x or 0X.
- * Anything else is fatal, naming the file and line.  A .fbt record
- * of an unknown kind, a record stream that does not end on a record
- * boundary, and a nonzero header op count that disagrees with the
- * records are fatal too (a record past the count as soon as it is
- * read), as is a trace with no ops.
+ * Anything else is fatal, naming the file and line, as is a trace
+ * with no ops.  An .fbt file is checked when it is opened: a record
+ * area that does not end on a record boundary, and a nonzero header
+ * op count that disagrees with the records, are fatal.  A record of
+ * an unknown kind is fatal when it is read.
  *
- * Multi-core slicing shares one TraceStream per file: every core's
- * StreamingTraceGenerator view has its own logical cursor (and base
- * address offset), but all views pull from a single underlying file
- * cursor and a shared window of decoded chunks, so an N-core replay
- * costs one decode pipeline — not N copies of the buffer.  Chunks
- * retire from the window once every view has consumed them; views
- * that drift apart widen the window (worst case one trace pass, in
- * practice a chunk or two since cores progress at similar rates).
+ * Cores replaying one file share one TraceStream: every core's
+ * StreamingTraceGenerator view has its own cursor (and base address
+ * offset) into the same records, so an N-core replay costs one copy
+ * of the trace.  Mapped pages every view has passed are released in
+ * steps of dropStepBytes, so a replay's resident set stays near one
+ * step per file however long the trace is.
  *
  * Thread model: all views of a stream must be driven from one thread
- * (the thread that runs the System).  The only concurrency is the
- * internal decode worker, and its hand-off is a std::future.
+ * (the thread that runs the System).
  */
 
 #ifndef FBDP_WORKLOAD_TRACE_STREAM_HH
 #define FBDP_WORKLOAD_TRACE_STREAM_HH
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <future>
+#include <cstdio>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
-#include "common/thread_pool.hh"
 #include "workload/generator.hh"
 
 namespace fbdp {
 
-/** File encoding of a trace (gzip is orthogonal: either may be
- *  compressed, detected separately by the gzip magic). */
+/** File encoding of a trace. */
 enum class TraceFormat { Auto, Text, Fbt };
 
 /** @return "text" / "fbt" / "auto". */
 const char *traceFormatName(TraceFormat f);
-
-/** True when this build can read and write gzip traces (zlib). */
-bool zlibAvailable();
 
 // ---------------------------------------------------------------- //
 // The .fbt binary format                                            //
@@ -111,101 +81,54 @@ constexpr std::size_t fbtHeaderFixedBytes = 4 + 4 + 8 + 4;
 /** Decoded .fbt header (text traces report an empty one). */
 struct FbtHeader
 {
-    std::uint64_t opCount = 0;  ///< 0 = unknown (unseekable writer)
+    std::uint64_t opCount = 0;  ///< 0 = not recorded
     std::string profileName;
 };
 
+/** Mapped bytes a reader passes before they are released. */
+constexpr std::size_t dropStepBytes = 256u << 10;
+
 // ---------------------------------------------------------------- //
-// Workload-spec parsing: "trace:PATH[,key=value]..."                //
+// Workload-spec parsing: "trace:PATH"                               //
 // ---------------------------------------------------------------- //
 
 /**
  * A parsed `trace:` workload spec.  The benchmark-name slot of
- * SystemConfig::benchmarks accepts `trace:PATH` plus options:
- *
- *   trace:/data/app.fbt.gz,chunk=8m
- *
- *   chunk=N[k|m]    raw chunk budget per read (default 64k; K and M
- *                   also work; below 64 bytes is raised to 64 with a
- *                   warning, 0 and above 1 GiB are fatal, as are
- *                   signs and trailing text)
- *
- * PATH is the first item, verbatim.  Empty items are skipped, and a
- * repeated key's last value wins.  The format is the file's own: the
- * .fbt magic, else text.
- *
- * The default is the smallest budget that ingests and replays no
- * slower than larger ones (EXPERIMENTS.md, "Chunk budget").
+ * SystemConfig::benchmarks accepts `trace:PATH`.  PATH is the first
+ * comma-separated item, verbatim; empty items after it are skipped,
+ * and any other item is fatal (a trace spec takes no options).  The
+ * format is the file's own: the .fbt magic, else text.
  */
 struct TraceSpec
 {
-    static constexpr std::size_t defaultChunkBytes = 64u << 10;
-    static constexpr std::size_t minChunkBytes = 64;
-    static constexpr std::size_t maxChunkBytes = std::size_t{1} << 30;
-
     std::string path;
-    std::size_t chunkBytes = defaultChunkBytes;
 
     /** Does @p bench name a trace workload ("trace:" prefix)? */
     static bool isTraceSpec(const std::string &bench);
 
-    /** Parse a full spec (fatal on unknown keys / bad values). */
+    /** Parse a full spec (fatal on a missing path or any option). */
     static TraceSpec parse(const std::string &bench);
 
-    /** The option-independent workload name: "trace:" + path, the
-     *  profile name of every replay of the file whatever its chunk
-     *  budget. */
+    /** The workload name: "trace:" + path. */
     std::string canonicalName() const { return "trace:" + path; }
 };
 
 // ---------------------------------------------------------------- //
-// Raw byte I/O                                                      //
+// Writing                                                           //
 // ---------------------------------------------------------------- //
 
 /**
- * Sequential raw-byte reader with rewind.  read() returns fewer than
- * @p n bytes only at end of stream (I/O errors are fatal inside), so
- * a short read *is* the end-of-pass signal.
- */
-class ByteSource
-{
-  public:
-    virtual ~ByteSource() = default;
-    virtual std::size_t read(char *dst, std::size_t n) = 0;
-    virtual void rewind() = 0;
-    /** Bytes in the stream, when known before reading it: a regular
-     *  uncompressed file's size; nullopt for gzip and pipes. */
-    virtual std::optional<std::uint64_t> size() const
-    {
-        return std::nullopt;
-    }
-    const std::string &path() const { return p; }
-
-  protected:
-    explicit ByteSource(std::string path_) : p(std::move(path_)) {}
-    std::string p;
-};
-
-/**
- * Open @p path, sniffing the gzip magic: compressed files come back
- * wrapped in a zlib-backed source (fatal when zlib is unavailable),
- * plain files in a buffered stdio source.  Fatal if unreadable.
- */
-std::unique_ptr<ByteSource> openByteSource(const std::string &path);
-
-/**
- * Sequential trace writer: text or .fbt, optionally gzipped.  The
- * .fbt op count is patched into the header on close() when the sink
- * is seekable (plain files); gzip sinks keep @p op_count_hint (0 =
- * unknown), which must then be exact.  Write failures (disk full) are fatal with the path, at
- * the failing append or on close at the latest.
+ * Sequential trace writer: text or .fbt.  The .fbt op count is
+ * patched into the header on close().  Write failures (disk full) are
+ * fatal with the path, at the failing append or on close at the
+ * latest.
  */
 class TraceWriter
 {
   public:
+    /** @p gzip must be false: compressed traces are not written. */
     TraceWriter(const std::string &path, TraceFormat format,
-                bool gzip, const std::string &profile_name,
-                std::uint64_t op_count_hint = 0);
+                bool gzip, const std::string &profile_name);
     ~TraceWriter();  ///< closes (and so checks) if still open
 
     TraceWriter(const TraceWriter &) = delete;
@@ -217,129 +140,124 @@ class TraceWriter
     std::uint64_t written() const { return nWritten; }
 
   private:
-    struct Impl;
-    std::unique_ptr<Impl> impl;
+    std::string path;
+    TraceFormat fmt;
+    std::FILE *f = nullptr;
     std::uint64_t nWritten = 0;
+
+    void write(const char *d, std::size_t n);
 };
 
 /** One op as a text-trace line (`GAP KIND ADDR`, no newline). */
 std::string formatTraceOp(const TraceOp &op);
 
 // ---------------------------------------------------------------- //
-// Chunked decoding                                                  //
+// Reading                                                           //
 // ---------------------------------------------------------------- //
 
-/** One decoded chunk: the ops of ~chunkBytes of raw input. */
-struct TraceChunk
+/**
+ * One trace file, mapped read-only and sniffed: the header and record
+ * area of an .fbt file are checked here, a gzip file is refused, and
+ * anything else is text whose first op must parse.  Fatal if the file
+ * cannot be opened or mapped.
+ */
+class TraceFile
 {
-    std::uint64_t seq = 0;      ///< position in the decode sequence
-    std::vector<TraceOp> ops;   ///< may be empty (comment-only block)
-    bool lastOfPass = false;    ///< EOF hit; the stream rewound after
+  public:
+    explicit TraceFile(const std::string &path);
+    ~TraceFile();
+
+    TraceFile(const TraceFile &) = delete;
+    TraceFile &operator=(const TraceFile &) = delete;
+
+    const std::string &path() const { return p; }
+    TraceFormat format() const { return fmt; }
+    const FbtHeader &header() const { return hdr; }
+
+    /** .fbt: the records in the file. */
+    std::uint64_t records() const { return nRecs; }
+    /** .fbt: record @p i (< records()); fatal on an unknown kind. */
+    TraceOp record(std::uint64_t i) const;
+    /** .fbt: file offset of record @p i (<= records()). */
+    std::size_t
+    recordOffset(std::uint64_t i) const
+    {
+        return body + static_cast<std::size_t>(i) * fbtRecordBytes;
+    }
+
+    /**
+     * Text: the first op at or after byte @p *at into @p out, leaving
+     * @p *at after its line and @p *line_no at its line number.
+     * @return false at the end of the file.
+     */
+    bool nextLine(std::size_t *at, std::uint64_t *line_no,
+                  TraceOp *out) const;
+
+    std::size_t bytes() const { return len; }
+
+    /** Release the mapped pages wholly inside [@p from, @p to)
+     *  (@p to == bytes() includes the last page); they read back
+     *  from the file if touched again. */
+    void drop(std::size_t from, std::size_t to) const;
+    /** For a reader that only moves forward: drop what lies before
+     *  byte @p at once it adds up to dropStepBytes. */
+    void dropBefore(std::size_t at);
+
+    /** Unmap the file (the accessors above stay valid). */
+    void close();
+
+  private:
+    [[noreturn, gnu::cold]] void badRecord(std::uint64_t i) const;
+
+    std::string p;
+    TraceFormat fmt = TraceFormat::Text;
+    FbtHeader hdr;
+    const char *base = nullptr;  ///< the mapping; null when empty
+    std::size_t len = 0;
+    std::size_t body = 0;        ///< offset of the first record
+    std::uint64_t nRecs = 0;
+    std::size_t dropped = 0;     ///< dropBefore()'s frontier
 };
 
 /**
- * The shared, endless chunk pipeline over one trace file.  Views
- * (StreamingTraceGenerator) pull consecutive chunks; the stream
- * decodes ahead on a one-thread worker and retires chunks that every
- * view has passed, or keeps a short trace's one pass (see the file
- * comment).  Not thread-safe across views by design.
+ * The ops of one trace file, shared by every core replaying it.  An
+ * .fbt trace is read in place from its mapping; a text trace is
+ * loaded whole (fatal above maxTextOps ops).  Views
+ * (StreamingTraceGenerator) register, read op(i) at their own
+ * cursors, and report their progress, which releases the mapped
+ * pages behind the slowest view.
  */
 class TraceStream
 {
   public:
-    /**
-     * Open @p spec.path; the format is .fbt by magic, else text.
-     * Fatal on missing files, a bad version, or (at first decode)
-     * an empty trace.
-     * @param warmup_ops ops each view draws in the functional
-     *        warm-up; a file known to hold fewer is kept (0: never)
-     * @param background decode ahead on a worker thread
-     */
-    explicit TraceStream(const TraceSpec &spec,
-                         std::uint64_t warmup_ops = 0,
-                         bool background = true);
-    ~TraceStream();
+    /** Most ops a text trace may hold for replay. */
+    static constexpr std::uint64_t maxTextOps = std::uint64_t{1} << 20;
+    /** .fbt records in one step of dropStepBytes. */
+    static constexpr std::uint64_t dropStepOps =
+        dropStepBytes / fbtRecordBytes;
 
-    TraceStream(const TraceStream &) = delete;
-    TraceStream &operator=(const TraceStream &) = delete;
+    explicit TraceStream(const std::string &path);
 
-    /** Register a view; returns its id.  Register every view before
-     *  the first chunkFor() call. */
+    /** Register a view; returns its id. */
     unsigned addView();
 
-    /**
-     * The chunk at position @p seq for view @p view.  Views advance
-     * one chunk at a time (seq == previous + 1, starting at 0);
-     * fetching decodes ahead as needed and retires chunks all views
-     * have passed.
-     */
-    std::shared_ptr<const TraceChunk> chunkFor(unsigned view,
-                                               std::uint64_t seq);
+    /** Ops in one pass over the trace. */
+    std::uint64_t ops() const { return nOps; }
+    /** Op @p i (< ops()) of the pass. */
+    TraceOp op(std::uint64_t i) const;
 
-    const FbtHeader &header() const { return hdr; }
-    TraceFormat format() const { return fmt; }
-    const std::string &path() const { return spec.path; }
-    std::size_t chunkBytes() const { return spec.chunkBytes; }
+    /** View @p view has consumed @p consumed ops in all: pages every
+     *  view has passed may go. */
+    void advanced(unsigned view, std::uint64_t consumed);
 
-    /** Peak simultaneous decoded chunks (memory-bound telemetry;
-     *  1-2 for a single view, grows only when views drift apart). */
-    std::size_t windowPeakChunks() const { return windowPeak; }
-    /** Chunks decoded so far (across passes; may include one the
-     *  worker is decoding ahead). */
-    std::uint64_t chunksDecoded() const
-    {
-        return nextSeq.load(std::memory_order_relaxed);
-    }
-    /** Completed passes over the file (wraps of the file cursor;
-     *  may include one the worker has begun ahead). */
-    std::uint64_t passes() const
-    {
-        return nPasses.load(std::memory_order_relaxed);
-    }
-    /** Is the first pass kept and replayed from memory? */
-    bool keeps() const { return keep; }
+    const std::string &path() const { return file.path(); }
 
   private:
-    std::shared_ptr<TraceChunk> decodeNext();
-    std::shared_ptr<TraceChunk> produce();
-    void startPass();
-    void readFbtHeader(bool first);
-    std::size_t fillRaw(char *dst, std::size_t n);
-    [[noreturn]] void badRecordKind(const char *rec,
-                                    std::uint64_t rec_no) const;
-    [[noreturn]] void pastHeaderCount(std::uint64_t rec_no) const;
-
-    TraceSpec spec;
-    TraceFormat fmt = TraceFormat::Text;
-    FbtHeader hdr;
-    std::unique_ptr<ByteSource> src;
-    std::string preload;         ///< sniffed bytes not yet consumed
-
-    // Decoder state (touched only by whoever runs decodeNext():
-    // strictly alternating caller / worker, synchronized by the
-    // pending future).
-    std::vector<char> rawBuf;
-    std::string textCarry;       ///< partial line across reads
-    char recCarry[fbtRecordBytes];
-    std::size_t recCarryLen = 0; ///< partial record across reads
-    std::uint64_t lineNo = 0;    ///< text line counter (this pass)
-    std::uint64_t passOps = 0;   ///< ops decoded this pass
-    // Counters the getters read from the driving thread while the
-    // worker may be writing them (the future orders everything else).
-    std::atomic<std::uint64_t> nextSeq{0};
-    std::atomic<std::uint64_t> nPasses{0};
-    bool keep = false;
-    std::size_t keptChunks = 0;  ///< chunks in the kept pass, once whole
-
-    // Overlapped decode.
-    std::unique_ptr<ThreadPool> worker;
-    std::future<std::shared_ptr<TraceChunk>> pending;
-
-    // Shared chunk window.
-    std::deque<std::shared_ptr<TraceChunk>> window;
-    std::uint64_t firstSeq = 0;
-    std::size_t windowPeak = 0;
-    std::vector<std::uint64_t> viewSeq;
+    TraceFile file;
+    std::vector<TraceOp> textOps;  ///< a text trace, loaded whole
+    std::uint64_t nOps = 0;
+    std::vector<std::uint64_t> viewOps;  ///< ops each view consumed
+    std::uint64_t droppedOps = 0;  ///< ops behind the drop frontier
 };
 
 /**
@@ -353,62 +271,52 @@ class StreamingTraceGenerator : public Generator
     explicit StreamingTraceGenerator(
         std::shared_ptr<TraceStream> stream, Addr base_addr = 0);
 
-    /** Convenience: open a private, never-kept stream for @p spec. */
-    explicit StreamingTraceGenerator(const TraceSpec &spec,
+    /** Convenience: open a private stream over @p path. */
+    explicit StreamingTraceGenerator(const std::string &path,
                                      Addr base_addr = 0);
 
     TraceOp next() override;
-    /** next() over @p n ops, a chunk's span at a time. */
     void nextWarmBlock(TraceOp *out, std::size_t n) override;
     const BenchProfile &profile() const override { return prof; }
 
     std::uint64_t wraps() const { return nWraps; }
     std::uint64_t consumed() const { return nOps; }
-    /** The chunk the next op comes from (null before the first
-     *  next()). */
-    const TraceChunk *currentChunk() const { return chunk.get(); }
-    TraceStream &stream() { return *str; }
-    const TraceStream &stream() const { return *str; }
 
   private:
-    void advanceChunk();
+    void report();
 
     std::shared_ptr<TraceStream> str;
-    std::shared_ptr<const TraceChunk> chunk;
-    std::size_t idx = 0;
-    std::uint64_t seq = 0;
+    std::uint64_t pos = 0;  ///< next op of the pass
     unsigned viewId;
     BenchProfile prof;
     Addr base;
     std::uint64_t nWraps = 0;
     std::uint64_t nOps = 0;
+    std::uint64_t nextReport = TraceStream::dropStepOps;
 };
 
 /**
  * Single-pass reader for tools and loaders: yields every op of the
- * first pass, then reports end instead of wrapping.  Drives the
- * chunk window directly so exhausting the pass never touches (or
- * decodes) the start of a second one.
+ * file once, then reports end.  Streams text line by line and .fbt
+ * record by record, releasing what it has passed, so it reads a
+ * trace of any size.
  */
 class TracePassReader
 {
   public:
-    explicit TracePassReader(const TraceSpec &spec,
-                             bool background = false);
+    explicit TracePassReader(const std::string &path);
 
     /** @return false once the pass is exhausted. */
     bool next(TraceOp *out);
 
-    const FbtHeader &header() const { return str->header(); }
-    TraceFormat format() const { return str->format(); }
+    const FbtHeader &header() const { return file.header(); }
+    TraceFormat format() const { return file.format(); }
 
   private:
-    std::shared_ptr<TraceStream> str;
-    std::shared_ptr<const TraceChunk> chunk;
-    std::size_t idx = 0;
-    std::uint64_t seq = 0;
-    unsigned viewId;
-    bool done = false;
+    TraceFile file;
+    std::uint64_t rec = 0;   ///< .fbt: the next record
+    std::size_t at = 0;      ///< text: byte after the last line read
+    std::uint64_t lineNo = 0;
 };
 
 } // namespace fbdp

@@ -166,9 +166,9 @@ TEST(FunctionalWarmup, WiderWaysAndEvictingL2Match)
 
 TEST(FunctionalWarmup, TwoCoresStreamingOneFbtFileMatch)
 {
-    // Two views of one streamed .fbt, as a System shares a file
-    // between cores; small chunks and a short trace make the views
-    // cross many chunks and wrap several times.
+    // Two views of one mapped .fbt, as a System shares a file between
+    // cores; a short trace makes the views wrap several times, inside
+    // warm-up blocks as well as between them.
     const std::string path =
         ::testing::TempDir() + "fbdp_functional_warmup.fbt";
     {
@@ -178,11 +178,8 @@ TEST(FunctionalWarmup, TwoCoresStreamingOneFbtFileMatch)
             w.append(gen.next());
         w.close();
     }
-    TraceSpec spec;
-    spec.path = path;
-    spec.chunkBytes = 4096;
-    const auto streamed = [&spec] {
-        auto str = std::make_shared<TraceStream>(spec);
+    const auto streamed = [&path] {
+        auto str = std::make_shared<TraceStream>(path);
         std::vector<std::unique_ptr<Generator>> g;
         for (unsigned i = 0; i < 2; ++i)
             g.push_back(std::make_unique<StreamingTraceGenerator>(

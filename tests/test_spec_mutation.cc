@@ -2,7 +2,8 @@
  * @file
  * Randomized mutation tests of the spec-string parsers that read user
  * input: PrefetchConfig::parse (the --prefetch value)
- * and TraceSpec::parse (a "trace:PATH[,key=value]..." workload).
+ * and TraceSpec::parse (a "trace:PATH" workload, which takes no
+ * options).
  *
  * Valid seed specs are mutated with a fixed seed: byte flips, inserted
  * or deleted ',' and '=', duplicate keys, signs, overflow, empty values
@@ -122,53 +123,20 @@ refPrefetch(const std::string &spec)
     return pc;
 }
 
-/** What TraceSpec::parse must produce, plus whether it warns. */
-struct RefTrace
-{
-    TraceSpec spec;
-    bool warnsSmallChunk = false;
-};
-
-/** TraceSpec's grammar: "trace:PATH[,key=value]...". */
-std::optional<RefTrace>
+/** TraceSpec's grammar: "trace:PATH" plus empty items; @return the
+ *  path it parses to, or nullopt for a spec it must reject. */
+std::optional<std::string>
 refTrace(const std::string &bench)
 {
     const std::vector<std::string> items =
         splitCommas(bench.substr(std::string("trace:").size()));
     if (items[0].empty())
         return std::nullopt;
-    RefTrace r;
-    r.spec.path = items[0];
     for (std::size_t i = 1; i < items.size(); ++i) {
-        if (items[i].empty())
-            continue;
-        const std::size_t eq = items[i].find('=');
-        if (eq == std::string::npos)
-            return std::nullopt;
-        const std::string key = items[i].substr(0, eq);
-        const std::string val = items[i].substr(eq + 1);
-        if (key == "chunk") {
-            const std::size_t n = leadingDigits(val);
-            const std::string unit = val.substr(n);
-            unsigned shift = 0;
-            if (unit == "k" || unit == "K")
-                shift = 10;
-            else if (unit == "m" || unit == "M")
-                shift = 20;
-            else if (!unit.empty())
-                return std::nullopt;
-            const std::uint64_t bytes = digitValue(val, n) << shift;
-            if (bytes == 0 || bytes > TraceSpec::maxChunkBytes)
-                return std::nullopt;
-            if (bytes < TraceSpec::minChunkBytes)
-                r.warnsSmallChunk = true;
-            r.spec.chunkBytes = std::max<std::size_t>(
-                bytes, TraceSpec::minChunkBytes);
-        } else {
-            return std::nullopt;
-        }
+        if (!items[i].empty())
+            return std::nullopt;  // a trace spec takes no options
     }
-    return r;
+    return items[0];
 }
 
 // --- the mutator ------------------------------------------------------
@@ -374,11 +342,11 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
     const std::string prefix = "trace:";
     const std::vector<std::string> seeds = {
         "/data/app.fbt",
-        "/tmp/x.txt,chunk=1m",
-        "t.txt,,chunk=64k",
-        "t,chunk=4096,chunk=64",
-        "x.txt,chunk=48",
-        "a.fbt.gz,chunk=8m",
+        "/tmp/x.txt",
+        "t.txt,,",
+        "t,",
+        "x.txt,chunk=64k",
+        "a.fbt,chunk=8m",
     };
     unsigned accepted = 0, rejected = 0;
     for (const std::string &body :
@@ -394,14 +362,7 @@ TEST(SpecMutationDeathTest, TraceSpecsFatalOrMatchTheGrammar)
             continue;
         }
         ++accepted;
-        ::testing::internal::CaptureStderr();
-        const TraceSpec got = TraceSpec::parse(m);
-        const std::string err = ::testing::internal::GetCapturedStderr();
-        EXPECT_EQ(got.path, want->spec.path) << m;
-        EXPECT_EQ(got.chunkBytes, want->spec.chunkBytes) << m;
-        EXPECT_EQ(err.find("warn: trace chunk size") != std::string::npos,
-                  want->warnsSmallChunk)
-            << m << ": " << err;
+        EXPECT_EQ(TraceSpec::parse(m).path, *want) << m;
     }
     EXPECT_GE(accepted, 60u);
     EXPECT_GE(rejected, 200u);

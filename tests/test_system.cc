@@ -237,8 +237,8 @@ TEST(SystemTest, StatGroupsSplitReadsAndOps)
             EXPECT_EQ(get("load_miss_reads") + get("store_miss_reads"),
                       get("mem_reads"));
         } else if (g.group.name().rfind("cpu", 0) == 0) {
-            const SyntheticGenerator &gen =
-                sys.syntheticGenerator(cores++);
+            const auto &gen = dynamic_cast<const SyntheticGenerator &>(
+                sys.generator(cores++));
             EXPECT_EQ(get("gen_stream_ops") + get("gen_hot_ops")
                           + get("gen_cold_ops") + get("gen_prefetch_ops"),
                       static_cast<double>(gen.opsGenerated()));

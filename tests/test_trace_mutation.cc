@@ -1,7 +1,7 @@
 /**
  * @file
- * Randomized mutation tests of the trace decoders: the text and .fbt
- * record streams that TraceStream reads from disk.
+ * Randomized mutation tests of the trace decoders: the text lines and
+ * .fbt records that TraceFile reads from disk.
  *
  * A small text trace and a small .fbt trace are mutated with a fixed
  * seed: byte flips, inserted and deleted bytes, truncations.  Each
@@ -182,12 +182,24 @@ refFbt(const std::string &b, const std::string &path)
     }
     const std::size_t body = 20 + static_cast<std::size_t>(name);
     const std::size_t records = (b.size() - body) / 13;
+    // The record area and the header count are checked at open.
+    if (const std::size_t stray = (b.size() - body) % 13) {
+        v.fatal = file + " is truncated \\(" + std::to_string(stray)
+            + " stray bytes after fbt record " + std::to_string(records)
+            + "\\)";
+        return v;
+    }
+    if (count != 0 && count != records) {
+        v.fatal = file + " holds " + std::to_string(records)
+            + " fbt records but its header claims "
+            + std::to_string(count);
+        return v;
+    }
+    if (records == 0) {
+        v.fatal = file + " contains no operations";
+        return v;
+    }
     for (std::size_t r = 0; r < records; ++r) {
-        if (count != 0 && r == count) {
-            v.fatal = file + " has fbt record " + std::to_string(r + 1)
-                + " but its header claims " + std::to_string(count);
-            return v;
-        }
         const std::size_t at = body + 13 * r;
         const unsigned kind = static_cast<unsigned char>(b[at + 4]);
         if (kind > 2) {
@@ -201,17 +213,6 @@ refFbt(const std::string &b, const std::string &path)
         op.kind = static_cast<TraceOp::Kind>(kind);
         op.addr = static_cast<Addr>(le(b, at + 5, 8));
         v.ops.push_back(op);
-    }
-    if (const std::size_t stray = (b.size() - body) % 13) {
-        v.fatal = file + " is truncated \\(" + std::to_string(stray)
-            + " stray bytes after fbt record " + std::to_string(records)
-            + "\\)";
-    } else if (records == 0) {
-        v.fatal = file + " contains no operations";
-    } else if (count > records) {
-        v.fatal = file + " holds " + std::to_string(records)
-            + " fbt records but its header claims "
-            + std::to_string(count);
     }
     return v;
 }
@@ -346,7 +347,7 @@ fbtEdges(const std::string &seed)
     out.push_back(with(body + 5, ~std::uint64_t{0}, 8)); // largest addr
     for (std::uint64_t count : {0, 4, 5, 6})
         out.push_back(with(8, count, 8));
-    // A record past the count is fatal before its own kind is read.
+    // A count below the records is fatal before any kind is read.
     std::string past = with(8, 2, 8);
     past[body + 13 * 2 + 4] = 3;
     out.push_back(past);
@@ -377,10 +378,7 @@ class TraceMutationDeathTest : public ::testing::Test
     std::vector<TraceOp>
     decode() const
     {
-        TraceSpec spec;
-        spec.path = path;
-        spec.chunkBytes = 64;  // fields and records straddle reads
-        TracePassReader in(spec);
+        TracePassReader in(path);
         std::vector<TraceOp> ops;
         TraceOp op;
         while (in.next(&op))

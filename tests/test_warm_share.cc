@@ -386,7 +386,8 @@ TEST(WarmShare, OnlyAFreshSystemJoinsAnInFlightWarmup)
     System lead(c);
     WarmState lead_state{{}, &lead.hierarchy()};
     for (unsigned i = 0; i < c.nCores(); ++i)
-        lead_state.gens.push_back(&lead.syntheticGenerator(i));
+        lead_state.gens.push_back(
+            &dynamic_cast<SyntheticGenerator &>(lead.generator(i)));
 
     RunResult fresh, drawn;
     std::thread fresh_t;

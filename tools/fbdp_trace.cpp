@@ -2,14 +2,14 @@
  * @file
  * fbdp-trace — trace-file Swiss-army knife for the streaming frontend.
  *
- *   fbdp-trace convert IN OUT [--format auto|text|fbt] [--gzip]
- *       Re-encode IN (text, .fbt, or gzip of either — detected by
- *       magic) as OUT.  The output format defaults to OUT's
- *       extension: *.fbt[.gz] writes binary, anything else text;
- *       a .gz suffix (or --gzip) compresses.
+ *   fbdp-trace convert IN OUT [--format auto|text|fbt]
+ *       Re-encode IN (text or .fbt, detected by magic) as OUT, one
+ *       op at a time, so IN may be of any size.  The output format
+ *       defaults to OUT's extension: *.fbt writes binary, anything
+ *       else text.
  *
  *   fbdp-trace record BENCH OUT [--ops N] [--seed S] [--no-sp]
- *              [--format auto|text|fbt] [--gzip]
+ *              [--format auto|text|fbt]
  *       Record N ops (default 1000000) of the synthetic generator for
  *       profile BENCH straight to OUT (same format rules as convert).
  *
@@ -54,10 +54,9 @@ using namespace fbdp;
 usage()
 {
     std::cerr <<
-        "usage: fbdp-trace convert IN OUT [--format auto|text|fbt] "
-        "[--gzip]\n"
+        "usage: fbdp-trace convert IN OUT [--format auto|text|fbt]\n"
         "       fbdp-trace record BENCH OUT [--ops N] [--seed S] "
-        "[--no-sp] [--format ...] [--gzip]\n"
+        "[--no-sp] [--format ...]\n"
         "       fbdp-trace head IN [--ops N]\n"
         "       fbdp-trace stat IN\n"
         "       fbdp-trace --version\n";
@@ -72,86 +71,56 @@ hasSuffix(const std::string &s, const std::string &suffix)
                == 0;
 }
 
-/** Output encoding implied by @p path (".gz" stripped first). */
+/** Output encoding of @p out_path: @p format, or by extension. */
 TraceFormat
-formatFromPath(const std::string &path)
+outputFormat(TraceFormat format, const std::string &out_path)
 {
-    std::string stem = path;
-    if (hasSuffix(stem, ".gz"))
-        stem.resize(stem.size() - 3);
-    return hasSuffix(stem, ".fbt") ? TraceFormat::Fbt
-                                   : TraceFormat::Text;
+    if (format != TraceFormat::Auto)
+        return format;
+    return hasSuffix(out_path, ".fbt") ? TraceFormat::Fbt
+                                       : TraceFormat::Text;
 }
-
-struct OutOptions
-{
-    TraceFormat format = TraceFormat::Auto;  ///< Auto = by extension
-    bool gzip = false;
-    bool gzipExplicit = false;
-
-    TraceFormat
-    resolveFormat(const std::string &out_path) const
-    {
-        return format == TraceFormat::Auto ? formatFromPath(out_path)
-                                           : format;
-    }
-
-    bool
-    resolveGzip(const std::string &out_path) const
-    {
-        return gzipExplicit ? gzip : hasSuffix(out_path, ".gz");
-    }
-};
 
 int
 cmdConvert(const std::string &in, const std::string &out,
-           const OutOptions &opts)
+           TraceFormat format)
 {
-    TraceSpec spec;
-    spec.path = in;
-    TracePassReader reader(spec, /*background=*/true);
-    const TraceFormat ofmt = opts.resolveFormat(out);
-    const bool gz = opts.resolveGzip(out);
+    TracePassReader reader(in);
+    const TraceFormat ofmt = outputFormat(format, out);
     std::string name = reader.header().profileName;
     if (name.empty())
         name = "converted:" + in;
-    TraceWriter writer(out, ofmt, gz, name,
-                       reader.header().opCount);
+    TraceWriter writer(out, ofmt, false, name);
     TraceOp op;
     while (reader.next(&op))
         writer.append(op);
     writer.close();
     std::cout << "fbdp-trace: wrote " << writer.written() << " ops to "
-              << out << " (" << traceFormatName(ofmt)
-              << (gz ? ", gzip" : "") << ")\n";
+              << out << " (" << traceFormatName(ofmt) << ")\n";
     return 0;
 }
 
 int
 cmdRecord(const std::string &bench, const std::string &out,
           std::uint64_t n_ops, std::uint64_t seed, bool sw_prefetch,
-          const OutOptions &opts)
+          TraceFormat format)
 {
     SyntheticGenerator gen(benchProfile(bench), 0, seed, sw_prefetch);
-    const TraceFormat ofmt = opts.resolveFormat(out);
-    const bool gz = opts.resolveGzip(out);
-    TraceWriter writer(out, ofmt, gz, bench, n_ops);
+    const TraceFormat ofmt = outputFormat(format, out);
+    TraceWriter writer(out, ofmt, false, bench);
     for (std::uint64_t i = 0; i < n_ops; ++i)
         writer.append(gen.next());
     writer.close();
     std::cout << "fbdp-trace: recorded " << n_ops << " ops of '"
               << bench << "' to " << out << " ("
-              << traceFormatName(ofmt) << (gz ? ", gzip" : "")
-              << ")\n";
+              << traceFormatName(ofmt) << ")\n";
     return 0;
 }
 
 int
 cmdHead(const std::string &in, std::uint64_t n_ops)
 {
-    TraceSpec spec;
-    spec.path = in;
-    TracePassReader reader(spec);
+    TracePassReader reader(in);
     TraceOp op;
     for (std::uint64_t i = 0; i < n_ops && reader.next(&op); ++i)
         std::cout << formatTraceOp(op) << "\n";
@@ -161,9 +130,7 @@ cmdHead(const std::string &in, std::uint64_t n_ops)
 int
 cmdStat(const std::string &in)
 {
-    TraceSpec spec;
-    spec.path = in;
-    TracePassReader reader(spec, /*background=*/true);
+    TracePassReader reader(in);
     std::uint64_t counts[3] = {0, 0, 0};
     std::uint64_t total = 0, insts = 0;
     Addr lo = ~static_cast<Addr>(0), hi = 0;
@@ -261,7 +228,7 @@ main(int argc, char **argv)
 
     // Leading positional arguments, then options.
     std::vector<std::string> pos;
-    OutOptions opts;
+    TraceFormat format = TraceFormat::Auto;  // Auto = by extension
     std::uint64_t n_ops = 0;
     bool n_ops_set = false;
     std::uint64_t seed = 42;
@@ -277,16 +244,13 @@ main(int argc, char **argv)
         if (!std::strcmp(a, "--format")) {
             const std::string v = need(i);
             if (v == "auto")
-                opts.format = TraceFormat::Auto;
+                format = TraceFormat::Auto;
             else if (v == "text")
-                opts.format = TraceFormat::Text;
+                format = TraceFormat::Text;
             else if (v == "fbt")
-                opts.format = TraceFormat::Fbt;
+                format = TraceFormat::Fbt;
             else
                 usage();
-        } else if (!std::strcmp(a, "--gzip")) {
-            opts.gzip = true;
-            opts.gzipExplicit = true;
         } else if (!std::strcmp(a, "--ops")) {
             n_ops = static_cast<std::uint64_t>(
                 requireCount(a, need(i), 1, maxU63));
@@ -304,11 +268,11 @@ main(int argc, char **argv)
     }
 
     if (cmd == "convert" && pos.size() == 2)
-        return cmdConvert(pos[0], pos[1], opts);
+        return cmdConvert(pos[0], pos[1], format);
     if (cmd == "record" && pos.size() == 2)
         return cmdRecord(pos[0], pos[1],
                          n_ops_set ? n_ops : 1'000'000, seed,
-                         sw_prefetch, opts);
+                         sw_prefetch, format);
     if (cmd == "head" && pos.size() == 1)
         return cmdHead(pos[0], n_ops_set ? n_ops : 10);
     if (cmd == "stat" && pos.size() == 1)
